@@ -43,7 +43,7 @@ def run_bench(sizes, seed: int = 0, reps: int = 3) -> list[BenchRow]:
         n, p = _shape(target)
         inst = generate_instance(n, "gnp", p, seed=seed + k)
         matchings = [greedy_matching(inst), random_maximal_matching(inst, seed=seed + k)]
-        edges = len(inst.edges)
+        edges = inst.m
         times = []
         for m in matchings:
             for rep in range(reps + 1):

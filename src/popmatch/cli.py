@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .bench import format_table, run_bench
+from .engine import EngineError
 from .formats import (
     ParseError,
     document_to_json,
@@ -199,8 +201,12 @@ def main(argv=None) -> int:
     except OracleLimitError as exc:
         print(f"error: {exc} (raise POPMATCH_ORACLE_LIMIT to override)", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, EngineError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit code 1 means "not popular", never a crash
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
 

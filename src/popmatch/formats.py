@@ -9,6 +9,11 @@ JSON documents that re-verify against the instance and matching on load.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
+from typing import NoReturn
+
+import numpy as np
 
 from .fractional import (
     CycleThroughStar,
@@ -21,6 +26,7 @@ from .fractional import (
 from .model import (
     HalfIntegralMatching,
     Matching,
+    PreferenceError,
     RoommatesInstance,
     check_matching,
     delta,
@@ -42,75 +48,173 @@ class ParseError(ValueError):
     """Malformed instance, matching, or certificate text."""
 
 
-def _tokens(raw: str) -> list[tuple[int, str]]:
-    """(column, token) pairs of a line with any comment stripped."""
-    line = raw.split("#", 1)[0]
-    out = []
-    col = 0
-    for tok in line.split():
-        col = line.index(tok, col)
-        out.append((col + 1, tok))
-        col += len(tok)
-    return out
+# Input grammar: tokens are -?[0-9]+ separated by spaces or tabs, `#`
+# starts a comment, lines end in \n or \r\n. Text is read in one array
+# pass; the per-line scans below only name the error once that pass has
+# rejected the text, and always raise.
+_OTHER, _DIGIT, _MINUS, _BLANK, _NEWLINE, _CR, _HASH = range(7)
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
+_CLASS[ord("-")] = _MINUS
+_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_CLASS[ord("\n")] = _NEWLINE
+_CLASS[ord("\r")] = _CR
+_CLASS[ord("#")] = _HASH
+_INT64_MAX = np.iinfo(np.int64).max
+_TOKEN = re.compile(r"[^ \t]+")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    data: bytes
+    values: np.ndarray  # per token; a value beyond int64 reads as int64 max
+    starts: np.ndarray  # byte offset of each token
+    ends: np.ndarray
+    newlines: np.ndarray  # byte offset of each line end
+    per_line: np.ndarray  # token count of each line
+    comment_only: np.ndarray  # per line: nothing but blanks before a `#`
+
+    def exact(self, k: int) -> int:
+        """Token k as a Python int, beyond int64 too."""
+        return int(self.data[self.starts[k] : self.ends[k]])
+
+    def lineno(self, k: int) -> int:
+        """1-based line number of token k."""
+        return int(np.searchsorted(self.newlines, self.starts[k])) + 1
+
+
+def _tokenize(text: str) -> _Tokens | None:
+    """Token arrays of text in one pass, or None if it breaks the grammar."""
+    data = text.encode("utf-8", "replace")
+    cls = _CLASS[np.frombuffer(data, dtype=np.uint8)]
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    lines = len(newlines) + (not data.endswith(b"\n") and bool(data))
+    has_comment = np.zeros(lines, dtype=bool)
+    hashes = np.flatnonzero(cls == _HASH)
+    if hashes.size:
+        # a comment runs from the first `#` of its line to the line end
+        hline = np.searchsorted(newlines, hashes)
+        first = np.ones(len(hashes), dtype=bool)
+        first[1:] = hline[1:] != hline[:-1]
+        hline = hline[first]
+        mark = np.zeros(len(data) + 1, dtype=np.int8)
+        mark[hashes[first]] = 1
+        mark[np.append(newlines, len(data))[hline]] = -1
+        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+        cls[inside] = _BLANK
+        has_comment[hline] = True
+    crs = np.flatnonzero(cls == _CR)
+    if crs.size:
+        if crs[-1] + 1 == len(data) or (cls[crs + 1] != _NEWLINE).any():
+            return None
+        cls[crs] = _BLANK
+    if (cls == _OTHER).any():
+        return None
+    edge = np.diff((cls <= _MINUS).view(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edge == 1)
+    ends = np.flatnonzero(edge == -1)
+    # every `-` opens a token and is followed by a digit
+    neg = cls[starts] == _MINUS
+    if int(neg.sum()) != int((cls == _MINUS).sum()) or (ends[neg] - starts[neg] < 2).any():
+        return None
+    values = np.zeros(0, dtype=np.int64)
+    if starts.size:
+        source = text  # ASCII: every byte outside comments passed the classes
+        if hashes.size:
+            clean = np.frombuffer(data, dtype=np.uint8).copy()
+            clean[inside] = ord(" ")
+            source = clean.tobytes().decode("ascii")
+        values = np.fromstring(source, dtype=np.int64, sep=" ")
+        if values.size != starts.size:
+            return None
+        for k in np.flatnonzero(ends - starts > 18).tolist():
+            v = int(data[starts[k] : ends[k]])
+            values[k] = v if -_INT64_MAX <= v <= _INT64_MAX else _INT64_MAX
+    # tokens before each line end, differenced into a count per line
+    before = np.append(np.searchsorted(starts, newlines), len(starts))[:lines]
+    per_line = np.diff(before, prepend=0)
+    comment_only = has_comment & (per_line == 0)
+    return _Tokens(data, values, starts, ends, newlines, per_line, comment_only)
+
+
+def _scan_lines(text: str):
+    """(line number, [(column, token)]) per line, comments and line ends cut."""
+    raws = text.split("\n")
+    for lineno, raw in enumerate(raws, start=1):
+        if lineno < len(raws) and raw.endswith("\r"):
+            raw = raw[:-1]
+        body = raw.split("#", 1)[0]
+        yield lineno, [(t.start() + 1, t.group()) for t in _TOKEN.finditer(body)]
 
 
 def _int_token(lineno: int, col: int, tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(
-            f"line {lineno}, column {col}: expected an integer, got {tok!r}"
-        ) from None
+    if not _INTEGER.fullmatch(tok):
+        raise ParseError(f"line {lineno}, column {col}: expected an integer, got {tok!r}")
+    return int(tok)
 
 
-def parse_instance(text: str) -> RoommatesInstance:
-    """Read the preference-list format, validating as it goes.
-
-    After the count line, every line that is not a comment is one node's
-    row in order; an isolated node's row is empty. Trailing blank lines
-    are tolerated.
-    """
-    n = None
-    rows: list[tuple[int, list[int]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        toks = _tokens(raw)
-        if n is None:
-            if not toks:
-                continue
+def _instance_error(text: str) -> NoReturn:
+    """Raise the error of the first line breaking the instance grammar."""
+    counted = False
+    for lineno, toks in _scan_lines(text):
+        if not counted and toks:
             if len(toks) != 1:
                 raise ParseError(f"line {lineno}: expected only the node count")
             n = _int_token(lineno, *toks[0])
             if n < 0:
                 raise ParseError(f"line {lineno}: negative node count {n}")
-            continue
-        rows.append((lineno, [_int_token(lineno, c, t) for c, t in toks]))
-    if n is None:
+            counted = True
+        else:
+            for col, tok in toks:
+                _int_token(lineno, col, tok)
+    raise ParseError("instance text could not be read")
+
+
+def parse_instance(text: str) -> RoommatesInstance:
+    """Read the preference-list format.
+
+    After the count line, every line that is not only a comment is one
+    node's row in order; an isolated node's row is empty. Trailing blank
+    lines are tolerated.
+    """
+    t = _tokenize(text)
+    if t is None:
+        _instance_error(text)
+    if not t.values.size:
         raise ParseError("missing the node count line")
-    while len(rows) > n and not rows[-1][1]:
-        rows.pop()
-    if len(rows) != n:
-        raise ParseError(f"expected {n} preference lines, found {len(rows)}")
-    seen_of: list[set] = []
-    for i, (lineno, ids) in enumerate(rows):
-        seen = set()
-        for j in ids:
-            if not 0 <= j < n:
-                raise ParseError(f"line {lineno}: node {i} lists {j}, out of range")
-            if j == i:
-                raise ParseError(f"line {lineno}: node {i} lists itself")
-            if j in seen:
-                raise ParseError(f"line {lineno}: node {i} lists {j} twice")
-            seen.add(j)
-        seen_of.append(seen)
-    for i, (lineno, ids) in enumerate(rows):
-        for j in ids:
-            if i not in seen_of[j]:
-                raise ParseError(
-                    f"line {lineno}: node {i} lists {j} but {j} does not list {i} back"
-                )
-    return RoommatesInstance(tuple(tuple(ids) for _, ids in rows))
+    head = t.lineno(0)  # lines before it hold no token
+    if t.per_line[head - 1] != 1:
+        raise ParseError(f"line {head}: expected only the node count")
+    n = t.exact(0)
+    if n < 0:
+        raise ParseError(f"line {head}: negative node count {n}")
+    rows = head + np.flatnonzero(~t.comment_only[head:])
+    found = len(rows)
+    if found > n:  # drop trailing empty rows beyond the count
+        filled = np.flatnonzero(t.per_line[rows])
+        found = max(n, int(filled[-1]) + 1 if filled.size else 0)
+    if found != n:
+        raise ParseError(f"expected {n} preference lines, found {found}")
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(t.per_line[rows[:n]], out=off[1:])
+    flat = t.values[1:].tolist()
+    bounds = off.tolist()
+    pref = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    try:
+        return RoommatesInstance(pref)
+    except PreferenceError as exc:
+        k = exc.entry + 1
+        where = f"line {t.lineno(k)}: node {exc.node} lists"
+        j = exc.other
+        raise ParseError(
+            {
+                "range": f"{where} {t.exact(k)}, out of range",
+                "self": f"{where} itself",
+                "twice": f"{where} {j} twice",
+                "one-sided": f"{where} {j} but {j} does not list {exc.node} back",
+            }[exc.kind]
+        ) from None
 
 
 def serialize_instance(inst: RoommatesInstance) -> str:
@@ -120,12 +224,10 @@ def serialize_instance(inst: RoommatesInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matching(text: str, inst: RoommatesInstance) -> Matching:
-    """Read `i j` pair lines against an already parsed instance."""
-    pairs = []
+def _matching_error(text: str, inst: RoommatesInstance) -> NoReturn:
+    """Raise the error of the first line breaking the matching rules."""
     used = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+    for lineno, toks in _scan_lines(text):
         if not toks:
             continue
         if len(toks) != 2:
@@ -140,12 +242,20 @@ def parse_matching(text: str, inst: RoommatesInstance) -> Matching:
                     f"line {lineno}: node {w} already matched on line {used[w]}"
                 )
             used[w] = lineno
-        if u == v:
-            raise ParseError(f"line {lineno}: node {u} paired with itself")
-        if (min(u, v), max(u, v)) not in inst.edges:
+        if not inst.has_edges([u], [v])[0]:
             raise ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
-        pairs.append((u, v))
-    return Matching.from_pairs(inst, pairs)
+    raise ParseError("matching text could not be read")
+
+
+def parse_matching(text: str, inst: RoommatesInstance) -> Matching:
+    """Read `i j` pair lines against an already parsed instance."""
+    t = _tokenize(text)
+    if t is None or (t.per_line[t.per_line > 0] != 2).any():
+        _matching_error(text, inst)
+    try:
+        return Matching.from_pairs(inst, t.values.reshape(-1, 2))
+    except ValueError:
+        _matching_error(text, inst)
 
 
 def serialize_matching(m: Matching) -> str:
@@ -236,6 +346,10 @@ def parse_certificate(text: str) -> dict:
     return doc
 
 
+_NODE_KEYS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _witness_from(doc, n: int) -> DualWitness | str:
     if not isinstance(doc, dict):
         return "witness is not an object"
@@ -243,20 +357,36 @@ def _witness_from(doc, n: int) -> DualWitness | str:
     sets_doc = doc.get("two_sets")
     if not isinstance(alpha_doc, dict) or not isinstance(sets_doc, list):
         return "witness needs alpha and two_sets"
-    alpha = [0] * n
-    try:
-        for key, val in alpha_doc.items():
-            idx = int(key)
-            if not 0 <= idx < n:
+    keys = list(alpha_doc)
+    vals = list(alpha_doc.values())
+    # keys are canonical decimal node ids: one regex pass over all of them,
+    # and a value count that catches a key holding a space
+    joined = " ".join(keys)
+    idx = np.zeros(0, dtype=np.int64)
+    if keys and _NODE_KEYS.fullmatch(joined):
+        idx = np.fromstring(joined, dtype=np.int64, sep=" ")
+    if idx.size != len(keys) or (keys and idx.max() >= n):
+        for key in keys:
+            if not _CANONICAL_INT.fullmatch(key):
+                return f"alpha key {key!r} is not a canonical node id"
+            if not 0 <= int(key) < n:
                 return f"alpha key {key!r} is out of range"
-            alpha[idx] = int(val)
-        two_sets = tuple(frozenset(int(v) for v in group) for group in sets_doc)
-        for group, raw in zip(two_sets, sets_doc):
-            if len(group) != len(raw):
-                return "odd set repeats a node"
-    except (ValueError, TypeError, IndexError):
-        return "witness contains a non-node entry"
-    return DualWitness(alpha=tuple(alpha), two_sets=two_sets)
+        return "alpha keys are not node ids"
+    if not set(map(type, vals)) <= {int}:
+        return "alpha values must be integers"
+    if not set(vals) <= {-1, 0, 1}:
+        return "alpha value outside {-1, 0, 1}"
+    alpha = [0] * n
+    for i, a in zip(idx.tolist(), vals):
+        alpha[i] = a
+    two_sets = []
+    for group in sets_doc:
+        if not isinstance(group, list) or not set(map(type, group)) <= {int}:
+            return "witness contains a non-node entry"
+        two_sets.append(frozenset(group))
+        if len(two_sets[-1]) != len(group):
+            return "odd set repeats a node"
+    return DualWitness(alpha=tuple(alpha), two_sets=tuple(two_sets))
 
 
 def _int_list(seq) -> list | None:
@@ -315,7 +445,7 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     if isinstance(better, str):
         return better
     margin = doc.get("margin")
-    if not isinstance(margin, int) or margin < 1:
+    if type(margin) is not int or margin < 1:
         return f"margin {margin!r} does not certify a defeat"
     if delta(inst, m, better) != margin:
         return f"better matching wins by {delta(inst, m, better)}, not {margin}"
@@ -377,7 +507,7 @@ def _verify_not_fractional(inst, m, doc) -> str | None:
     if isinstance(p, str):
         return p
     vt2 = doc.get("value_times_two")
-    if not isinstance(vt2, int) or vt2 < 1:
+    if type(vt2) is not int or vt2 < 1:
         return f"value_times_two {vt2!r} does not certify a defeat"
     actual = fractional_value_times_two(inst, m, p)
     if actual != vt2:

@@ -235,10 +235,6 @@ def _bad_node(inst: RoommatesInstance, seq) -> str | None:
     return None
 
 
-def _edge_missing(inst: RoommatesInstance, a: int, b: int) -> bool:
-    return (min(a, b), max(a, b)) not in inst.edges
-
-
 def check_fractional_structure(
     inst: RoommatesInstance, m: Matching, s: CycleThroughStar | PathPlusCycle
 ) -> str | None:
@@ -259,9 +255,10 @@ def check_fractional_structure(
             return f"edge {cyc[0]}-{cyc[1]} is not blocking"
         if not is_blocking_edge(inst, m, cyc[0], cyc[-1]):
             return f"edge {cyc[0]}-{cyc[-1]} is not blocking"
+        ring = inst.has_edges(cyc, cyc[1:] + cyc[:1])  # ring[i]: cyc[i]-cyc[i+1]
         for i in range(2, len(cyc) - 1, 2):
             a, b = cyc[i], cyc[i + 1]
-            if _edge_missing(inst, a, b):
+            if not ring[i]:
                 return f"cycle edge {a}-{b} missing"
             if edge_weight(inst, m, a, b) != 0:
                 return f"cycle edge {a}-{b} does not tie the vote"
@@ -293,19 +290,20 @@ def check_fractional_structure(
     for i in range(1, len(path) - 1, 2):
         if m.partner[path[i]] != path[i + 1]:
             return f"path nodes {path[i]} and {path[i + 1]} are not partners"
+    along = inst.has_edges(path[:-1], path[1:])
     for i in range(2, len(path) - 1, 2):
         a, b = path[i], path[i + 1]
-        if _edge_missing(inst, a, b):
+        if not along[i]:
             return f"path edge {a}-{b} missing"
         if edge_weight(inst, m, a, b) != 0:
             return f"path edge {a}-{b} does not tie the vote"
     for i in range(1, len(cyc) - 1, 2):
         if m.partner[cyc[i]] != cyc[i + 1]:
             return f"cycle nodes {cyc[i]} and {cyc[i + 1]} are not partners"
-    loose = [(cyc[0], cyc[1]), (cyc[-1], cyc[0])]
-    loose += [(cyc[i], cyc[i + 1]) for i in range(2, len(cyc) - 1, 2)]
-    for a, b in loose:
-        if _edge_missing(inst, a, b):
+    ring = inst.has_edges(cyc, cyc[1:] + cyc[:1])  # ring[i]: cyc[i]-cyc[i+1]
+    for i in [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)]:
+        a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+        if not ring[i]:
             return f"cycle edge {a}-{b} missing"
         if edge_weight(inst, m, a, b) != 0:
             return f"cycle edge {a}-{b} does not tie the vote"

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,58 @@ def _csr_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=n), out=off[1:])
     return Graph(n, off.tolist(), b[order].tolist())
+
+
+class PreferenceError(ValueError):
+    """A preference entry that breaks the instance rules.
+
+    kind is "range", "self", "twice" or "one-sided"; entry is the entry's
+    position when the lists are read row by row, node owns the list.
+    """
+
+    def __init__(self, kind: str, node: int, other: int, entry: int):
+        self.kind, self.node, self.other, self.entry = kind, node, other, entry
+        super().__init__(
+            {
+                "range": f"node {node} ranks a vertex outside the instance",
+                "self": f"node {node} ranks itself",
+                "twice": f"node {node} ranks {other} twice",
+                "one-sided": f"node {node} ranks {other} but not vice versa",
+            }[kind]
+        )
+
+
+def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
+    """The defect of the first bad entry in row order."""
+    bad = (dv < 0) | (dv >= n) | (dv == du)
+    stop = int(np.argmax(bad)) if bad.any() else len(dv)
+    # a repeat before the first bad entry comes first; ids there are valid
+    d = du[:stop] * n + dv[:stop]
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
+    repeats = order[1:][ds[1:] == ds[:-1]]
+    if repeats.size:
+        i = int(repeats.min())
+        return PreferenceError("twice", int(du[i]), int(dv[i]), i)
+    if stop < len(dv):
+        kind = "self" if dv[stop] == du[stop] else "range"
+        return PreferenceError(kind, int(du[stop]), int(dv[stop]), stop)
+    back = dv * n + du
+    listed = np.searchsorted(ds, back, side="right") > np.searchsorted(ds, back)
+    i = int(np.argmin(listed))
+    return PreferenceError("one-sided", int(du[i]), int(dv[i]), i)
+
+
+def _node_pairs(pairs) -> np.ndarray:
+    """(k, 2) int64 array of node pairs; ids beyond int64 become -1, no node."""
+    try:
+        arr = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        arr = np.asarray(
+            [[x if -(2**63) <= x < 2**63 else -1 for x in p] for p in pairs],
+            dtype=np.int64,
+        )
+    return arr.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -58,57 +111,52 @@ class RoommatesInstance:
             (u, v) if u < v else (v, u) for u in range(self.n) for v in self.pref[u]
         )
 
+    def has_edges(self, us, vs) -> np.ndarray:
+        """Elementwise: is (us[i], vs[i]) an edge? One batched key lookup."""
+        n = self.n
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        ok = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
+        key = np.where(ok, np.minimum(us, vs) * n + np.maximum(us, vs), -1)
+        keys = self._arrays["keys"]
+        return np.searchsorted(keys, key, side="right") > np.searchsorted(keys, key)
+
     @cached_property
     def _arrays(self) -> dict:
+        """Validated directed and undirected edge arrays.
+
+        Each undirected edge has the key lo * n + hi; `keys` holds them
+        sorted, and eu/ev/pu/pv are aligned with it.
+        """
         n = len(self.pref)
-        counts = np.fromiter((len(p) for p in self.pref), dtype=np.int64, count=n)
-        total = int(counts.sum())
+        counts = np.fromiter(map(len, self.pref), dtype=np.int64, count=n)
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
-        dv = np.fromiter(
-            (x for p in self.pref for x in p), dtype=np.int64, count=total
-        )
+        total = int(off[-1])
+        dv = np.fromiter(chain.from_iterable(self.pref), dtype=np.int64, count=total)
         du = np.repeat(np.arange(n, dtype=np.int64), counts)
-        dpos = np.arange(total, dtype=np.int64) - np.repeat(off[:-1], counts)
-        if total:
-            if dv.min() < 0 or dv.max() >= n:
-                bad = int(du[(dv < 0) | (dv >= n)][0])
-                raise ValueError(f"node {bad} ranks a vertex outside the instance")
-            if bool((du == dv).any()):
-                bad = int(du[du == dv][0])
-                raise ValueError(f"node {bad} ranks itself")
+        if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
+            raise _first_defect(du, dv, n)
         lo = np.minimum(du, dv)
-        key = lo * n + np.maximum(du, dv)
-        order = np.lexsort((du, key))
-        ks = key[order]
-        if total % 2 or not np.array_equal(ks[0::2], ks[1::2]):
-            # some pair (u, v) appears an odd number of times in one
-            # direction: either a duplicate entry or a one-sided listing
-            seen: dict = {}
-            for u in range(n):
-                for v in self.pref[u]:
-                    if (u, v) in seen:
-                        raise ValueError(f"node {u} ranks {v} twice")
-                    seen[(u, v)] = True
-            for u in range(n):
-                for v in self.pref[u]:
-                    if (v, u) not in seen:
-                        raise ValueError(f"node {u} ranks {v} but not vice versa")
-            raise ValueError("preference lists are not symmetric")
-        dus = du[order]
-        if total and bool((ks[0::2] == np.roll(ks[0::2], 1))[1:].any()):
-            dup = int(dus[0::2][1:][(ks[0::2] == np.roll(ks[0::2], 1))[1:]][0])
-            raise ValueError(f"node {dup} ranks a neighbor twice")
-        dps = dpos[order]
+        # the low bit tells the two directions apart, so valid keys are distinct
+        key2 = (lo * n + np.maximum(du, dv)) * 2 + (du != lo)
+        order = np.argsort(key2)
+        ks = key2[order]
+        # valid iff every edge appears exactly once from each side
+        if total % 2 or not np.array_equal(ks[0::2] ^ 1, ks[1::2]):
+            raise _first_defect(du, dv, n)
+        dpos = np.arange(total, dtype=np.int64) - np.repeat(off[:-1], counts)
+        low, high = order[0::2], order[1::2]
         return {
             "off": off,
             "du": du,
             "dv": dv,
             "dpos": dpos,
-            "eu": dus[0::2],
-            "ev": dus[1::2],
-            "pu": dps[0::2],
-            "pv": dps[1::2],
+            "keys": ks[0::2] >> 1,
+            "eu": du[low],
+            "ev": du[high],
+            "pu": dpos[low],
+            "pv": dpos[high],
         }
 
 
@@ -135,15 +183,30 @@ class Matching:
 
     @classmethod
     def from_pairs(cls, inst: RoommatesInstance, pairs) -> "Matching":
-        partner: list = [None] * inst.n
-        for u, v in pairs:
-            if (min(u, v), max(u, v)) not in inst.edges:
+        """Matching of (u, v) pairs, each an instance edge on two fresh nodes."""
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        arr = _node_pairs(pairs)
+        missing = ~inst.has_edges(arr[:, 0], arr[:, 1])
+        flat = arr.ravel()
+        order = np.argsort(flat, kind="stable")
+        srt = flat[order]
+        again = np.zeros(len(flat), dtype=bool)  # a node seen in an earlier slot
+        again[order[1:][srt[1:] == srt[:-1]]] = True
+        bad = missing | again.reshape(-1, 2).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            u, v = pairs[i]
+            if missing[i]:
                 raise ValueError(f"pair ({u}, {v}) is not an edge of the instance")
-            if partner[u] is not None or partner[v] is not None:
-                raise ValueError(f"pair ({u}, {v}) reuses a matched node")
-            partner[u] = v
-            partner[v] = u
-        return cls(tuple(partner))
+            raise ValueError(f"pair ({u}, {v}) reuses a matched node")
+        partner = np.full(inst.n, -1, dtype=np.int64)
+        partner[arr[:, 0]] = arr[:, 1]
+        partner[arr[:, 1]] = arr[:, 0]
+        m = object.__new__(cls)  # an involution by construction
+        entries = tuple(w if w >= 0 else None for w in partner.tolist())
+        object.__setattr__(m, "partner", entries)
+        return m
 
     @classmethod
     def from_partner_list(cls, seq) -> "Matching":
@@ -163,10 +226,6 @@ class Matching:
 
     def unmatched(self) -> tuple:
         return tuple(v for v, w in enumerate(self.partner) if w is None)
-
-
-def engine_partner_list(m: Matching) -> list:
-    return [-1 if w is None else w for w in m.partner]
 
 
 def _partner_array(m: Matching) -> np.ndarray:
@@ -329,26 +388,33 @@ class HalfIntegralMatching:
 
     def validate(self, inst: RoommatesInstance) -> None:
         """Raise ValueError unless this is a perfect half-integral matching."""
-        cover = [0] * inst.n
-        for u, v in self.ones:
-            if (u, v) not in inst.edges:
-                raise ValueError(f"edge ({u}, {v}) is not in the instance")
-            cover[u] += 2
-            cover[v] += 2
+        ones = _node_pairs(self.ones)
+        has = inst.has_edges(ones[:, 0], ones[:, 1])
+        if not has.all():
+            u, v = self.ones[int(np.argmin(has))]
+            raise ValueError(f"edge ({u}, {v}) is not in the instance")
         for v in self.loop_ones:
             if not 0 <= v < inst.n:
                 raise ValueError(f"loop node {v} is out of range")
-            cover[v] += 2
-        for cyc in self.half_cycles:
-            for i, u in enumerate(cyc):
-                v = cyc[(i + 1) % len(cyc)]
-                if (min(u, v), max(u, v)) not in inst.edges:
-                    raise ValueError(f"cycle edge ({u}, {v}) is not in the instance")
-                cover[u] += 1
-                cover[v] += 1
-        for v, c in enumerate(cover):
-            if c != 2:
-                raise ValueError(f"node {v} is covered {c}/2 times, expected exactly 1")
+        steps = [
+            (u, cyc[(i + 1) % len(cyc)])
+            for cyc in self.half_cycles
+            for i, u in enumerate(cyc)
+        ]
+        cyc_edges = _node_pairs(steps)
+        has = inst.has_edges(cyc_edges[:, 0], cyc_edges[:, 1])
+        if not has.all():
+            u, v = steps[int(np.argmin(has))]
+            raise ValueError(f"cycle edge ({u}, {v}) is not in the instance")
+        # every endpoint of a one and every loop counts twice, every cycle
+        # node once per incident cycle edge
+        loops = np.asarray(self.loop_ones, dtype=np.int64)
+        cover = 2 * np.bincount(np.concatenate([ones.ravel(), loops]), minlength=inst.n)
+        cover += np.bincount(cyc_edges.ravel(), minlength=inst.n)
+        if (cover != 2).any():
+            v = int(np.argmax(cover != 2))
+            c = int(cover[v])
+            raise ValueError(f"node {v} is covered {c}/2 times, expected exactly 1")
 
 
 def half_from_matching(inst: RoommatesInstance, m: Matching) -> HalfIntegralMatching:

@@ -254,6 +254,7 @@ def check_blocking_structure(
         return "repeated node"
     if len(seq) % 2 != 0:
         return f"odd node count {len(seq)}"
+    present = inst.has_edges(seq[:-1], seq[1:])  # present[i]: seq[i]-seq[i+1]
 
     if s.kind == CYCLE:
         if len(seq) < 4:
@@ -265,7 +266,7 @@ def check_blocking_structure(
                 if m.partner[a] != b:
                     return f"cycle edge {a}-{b} should be matched"
             else:
-                if (min(a, b), max(a, b)) not in inst.edges:
+                if not present[i]:
                     return f"cycle edge {a}-{b} missing"
                 if m.partner[a] == b:
                     return f"cycle edge {a}-{b} should be unmatched"
@@ -283,7 +284,7 @@ def check_blocking_structure(
             if m.partner[a] != b:
                 return f"path edge {a}-{b} should be matched"
         else:
-            if (min(a, b), max(a, b)) not in inst.edges:
+            if not present[i]:
                 return f"path edge {a}-{b} missing"
             if m.partner[a] == b:
                 return f"path edge {a}-{b} should be unmatched"

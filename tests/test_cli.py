@@ -1,17 +1,23 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from popmatch.cli import main
+import popmatch.cli
+from popmatch.cli import _load, main
+from popmatch.engine import EngineError
 from popmatch.formats import (
     parse_certificate,
     parse_instance,
+    result_to_document,
     serialize_instance,
     serialize_matching,
     verify_certificate,
 )
+from popmatch.fractional import is_fractional_popular
+from popmatch.popularity import is_popular
 
 
 def write_pair(tmp_path, inst, m):
@@ -209,3 +215,33 @@ def test_console_script_runs(tmp_path, triangle_pendant):
     )
     assert proc.returncode == 0
     assert proc.stdout == "popular\n"
+
+
+def test_engine_failure_exits_two(tmp_path, capsys, monkeypatch, triangle_pendant):
+    def broken(inst, m):
+        raise EngineError("blossom stack underflow")
+
+    monkeypatch.setattr(popmatch.cli, "is_popular", broken)
+    ipath, mpath = write_pair(tmp_path, *triangle_pendant)
+    assert main(["check", "-i", ipath, "-m", mpath]) == 2
+    assert capsys.readouterr().err == "internal error: blossom stack underflow\n"
+
+    def crash(inst, m):
+        raise KeyError(3)
+
+    monkeypatch.setattr(popmatch.cli, "is_popular", crash)
+    assert main(["witness", "-i", ipath, "-m", mpath, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.endswith("\ninternal error: KeyError: 3\n")
+
+
+def test_verdict_paths_never_build_the_edge_set(
+    tmp_path, two_triangles_pendants, triangle_pendant, two_triangles, swap_square
+):
+    for fixture in (two_triangles_pendants, triangle_pendant, two_triangles, swap_square):
+        ipath, mpath = write_pair(tmp_path, *fixture)
+        inst, m = _load(argparse.Namespace(instance=ipath, matching=mpath))
+        for decide in (is_popular, is_fractional_popular):
+            doc = parse_certificate(json.dumps(result_to_document(decide(inst, m))))
+            assert verify_certificate(inst, m, doc) is None
+        assert "edges" not in inst.__dict__

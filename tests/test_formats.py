@@ -35,6 +35,35 @@ def test_instance_comments_and_blanks():
     assert parse_instance(text) == RoommatesInstance(((1, 2), (0,), (0,)))
 
 
+def test_crlf_tabs_and_comments(triangle_pendant):
+    text = "# c\r\n3 # count\r\n1\t2\r\n\t# aside\r\n0  # é\r\n0"
+    assert parse_instance(text) == RoommatesInstance(((1, 2), (0,), (0,)))
+    assert parse_instance("3\n1\n0\n\n") == RoommatesInstance(((1,), (0,), ()))
+    inst, m = triangle_pendant
+    assert parse_matching("1\t0\r\n# none\r\n 3 2 \r\n", inst) == m
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+3\n", "line 1, column 1: expected an integer, got '+3'"),
+        ("2\n1_0\n0\n", "line 2, column 1: expected an integer, got '1_0'"),
+        ("2\n\u0661\n0\n", "line 2, column 1: expected an integer, got '\u0661'"),
+        ("2\n1\x0c\n0\n", "line 2, column 1: expected an integer, got '1\\x0c'"),
+        ("2\n1\r0\n", "line 2, column 1: expected an integer, got '1\\r0'"),
+        ("2\n1\n0\r", "line 3, column 1: expected an integer, got '0\\r'"),
+        ("2\n 1 -\n0\n", "line 2, column 4: expected an integer, got '-'"),
+        ("2\n1\n0 1-\n", "line 3, column 3: expected an integer, got '1-'"),
+        ("2\n1 99999999999999999999999\n0\n",
+         "line 2: node 0 lists 99999999999999999999999, out of range"),
+    ],
+)
+def test_instance_grammar_is_strict(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == expected
+
+
 def test_parse_instance_errors():
     cases = [
         ("", "missing the node count line"),
@@ -76,6 +105,22 @@ def test_parse_matching_errors(triangle_pendant):
         with pytest.raises(ParseError) as err:
             parse_matching(text, inst)
         assert expected in str(err.value), (text, str(err.value))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0 +1\n", "line 1, column 3: expected an integer, got '+1'"),
+        ("0 1\n2 3_\n", "line 2, column 3: expected an integer, got '3_'"),
+        ("0 1\n2 99999999999999999999\n", "line 2: node 99999999999999999999 is out of range"),
+        ("0 1\n\n2 0\n", "line 3: node 0 already matched on line 1"),
+    ],
+)
+def test_parse_matching_grammar(triangle_pendant, text, expected):
+    inst, _ = triangle_pendant
+    with pytest.raises(ParseError) as err:
+        parse_matching(text, inst)
+    assert str(err.value) == expected
 
 
 def test_certificate_round_trips(
@@ -200,6 +245,16 @@ def test_verify_rejects_tampered_unpopular(two_triangles_pendants):
     assert "not an edge" in verify_certificate(inst, m, bad)
 
     bad = copy.deepcopy(doc)
+    bad["better_matching"] = [[0, 2], [3, 10**30]]
+    assert "pair (3, 1000000000000000000000000000000) is not an edge" in verify_certificate(
+        inst, m, bad
+    )
+
+    bad = copy.deepcopy(doc)
+    bad["better_matching"] = [[0, 2], [2, 3]]
+    assert "pair (2, 3) reuses a matched node" in verify_certificate(inst, m, bad)
+
+    bad = copy.deepcopy(doc)
     del bad["blocking_structure"]
     assert "missing blocking_structure" in verify_certificate(inst, m, bad)
 
@@ -217,6 +272,16 @@ def test_verify_rejects_tampered_fractional(two_triangles, two_triangles_pendant
     assert "covered" in verify_certificate(inst, m, bad)
 
     bad = copy.deepcopy(doc)
+    bad["p"]["half_cycles"] = [[3, 4, 10**30]]
+    assert "cycle edge (4, 1000000000000000000000000000000) is not in" in verify_certificate(
+        inst, m, bad
+    )
+
+    bad = copy.deepcopy(doc)
+    bad["p"]["ones"] = [[0, 2], [1, -1]]
+    assert "edge (-1, 1) is not in the instance" in verify_certificate(inst, m, bad)
+
+    bad = copy.deepcopy(doc)
     bad["fractional_structure"]["kind"] = "spiral"
     assert "unknown fractional structure kind" in verify_certificate(inst, m, bad)
 
@@ -231,3 +296,51 @@ def test_verify_rejects_tampered_fractional(two_triangles, two_triangles_pendant
     bad = copy.deepcopy(lifted)
     bad["margin"] = 1
     assert "wins by 2, not 1" in verify_certificate(inst1, m1, bad)
+
+
+def _tampered(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, expected",
+    [
+        (("witness", "alpha", "0"), -1.5, "alpha values must be integers"),
+        (("witness", "alpha", "0"), True, "alpha values must be integers"),
+        (("witness", "alpha", "0"), "-1", "alpha values must be integers"),
+        (("witness", "alpha", "0"), 10**30, "alpha value outside {-1, 0, 1}"),
+        (("witness", "alpha", "-0"), -1, "alpha key '-0' is not a canonical node id"),
+        (("witness", "alpha", "03"), -1, "alpha key '03' is not a canonical node id"),
+        (("witness", "alpha", " 3"), -1, "alpha key ' 3' is not a canonical node id"),
+        (("witness", "alpha", "4"), 0, "alpha key '4' is out of range"),
+        (("witness", "alpha", "10000000000000000000000"), 0, "is out of range"),
+        (("witness", "two_sets", 0, 2), 2.7, "witness contains a non-node entry"),
+        (("witness", "two_sets", 0, 2), "2", "witness contains a non-node entry"),
+        (("witness", "two_sets", 0, 2), True, "witness contains a non-node entry"),
+        (("witness", "two_sets", 0), "012", "witness contains a non-node entry"),
+    ],
+)
+def test_verifier_rejects_loose_witness_documents(triangle_pendant, path, value, expected):
+    inst, m = triangle_pendant
+    doc = roundtrip(is_popular(inst, m))
+    assert verify_certificate(inst, m, doc) is None
+    assert expected in verify_certificate(inst, m, _tampered(doc, path, value))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+def test_verifier_rejects_non_integer_scores(two_triangles_pendants, value):
+    inst, m = two_triangles_pendants
+    for res, key in (
+        (is_popular(inst, m), "margin"),
+        (is_fractional_popular(inst, m), "value_times_two"),
+    ):
+        doc = roundtrip(res)
+        assert verify_certificate(inst, m, doc) is None
+        bad = _tampered(doc, (key,), value)
+        assert "does not certify a defeat" in verify_certificate(inst, m, bad)
