@@ -36,15 +36,18 @@ KIND_U = "u"
 class AuxGraph:
     """The derived graph plus every mapping needed to walk back out of it.
 
-    Node ids: matched original nodes first in ascending order, then one
-    node per blocking-edge owner, one per star, and the collapsed
-    exposed node last when M leaves anything unmatched.
+    Node ids: matched original nodes first in ascending order (ids
+    below n_matched), then one node per blocking-edge owner, one per
+    star, and the collapsed exposed node last when M leaves anything
+    unmatched.  payload_array is payload as an int64 array.
     """
 
     graph: Graph = field(compare=False)
     matching: tuple
     kind: tuple
     payload: tuple
+    payload_array: np.ndarray = field(compare=False, repr=False)
+    n_matched: int
     n_orig: int
     orig_to_aux: tuple
     u_id: int
@@ -112,15 +115,10 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     zu, zv = zu[keep], zv[keep]
 
     slv = np.flatnonzero(star_leaf)
+    # edges at u repeat when several unmatched nodes share a neighbor
     us = np.concatenate([zu, b_ids, star_id_of[bpartner[slv]]])
     vs = np.concatenate([zv, orig_to_aux[owners], orig_to_aux[slv]])
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    key = np.unique(lo * n_aux + hi)
-    aus = key // n_aux
-    avs = key % n_aux
-
-    graph = _csr_graph(n_aux, aus, avs)
+    graph = _csr_graph(n_aux, us, vs)
 
     aux_match = np.full(n_aux, -1, dtype=np.int64)
     left = np.flatnonzero(matched & (pa > np.arange(n)))
@@ -128,10 +126,10 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     aux_match[orig_to_aux[pa[left]]] = orig_to_aux[left]
 
     kind = [KIND_ORIG] * nm + [KIND_BLOCK] * nb + [KIND_STAR] * ns
-    payload = morder.tolist() + owners.tolist() + middles.tolist()
+    payload_array = np.concatenate([morder, owners, middles, np.full(int(have_u), -1)])
+    payload = payload_array.tolist()
     if have_u:
         kind.append(KIND_U)
-        payload.append(-1)
 
     star_leaves = {}
     leaf_star = {}
@@ -145,6 +143,8 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         matching=tuple(aux_match.tolist()),
         kind=tuple(kind),
         payload=tuple(payload),
+        payload_array=payload_array,
+        n_matched=nm,
         n_orig=n,
         orig_to_aux=tuple(orig_to_aux.tolist()),
         u_id=u_id,

@@ -1,10 +1,21 @@
 """Blossom-based matching search and the decompositions built on it.
 
 One search routine grows alternating forests from a set of exposed
-roots, contracting odd cycles on the fly.  Everything else here is a
-thin layer over that search: augmenting paths, maximality tests, the
+roots, contracting odd cycles on the fly, and can later continue the
+same forest from more roots.  Everything else here is a thin layer
+over that search: augmenting paths, maximality tests, the
 Gallai-Edmonds decomposition, alternating reachability, and recovery
-of odd alternating cycles inside factor-critical components.
+of odd alternating cycles inside factor-critical components.  A
+popularity test runs the search once: first from the roots whose
+reachability it needs, then from the remaining exposed vertices, so
+one forest yields both the reachable set and the decomposition.
+
+After an exhausted search the components of the even subgraph are
+the outermost blossoms, so the decomposition reads them off the
+search's union-find instead of traversing the graph again.
+`GallaiEdmonds` and `ReachSet` hold numpy label arrays and a piece
+index per vertex; their frozenset attributes are views built on
+first use.
 
 Vertices are 0..n-1, matchings are partner lists with -1 for exposed
 vertices.  All traversals run in sorted adjacency order, so every
@@ -14,7 +25,10 @@ result is deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class EngineError(RuntimeError):
@@ -26,14 +40,19 @@ _ODD = 2
 
 
 class Graph:
-    """Undirected simple graph in CSR form with sorted adjacency."""
+    """Undirected simple graph in CSR form with sorted adjacency.
 
-    __slots__ = ("n", "off", "nbr")
+    off and nbr are Python lists for the search; `edge_arrays` gives
+    the same adjacency as numpy arrays for vectorized checks.
+    """
 
-    def __init__(self, n, off, nbr):
+    __slots__ = ("n", "off", "nbr", "_arrays")
+
+    def __init__(self, n, off, nbr, arrays=None):
         self.n = n
         self.off = off
         self.nbr = nbr
+        self._arrays = arrays
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -78,15 +97,28 @@ class Graph:
                 if u < v:
                     yield u, v
 
+    def edge_arrays(self) -> tuple:
+        """(src, dst) int64 arrays, every edge once per direction, in CSR order."""
+        if self._arrays is None:
+            deg = np.diff(np.asarray(self.off, dtype=np.int64))
+            src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
+            self._arrays = (src, np.asarray(self.nbr, dtype=np.int64))
+        return self._arrays
+
 
 @dataclass
 class _Forest:
-    """State left behind by one alternating-forest search."""
+    """State left behind by one alternating-forest search.
+
+    dsu is the blossom union-find: after the search, the vertices
+    sharing a representative form one outermost blossom.
+    """
 
     label: list
     p: list
     root: list
     aug: tuple | None
+    dsu: list
 
 
 def _find(dsu, x):
@@ -130,30 +162,41 @@ def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
         v = p[o]
 
 
-def _run_search(g: Graph, match: list, roots, stop_on_augment: bool) -> _Forest:
+def _run_search(
+    g: Graph, match: list, roots, stop_on_augment: bool, forest: _Forest | None = None
+) -> _Forest:
     """Grow alternating trees from `roots` until exhaustion.
 
-    With stop_on_augment the search returns as soon as two trees meet
-    (the meeting edge is reported in the forest), otherwise such a
-    meeting means the caller believed a non-maximum matching was
-    maximum and a ValueError is raised.  Meeting an exposed vertex
-    that is not a root raises ValueError for the same reason, except
-    when every exposed vertex is a root, where it cannot happen.
+    With stop_on_augment the search returns as soon as it finds an
+    augmenting path: two trees meet, or an even vertex sees an exposed
+    vertex outside the forest.  The meeting edge is reported in the
+    forest.  Otherwise either event means the caller believed a
+    non-maximum matching was maximum, and a ValueError is raised.
+
+    Given an exhausted `forest`, the search continues it in place with
+    the extra roots.  Scanning some exposed vertices after the others
+    is a legal order of Edmonds' search, so the final labels are those
+    of one search from all the roots.
     """
     n = g.n
     off = g.off
     nbr = g.nbr
-    label = [0] * n
-    p = [-1] * n
-    root = [-1] * n
-    dsu = list(range(n))
+    if forest is None:
+        label = [0] * n
+        p = [-1] * n
+        root = [-1] * n
+        dsu = list(range(n))
+    elif forest.aug is not None:
+        raise EngineError("cannot continue a search that found an augmenting path")
+    else:
+        label, p, root, dsu = forest.label, forest.p, forest.root, forest.dsu
     visit = [-1] * n
     stamp = 0
     queue: list[int] = []
     for r in roots:
         if match[r] != -1:
             raise ValueError(f"root {r} is not exposed")
-        if label[r] == _EVEN:
+        if label[r] != 0:
             raise ValueError(f"duplicate root {r}")
         label[r] = _EVEN
         root[r] = r
@@ -184,7 +227,7 @@ def _run_search(g: Graph, match: list, roots, stop_on_augment: bool) -> _Forest:
                     continue
                 if rv != root[w]:
                     if stop_on_augment:
-                        return _Forest(label, p, root, (v, w))
+                        return _Forest(label, p, root, (v, w), dsu)
                     raise ValueError("matching is not maximum")
                 stamp += 1
                 ca = _lca(match, p, dsu, visit, stamp, bv, bw)
@@ -200,7 +243,7 @@ def _run_search(g: Graph, match: list, roots, stop_on_augment: bool) -> _Forest:
                 if mw == -1:
                     # w is exposed yet was not given as a root
                     if stop_on_augment:
-                        raise EngineError("exposed vertex outside the root set")
+                        return _Forest(label, p, root, (v, w), dsu)
                     raise ValueError("matching is not maximum")
                 if label[mw] != 0:
                     raise EngineError("partner of a fresh odd vertex is labeled")
@@ -210,7 +253,7 @@ def _run_search(g: Graph, match: list, roots, stop_on_augment: bool) -> _Forest:
                 label[mw] = _EVEN
                 root[mw] = rv
                 queue.append(mw)
-    return _Forest(label, p, root, None)
+    return _Forest(label, p, root, None, dsu)
 
 
 def _trace_even(match, p, x):
@@ -302,28 +345,73 @@ def maximum_matching(g: Graph) -> list:
         augment(match, path)
 
 
-@dataclass(frozen=True)
+def _vertex_set(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class GallaiEdmonds:
     """Canonical partition of a graph relative to a maximum matching.
 
-    d collects the vertices missed by some maximum matching, a their
-    outside neighbors, c the rest.  components lists the connected
-    pieces of the subgraph induced on d, each factor-critical, and
-    roots holds the one vertex per component that the given matching
-    leaves exposed or matches outside the component.
+    d collects the vertices missed by some maximum matching (label
+    even), a their outside neighbors (odd), c the rest (0).  The
+    connected pieces of the subgraph induced on d are factor-critical;
+    piece[v] numbers v's piece, ordered by least vertex, and is -1
+    outside d.  roots holds per piece the one vertex that the given
+    matching leaves exposed or matches outside the piece.
     """
 
-    d: frozenset
-    a: frozenset
-    c: frozenset
-    components: tuple
+    label: np.ndarray
+    piece: np.ndarray
     roots: tuple
+
+    @cached_property
+    def d(self) -> frozenset:
+        return _vertex_set(self.label == _EVEN)
+
+    @cached_property
+    def a(self) -> frozenset:
+        return _vertex_set(self.label == _ODD)
+
+    @cached_property
+    def c(self) -> frozenset:
+        return _vertex_set(self.label == 0)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Vertex count per piece."""
+        return np.bincount(self.piece[self.piece >= 0], minlength=len(self.roots))
+
+    @cached_property
+    def _grouped(self) -> tuple:
+        # vertices sorted by piece, off d first, and where each piece starts
+        order = np.argsort(self.piece, kind="stable")
+        start = len(self.piece) - int(self.sizes.sum())
+        off = np.zeros(len(self.roots) + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=off[1:])
+        return order, off + start
+
+    def vertices(self, k: int) -> np.ndarray:
+        """The vertices of piece k, ascending."""
+        order, off = self._grouped
+        return order[off[k]:off[k + 1]]
+
+    @cached_property
+    def components(self) -> tuple:
+        order, off = self._grouped
+        flat = order.tolist()
+        bounds = off.tolist()
+        return tuple(
+            frozenset(flat[bounds[k]:bounds[k + 1]]) for k in range(len(self.roots))
+        )
 
 
 def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> GallaiEdmonds:
     """Decompose g relative to a maximum matching.
 
-    Raises ValueError if the matching is not maximum.
+    `forest` is an exhausted search from every exposed vertex; without
+    it the search runs here.  Raises ValueError if the matching is not
+    maximum.
     """
     if forest is None:
         _validate_matching(g, match)
@@ -331,68 +419,76 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
         forest = _run_search(g, match, roots, stop_on_augment=False)
     elif forest.aug is not None:
         raise ValueError("matching is not maximum")
-    label = forest.label
-    d = frozenset(v for v in range(g.n) if label[v] == _EVEN)
-    a = frozenset(v for v in range(g.n) if label[v] == _ODD)
-    c = frozenset(v for v in range(g.n) if label[v] == 0)
+    n = g.n
+    label = np.array(forest.label, dtype=np.int8)
+    ma = np.array(match, dtype=np.int64)
+    d = label == _EVEN
+    a = label == _ODD
+    c = label == 0
 
-    for v in a:
-        if match[v] == -1 or match[v] not in d:
-            raise EngineError(f"vertex {v} separates without a partner in d")
-    for v in c:
-        if match[v] == -1 or match[v] not in c:
-            raise EngineError(f"vertex {v} is unreachable yet not matched within c")
+    # for an exposed v, mask[ma] reads mask[-1]; the ma >= 0 term discards it
+    bad = np.flatnonzero(a & ~((ma >= 0) & d[ma]))
+    if bad.size:
+        raise EngineError(f"vertex {bad[0]} separates without a partner in d")
+    bad = np.flatnonzero(c & ~((ma >= 0) & c[ma]))
+    if bad.size:
+        raise EngineError(f"vertex {bad[0]} is unreachable yet not matched within c")
 
-    components = []
-    roots_out = []
-    seen = set()
-    for s in range(g.n):
-        if s not in d or s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y in d and y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        exits = [v for v in comp if match[v] == -1 or match[v] not in comp]
-        if len(exits) != 1:
-            raise EngineError("component misses a unique root")
-        r = exits[0]
-        if match[r] != -1 and match[r] not in a:
-            raise EngineError("component root is matched outside a")
-        components.append(frozenset(comp))
-        roots_out.append(r)
-    order = sorted(range(len(components)), key=lambda i: min(components[i]))
-    return GallaiEdmonds(
-        d=d,
-        a=a,
-        c=c,
-        components=tuple(components[i] for i in order),
-        roots=tuple(roots_out[i] for i in order),
-    )
+    # the pieces are the outermost blossoms: share a union-find base
+    base = np.array(forest.dsu, dtype=np.int64)
+    while True:
+        up = base[base]
+        if np.array_equal(up, base):
+            break
+        base = up
+    dv = np.flatnonzero(d)
+    _, first, inv = np.unique(base[dv], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int64)
+    piece = np.full(n, -1, dtype=np.int64)
+    piece[dv] = rank[inv.ravel()]
+
+    src, dst = g.edge_arrays()
+    cross = np.flatnonzero(d[src] & d[dst] & (piece[src] != piece[dst]))
+    if cross.size:
+        i = cross[0]
+        raise EngineError(f"edge {src[i]}-{dst[i]} joins two d-components")
+    exits = np.flatnonzero(d & ((ma < 0) | (piece[ma] != piece)))
+    if (np.bincount(piece[exits], minlength=len(first)) != 1).any():
+        raise EngineError("component misses a unique root")
+    roots = np.empty(len(first), dtype=np.int64)
+    roots[piece[exits]] = exits
+    if ((ma[roots] >= 0) & ~a[ma[roots]]).any():
+        raise EngineError("component root is matched outside a")
+    return GallaiEdmonds(label=label, piece=piece, roots=tuple(roots.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachSet:
     """Vertices touched by alternating paths from a set of exposed roots.
 
     even is exact: v is in it iff some even-length alternating path
     from a root ends at v.  odd only records vertices whose final
     label stayed odd, a sound subset of the odd-reachable vertices.
-    The raw search arrays ride along for later path recovery.
+    label is the search's label array (0 for unreached vertices); p and
+    root are its parent and root lists, kept for path recovery.
     """
 
-    members: frozenset
-    even: frozenset
-    odd: frozenset
-    label: list = field(compare=False, repr=False)
-    p: list = field(compare=False, repr=False)
-    root: list = field(compare=False, repr=False)
+    label: np.ndarray
+    p: list
+    root: list
+
+    @cached_property
+    def members(self) -> frozenset:
+        return _vertex_set(np.asarray(self.label) != 0)
+
+    @cached_property
+    def even(self) -> frozenset:
+        return _vertex_set(np.asarray(self.label) == _EVEN)
+
+    @cached_property
+    def odd(self) -> frozenset:
+        return _vertex_set(np.asarray(self.label) == _ODD)
 
 
 def reachable_set(g: Graph, match: list, roots) -> ReachSet:
@@ -403,16 +499,8 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     """
     _validate_matching(g, match)
     forest = _run_search(g, match, sorted(roots), stop_on_augment=False)
-    label = forest.label
-    even = frozenset(v for v in range(g.n) if label[v] == _EVEN)
-    odd = frozenset(v for v in range(g.n) if label[v] == _ODD)
     return ReachSet(
-        members=even | odd,
-        even=even,
-        odd=odd,
-        label=label,
-        p=forest.p,
-        root=forest.root,
+        label=np.array(forest.label, dtype=np.int8), p=forest.p, root=forest.root
     )
 
 
@@ -442,16 +530,21 @@ def even_path_from_roots(g: Graph, match: list, reach: ReachSet, target: int) ->
     return path
 
 
-def shortest_alt_path_to_root(g: Graph, match: list, seeds, target: int) -> list:
+def shortest_alt_path_to_root(
+    g: Graph, match: list, seeds, target: int, blocked=None
+) -> list:
     """Breadth-first alternating walk from `seeds` to `target`.
 
     The walk starts at exposed seeds with a non-matching edge and must
-    arrive at target through its matched edge.  The shortest such walk
-    is extracted and returned when it happens to be a simple path.
-    Raises ValueError when no walk exists and EngineError when the
-    extracted walk revisits a vertex; callers fall back to the exact
-    search in that case.
+    arrive at target through its matched edge, never entering a vertex
+    v with blocked[v] true.  The shortest such walk is extracted and
+    returned when it happens to be a simple path.  Raises ValueError
+    when no walk exists and EngineError when the extracted walk
+    revisits a vertex; callers fall back to the exact search in that
+    case.
     """
+    if blocked is None:
+        blocked = bytes(g.n)
     n = g.n
     prev = [-1] * (2 * n)
     state_dist = [-1] * (2 * n)
@@ -472,7 +565,7 @@ def shortest_alt_path_to_root(g: Graph, match: list, seeds, target: int) -> list
         if parity == 0:
             mv = match[v]
             for w in g.neighbors(v):
-                if w == mv:
+                if w == mv or blocked[w]:
                     continue
                 nxt = 2 * w + 1
                 if state_dist[nxt] == -1:
@@ -481,7 +574,7 @@ def shortest_alt_path_to_root(g: Graph, match: list, seeds, target: int) -> list
                     queue.append(nxt)
         else:
             w = match[v]
-            if w != -1:
+            if w != -1 and not blocked[w]:
                 nxt = 2 * w
                 if state_dist[nxt] == -1:
                     state_dist[nxt] = state_dist[st] + 1
@@ -560,20 +653,21 @@ def check_reach_properties(
     leaves its d-part.  A forbidden vertex (>= 0) must not be reached.
     Violations raise EngineError since they can only come from bugs.
     """
-    members = reach.members
-    if forbidden >= 0 and forbidden in members:
+    members = np.asarray(reach.label) != 0
+    if forbidden >= 0 and members[forbidden]:
         raise EngineError(f"forbidden vertex {forbidden} was reached")
-    for v in members:
-        w = match[v]
-        if w != -1 and w not in members:
-            raise EngineError(f"reached set is not closed under the matched edge {v}-{w}")
-    if members & ge.c:
+    ma = np.asarray(match, dtype=np.int64)
+    bad = np.flatnonzero(members & (ma >= 0) & ~members[ma])
+    if bad.size:
+        v = bad[0]
+        raise EngineError(f"reached set is not closed under the matched edge {v}-{ma[v]}")
+    if (members & (ge.label == 0)).any():
         raise EngineError("reached set meets the perfectly matched part")
-    for comp in ge.components:
-        inside = comp & members
-        if inside and inside != comp:
-            raise EngineError("reached set splits a factor-critical component")
-    for v in members & ge.d:
-        for w in g.neighbors(v):
-            if w not in members:
-                raise EngineError(f"edge {v}-{w} leaves the reached set from its d-part")
+    inside = np.bincount(ge.piece[members & (ge.piece >= 0)], minlength=len(ge.roots))
+    if ((inside > 0) & (inside != ge.sizes)).any():
+        raise EngineError("reached set splits a factor-critical component")
+    src, dst = g.edge_arrays()
+    leave = np.flatnonzero((members & (ge.label == _EVEN))[src] & ~members[dst])
+    if leave.size:
+        i = leave[0]
+        raise EngineError(f"edge {src[i]}-{dst[i]} leaves the reached set from its d-part")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .auxgraph import (
     KIND_ORIG,
     KIND_STAR,
@@ -23,10 +25,9 @@ from .auxgraph import (
 )
 from .engine import (
     EngineError,
-    Graph,
     even_path_from_roots,
     odd_cycle_through_root,
-    reachable_set,
+    reachable_set,  # unused here; kept bound so outside tracers can wrap it by name
     shortest_alt_path_to_root,
 )
 from .model import (
@@ -125,11 +126,6 @@ def is_fractional_popular(
     )
 
 
-def _graph_without(g: Graph, drop: set) -> Graph:
-    kept = [e for e in g.edges() if e[0] not in drop and e[1] not in drop]
-    return Graph.from_edges(g.n, kept)
-
-
 def extract_fractional_structure(
     inst: RoommatesInstance, m: Matching, an
 ) -> CycleThroughStar | PathPlusCycle:
@@ -137,15 +133,17 @@ def extract_fractional_structure(
     aux = an.aux
     g = aux.graph
     match = an.match
-    members = an.reach.members
-    cands = [
-        (comp, root)
-        for comp, root in zip(an.ge.components, an.ge.roots)
-        if len(comp) >= 3 and next(iter(comp)) in members
-    ]
-    if not cands:
+    ge = an.ge
+    members = an.reach.label != 0
+    # pieces are numbered by least vertex, so the first reached one is the lowest
+    k = next(
+        (k for k in np.flatnonzero(ge.sizes >= 3).tolist() if members[ge.roots[k]]),
+        None,
+    )
+    if k is None:
         raise InternalError("no reached component of size 3 or more")
-    comp, root = min(cands, key=lambda cr: min(cr[0]))
+    comp = frozenset(ge.vertices(k).tolist())
+    root = ge.roots[k]
 
     if aux.kind[root] == KIND_STAR:
         cyc = odd_cycle_through_root(g, match, comp, root)
@@ -167,23 +165,16 @@ def extract_fractional_structure(
     q_aux = odd_cycle_through_root(g, match, comp, root)
     cycle = tuple(aux.payload[i] for i in q_aux)
 
-    # the feeding path must stay off the rest of the component
-    drop = set(comp)
-    drop.discard(root)
-    for v in list(drop):
-        w = match[v]
-        if w != -1 and w != root and w not in drop:
-            drop.add(w)
-    reduced = _graph_without(g, drop)
-    match2 = [-1 if v in drop else match[v] for v in range(g.n)]
-    p0 = None
+    # the feeding path must stay off the rest of the component, whose
+    # nodes are matched among themselves
+    blocked = bytearray(g.n)
+    for i in comp:
+        blocked[i] = i != root
     try:
-        p0 = shortest_alt_path_to_root(reduced, match2, aux.seeds, root)
+        p0 = shortest_alt_path_to_root(g, match, aux.seeds, root, blocked)
     except (ValueError, EngineError):
-        p0 = None
-    if p0 is None:
-        rs = reachable_set(reduced, match2, aux.seeds)
-        p0 = even_path_from_roots(reduced, match2, rs, root)
+        # the seeds' forest enters the component only through its root
+        p0 = even_path_from_roots(g, match, an.reach, root)
     if p0 is None:
         raise InternalError("cycle root unreachable outside its component")
     p0 = list(p0)

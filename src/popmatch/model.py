@@ -22,13 +22,20 @@ from .engine import Graph
 
 
 def _csr_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
-    """Build an engine graph from distinct undirected edge arrays."""
-    a = np.concatenate([us, vs])
-    b = np.concatenate([vs, us])
-    order = np.lexsort((b, a))
+    """Build an engine graph from undirected edge arrays; a repeated edge counts once.
+
+    One sort of the directed keys src * n + dst of both directions puts
+    the adjacency in CSR order.
+    """
+    key = np.concatenate([us * n + vs, vs * n + us])
+    key.sort()
+    if key.size:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    src = key // max(n, 1)
+    nbr = key - src * n
     off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=off[1:])
-    return Graph(n, off.tolist(), b[order].tolist())
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    return Graph(n, off.tolist(), nbr.tolist(), (src, nbr))
 
 
 class PreferenceError(ValueError):
@@ -113,13 +120,20 @@ class RoommatesInstance:
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Elementwise: is (us[i], vs[i]) an edge? One batched key lookup."""
+        return self._edge_index(us, vs) >= 0
+
+    def _edge_index(self, us, vs) -> np.ndarray:
+        """Index of each (us[i], vs[i]) in the undirected edge arrays, -1 if no edge."""
         n = self.n
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         ok = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
         key = np.where(ok, np.minimum(us, vs) * n + np.maximum(us, vs), -1)
         keys = self._arrays["keys"]
-        return np.searchsorted(keys, key, side="right") > np.searchsorted(keys, key)
+        i = np.searchsorted(keys, key)
+        found = i < len(keys)
+        found[found] = keys[i[found]] == key[found]
+        return np.where(found, i, -1)
 
     @cached_property
     def _arrays(self) -> dict:
@@ -426,16 +440,41 @@ def half_from_matching(inst: RoommatesInstance, m: Matching) -> HalfIntegralMatc
 def fractional_value_times_two(
     inst: RoommatesInstance, m: Matching, p: HalfIntegralMatching
 ) -> int:
-    """Twice the vote value of p against m, an exact integer."""
-    total = 0
-    for u, v in p.ones:
-        total += 2 * edge_weight(inst, m, u, v)
-    for v in p.loop_ones:
-        total += 2 * loop_weight(inst, m, v)
-    for cyc in p.half_cycles:
-        for i, u in enumerate(cyc):
-            total += edge_weight(inst, m, u, cyc[(i + 1) % len(cyc)])
-    return total
+    """Twice the vote value of p against m, an exact integer.
+
+    Ones count twice and half-cycle edges once; each side of an edge
+    votes by comparing the edge's rank with its partner's.  Raises
+    ValueError when p uses a pair that is not an edge.
+    """
+    arr = inst._arrays
+    steps = [(u, cyc[(i + 1) % len(cyc)]) for cyc in p.half_cycles for i, u in enumerate(cyc)]
+    pairs = np.concatenate([_node_pairs(p.ones), _node_pairs(steps)])
+    k = len(pairs)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])  # the voting side of each pair
+    others = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    outside = (ends < 0) | (ends >= inst.n)
+    if outside.any():
+        raise ValueError(f"node {ends[np.argmax(outside)]} is out of range")
+    mates = np.fromiter(
+        (-1 if w is None else w for w in map(m.partner.__getitem__, ends.tolist())),
+        dtype=np.int64,
+        count=2 * k,
+    )
+    has = mates >= 0
+    # one lookup for p's edges and for each side's matched edge
+    xs = np.concatenate([ends, ends[has]])
+    ys = np.concatenate([others, mates[has]])
+    idx = inst._edge_index(xs, ys)
+    if (idx < 0).any():
+        i = int(np.argmax(idx < 0))
+        raise ValueError(f"{ys[i]} is not a neighbor of {xs[i]}")
+    pos = np.where(arr["eu"][idx] == xs, arr["pu"][idx], arr["pv"][idx])
+    old_rank = arr["off"][ends + 1] - arr["off"][ends]  # degree when unmatched
+    old_rank[has] = pos[2 * k:]
+    side = np.sign(old_rank - pos[: 2 * k])
+    mult = np.concatenate([np.full(len(p.ones), 2), np.ones(len(steps), dtype=np.int64)])
+    total = int((mult * (side[:k] + side[k:])).sum())
+    return total + 2 * sum(loop_weight(inst, m, v) for v in p.loop_ones)
 
 
 def fractional_value(

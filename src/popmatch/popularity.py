@@ -26,14 +26,17 @@ from .auxgraph import (
     unmatched_zero_neighbors_of,
 )
 from .engine import (
+    _EVEN,
+    _ODD,
     GallaiEdmonds,
     ReachSet,
     _check_alternating_path,
     _run_search,
     _trace_even,
+    _validate_matching,
     check_reach_properties,
     gallai_edmonds,
-    reachable_set,
+    reachable_set,  # unused here; kept bound so outside tracers can wrap it by name
 )
 from .model import (
     Matching,
@@ -107,11 +110,27 @@ class _Analysis:
 
 
 def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
+    """One blossom search of the auxiliary graph, in two phases.
+
+    The seeds are grown first, so the forest at that point is their
+    alternating reachable set.  Unless that already found an augmenting
+    path, the same forest then grows from the hub u, the only other
+    exposed node; every augmenting path has a seed at one end, so this
+    order finds one whenever one exists, and the final labels are the
+    Gallai-Edmonds labels.
+    """
     aux = build_aux(inst, m)
     g = aux.graph
     match = list(aux.matching)
-    roots = [v for v in range(g.n) if match[v] == -1]
-    forest = _run_search(g, match, roots, stop_on_augment=True)
+    forest = _run_search(g, match, aux.seeds, stop_on_augment=True)
+    reach = None
+    if forest.aug is None:
+        _validate_matching(g, match)
+        reach_label = np.array(forest.label, dtype=np.int8)
+        if aux.u_id >= 0:
+            forest = _run_search(g, match, [aux.u_id], stop_on_augment=True, forest=forest)
+        # phase two labels only u's tree, so p and root stay valid for the seeds' forest
+        reach = ReachSet(label=reach_label, p=forest.p, root=forest.root)
     if forest.aug is not None:
         v, w = forest.aug
         left = _trace_even(match, forest.p, v)
@@ -120,7 +139,6 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
         _check_alternating_path(g, match, list(path))
         return _Analysis(aux, match, path, None, None)
     ge = gallai_edmonds(g, match, forest)
-    reach = reachable_set(g, match, aux.seeds)
     check_reach_properties(g, match, reach, ge, forbidden=aux.u_id)
     return _Analysis(aux, match, None, ge, reach)
 
@@ -334,37 +352,33 @@ def build_dual_witness(
     (a star root is traded for its middle); reached nodes take alpha -1
     in the exposed part and +1 in the separator, everyone else 0.
     """
-    members = reach.members
+    members = np.asarray(reach.label) != 0
+    pay = aux.payload_array
     two_sets = []
-    for comp, root in zip(ge.components, ge.roots):
-        if len(comp) < 3 or next(iter(comp)) not in members:
+    for k in np.flatnonzero(ge.sizes >= 3).tolist():
+        root = ge.roots[k]
+        if not members[root]:
             continue
-        kind = aux.kind[root]
-        if kind == KIND_ORIG:
-            group = frozenset(aux.payload[i] for i in comp)
-        elif kind == KIND_STAR:
-            group = frozenset(aux.payload[i] for i in comp if i != root)
-            group |= {aux.payload[root]}
-        else:
+        comp = ge.vertices(k)
+        if aux.kind[root] not in (KIND_ORIG, KIND_STAR):
             raise InternalError(
                 f"reached component of size {len(comp)} rooted at {aux.label_of(root)}"
             )
+        # a star node's payload is its middle, so both kinds map the same way
+        group = frozenset(pay[comp].tolist())
         if len(group) != len(comp) or len(group) % 2 == 0:
             raise InternalError("odd set construction collided")
         two_sets.append(group)
-    alpha = [0] * inst.n
-    for i in members:
-        if aux.kind[i] != KIND_ORIG:
-            continue
-        v = aux.payload[i]
-        if i in ge.d:
-            alpha[v] = -1
-        elif i in ge.a:
-            alpha[v] = 1
-        else:
-            raise InternalError(f"reached node {i} in the perfectly matched part")
+    reached = members.copy()
+    reached[aux.n_matched:] = False  # original nodes only
+    cmatched = np.flatnonzero(reached & (ge.label == 0))
+    if cmatched.size:
+        raise InternalError(f"reached node {cmatched[0]} in the perfectly matched part")
+    alpha = np.zeros(inst.n, dtype=np.int64)
+    alpha[pay[reached & (ge.label == _EVEN)]] = -1
+    alpha[pay[reached & (ge.label == _ODD)]] = 1
     two_sets.sort(key=min)
-    return DualWitness(alpha=tuple(alpha), two_sets=tuple(two_sets))
+    return DualWitness(alpha=tuple(alpha.tolist()), two_sets=tuple(two_sets))
 
 
 def witness_violation(

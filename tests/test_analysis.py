@@ -1,0 +1,134 @@
+"""The two-phase search behind `_analyze` against the searches it replaces.
+
+`_analyze` grows one alternating forest from the auxiliary graph's seeds,
+then continues it from the hub u.  Its reach labels must equal a separate
+reachability search from the seeds, and its decomposition a separate
+Gallai-Edmonds search from every exposed node.  The instances lie above
+the brute-force oracle cap.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from helpers import partner_first_instance
+from popmatch.engine import (
+    EngineError,
+    Graph,
+    _Forest,
+    _run_search,
+    gallai_edmonds,
+    is_maximum,
+    reachable_set,
+)
+from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
+from popmatch.popularity import Unpopular, _analyze, is_popular
+
+
+def _improved(inst, m, steps=60):
+    """Follow the certificates' better matchings; often ends at a popular one."""
+    for _ in range(steps):
+        res = is_popular(inst, m)
+        if not isinstance(res, Unpopular):
+            break
+        m = res.better
+    return m
+
+
+def _cases():
+    rng = random.Random(2024)
+    for seed in range(30):
+        n = rng.randint(50, 300)
+        inst = generate_instance(n, "gnp", rng.choice((1.5, 2.0, 3.0)) / n, seed=seed)
+        for m in (greedy_matching(inst), random_maximal_matching(inst, seed=seed)):
+            yield inst, m
+            yield inst, _improved(inst, m)
+        n = 2 * rng.randint(25, 150)
+        yield partner_first_instance(rng, n, 4.0 / n)
+
+
+def test_one_search_equals_the_two_it_replaces():
+    popular = with_seeds = with_u = big = 0
+    for inst, m in _cases():
+        an = _analyze(inst, m)
+        g = an.aux.graph
+        match = list(an.aux.matching)
+        assert (an.aug_path is None) == is_maximum(g, match)
+        if an.aug_path is not None:
+            continue
+        popular += 1
+        with_seeds += bool(an.aux.seeds)
+        with_u += an.aux.u_id >= 0
+        big += bool((an.ge.sizes >= 3).any())
+
+        reach = reachable_set(g, match, an.aux.seeds)
+        assert np.array_equal(an.reach.label, reach.label)
+
+        ge = gallai_edmonds(g, match)
+        assert np.array_equal(an.ge.label, ge.label)
+        assert np.array_equal(an.ge.piece, ge.piece)
+        assert an.ge.roots == ge.roots
+        # pieces are numbered by their least vertex
+        least = [int(an.ge.vertices(k)[0]) for k in range(len(an.ge.roots))]
+        assert least == sorted(least)
+        assert an.ge.components == tuple(
+            frozenset(np.flatnonzero(an.ge.piece == k).tolist())
+            for k in range(len(an.ge.roots))
+        )
+    # the corpus must exercise both phases and big pieces
+    assert popular >= 40 and with_seeds >= 20 and with_u >= 20 and big >= 20
+
+
+def test_seed_phase_stops_at_the_hub():
+    # 0 - 1 = 2 - 3 with only 0 as a root: 3 is exposed outside the forest
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    match = [-1, 2, 1, -1]
+    assert _run_search(g, match, [0], stop_on_augment=True).aug == (2, 3)
+    with pytest.raises(ValueError, match="not maximum"):
+        _run_search(g, match, [0], stop_on_augment=False)
+
+
+def test_continued_search_matches_one_search():
+    # the flower plus a pendant path 5 = 6 - 7; roots 0, then 7
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7)])
+    match = [-1, 2, 1, 4, 3, 6, 5, -1]
+    first = _run_search(g, match, [0], stop_on_augment=True)
+    assert first.aug is None and first.label[7] == 0
+    both = _run_search(g, match, [7], stop_on_augment=True, forest=first)
+    whole = _run_search(g, match, [0, 7], stop_on_augment=False)
+    assert both.label == whole.label
+    ge = gallai_edmonds(g, match, both)
+    assert ge.components == gallai_edmonds(g, match).components
+    with pytest.raises(ValueError, match="duplicate root"):
+        _run_search(g, match, [0], stop_on_augment=True, forest=both)
+    met = _Forest(label=[0] * 8, p=[-1] * 8, root=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
+    with pytest.raises(EngineError, match="cannot continue"):
+        _run_search(g, match, [7], stop_on_augment=True, forest=met)
+
+
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+EDGE = Graph.from_edges(2, [(0, 1)])
+NO_EDGE = Graph.from_edges(2, [])
+
+
+@pytest.mark.parametrize(
+    "g, match, label, dsu, message",
+    [
+        # 1 is odd but its partner 2 is not even
+        (PATH3, [-1, 2, 1], [1, 2, 0], [0, 1, 2], "1 separates without a partner in d"),
+        # exposed 0 left unlabeled
+        (PATH3, [-1, 2, 1], [0, 0, 0], [0, 1, 2], "0 is unreachable yet not matched"),
+        # the triangle's blossom left uncontracted
+        (TRIANGLE, [-1, 2, 1], [1, 1, 1], [0, 1, 2], "edge 0-1 joins two d-components"),
+        # a piece whose vertices are all matched inside it
+        (EDGE, [1, 0], [1, 1], [0, 0], "misses a unique root"),
+        # two single pieces matched to each other
+        (NO_EDGE, [1, 0], [1, 1], [0, 1], "root is matched outside a"),
+    ],
+)
+def test_gallai_edmonds_rejects_corrupted_forests(g, match, label, dsu, message):
+    forest = _Forest(label=label, p=[-1] * g.n, root=[-1] * g.n, aug=None, dsu=dsu)
+    with pytest.raises(EngineError, match=message):
+        gallai_edmonds(g, match, forest)

@@ -172,12 +172,9 @@ def test_check_reach_properties():
         check_reach_properties(FLOWER, list(FLOWER_M), reach, ge, forbidden=0)
 
 
-def _hand_reach(members):
+def _hand_reach(members, n):
     return ReachSet(
-        members=frozenset(members),
-        even=frozenset(members),
-        odd=frozenset(),
-        label=[],
+        label=[1 if v in members else 0 for v in range(n)],
         p=[],
         root=[],
     )
@@ -186,13 +183,13 @@ def _hand_reach(members):
 def test_check_reach_properties_rejects_bad_sets():
     ge = gallai_edmonds(FLOWER, list(FLOWER_M))
     with pytest.raises(EngineError, match="closed under the matched edge"):
-        check_reach_properties(FLOWER, list(FLOWER_M), _hand_reach({0, 1}), ge)
+        check_reach_properties(FLOWER, list(FLOWER_M), _hand_reach({0, 1}, 5), ge)
     with pytest.raises(EngineError, match="splits a factor-critical"):
-        check_reach_properties(FLOWER, list(FLOWER_M), _hand_reach({3, 4}), ge)
+        check_reach_properties(FLOWER, list(FLOWER_M), _hand_reach({3, 4}, 5), ge)
     pair = Graph.from_edges(2, [(0, 1)])
     pm = [1, 0]
     with pytest.raises(EngineError, match="perfectly matched part"):
-        check_reach_properties(pair, pm, _hand_reach({0, 1}), gallai_edmonds(pair, pm))
+        check_reach_properties(pair, pm, _hand_reach({0, 1}, 2), gallai_edmonds(pair, pm))
 
 
 def _greedy_on_shuffled(g, rng):

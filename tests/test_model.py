@@ -175,3 +175,52 @@ def test_half_from_matching_roundtrip():
         p = half_from_matching(inst, m)
         p.validate(inst)
         assert fractional_value_times_two(inst, m, p) == 0
+
+
+def _value_times_two_by_votes(inst, m, p):
+    # the per-edge vote loop that fractional_value_times_two replaced
+    total = 2 * sum(edge_weight(inst, m, u, v) for u, v in p.ones)
+    total += 2 * sum(loop_weight(inst, m, v) for v in p.loop_ones)
+    for cyc in p.half_cycles:
+        total += sum(
+            edge_weight(inst, m, u, cyc[(i + 1) % len(cyc)]) for i, u in enumerate(cyc)
+        )
+    return total
+
+
+def _shuffled_maximal(inst, rng):
+    partner = [None] * inst.n
+    edges = sorted(inst.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        if partner[u] is None and partner[v] is None:
+            partner[u], partner[v] = v, u
+    return Matching(tuple(partner))
+
+
+def test_fractional_value_matches_vote_loop():
+    rng = random.Random(21)
+    for _ in range(200):
+        inst = random_instance(rng, rng.randint(3, 12), 0.5)
+        m = _shuffled_maximal(inst, rng)
+        other = _shuffled_maximal(inst, rng)
+        triangles = [
+            (u, v, w)
+            for u, v in sorted(inst.edges)
+            for w in inst.pref[v]
+            if w > v and (u, w) in inst.edges
+        ]
+        p = HalfIntegralMatching(
+            ones=other.pairs(),
+            loop_ones=other.unmatched(),
+            half_cycles=tuple(rng.sample(triangles, min(len(triangles), 2))),
+        )
+        assert fractional_value_times_two(inst, m, p) == _value_times_two_by_votes(inst, m, p)
+
+
+def test_fractional_value_rejects_non_edges(triangle_pendant):
+    inst, m = triangle_pendant
+    for ones in (((0, 3),), ((1, 1),), ((0, 4),), ((-1, 2),)):
+        p = HalfIntegralMatching(ones=ones, loop_ones=(), half_cycles=())
+        with pytest.raises(ValueError):
+            fractional_value_times_two(inst, m, p)
