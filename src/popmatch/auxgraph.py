@@ -20,8 +20,8 @@ from .engine import Graph
 from .model import (
     Matching,
     RoommatesInstance,
-    _csr_graph,
     _partner_array,
+    _ranks,
     _weights,
     check_matching,
 )
@@ -118,7 +118,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     # edges at u repeat when several unmatched nodes share a neighbor
     us = np.concatenate([zu, b_ids, star_id_of[bpartner[slv]]])
     vs = np.concatenate([zv, orig_to_aux[owners], orig_to_aux[slv]])
-    graph = _csr_graph(n_aux, us, vs)
+    graph = Graph.from_edges(n_aux, np.column_stack((us, vs)))
 
     aux_match = np.full(n_aux, -1, dtype=np.int64)
     left = np.flatnonzero(matched & (pa > np.arange(n)))
@@ -156,33 +156,18 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     )
 
 
-def to_dot(aux: AuxGraph) -> str:
-    """Graphviz text for the auxiliary graph, matched edges bold."""
-    lines = ["graph aux {"]
-    for i in range(aux.graph.n):
-        lines.append(f'  "{aux.label_of(i)}";')
-    for u, v in aux.graph.edges():
-        style = " [style=bold]" if aux.matching[u] == v else ""
-        lines.append(f'  "{aux.label_of(u)}" -- "{aux.label_of(v)}"{style};')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _partner_rank(inst: RoommatesInstance, m: Matching, v: int) -> int:
-    w = m.partner[v]
-    return len(inst.pref[v]) if w is None else inst.pref[v].index(w)
-
-
 def blocking_partners_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
     """Ascending list of y with edge vy blocking, scanning only locally."""
-    pr = _partner_rank(inst, m, v)
-    out = []
-    for pos, y in enumerate(inst.pref[v]):
-        if pos >= pr:
-            break
-        if inst.pref[y].index(v) < _partner_rank(inst, m, y):
-            out.append(y)
-    return sorted(out)
+    off = inst._arrays["off"]
+    ys = inst._arrays["dv"][off[v]:off[v + 1]]  # v's list, best first
+    pa = _partner_array(m)
+    k = len(ys)
+    # v's partner rank, then per neighbor y: v's rank and y's partner rank in y's list
+    r = _ranks(
+        inst, np.concatenate([[v], ys, ys]), np.concatenate([[pa[v]], np.full(k, v), pa[ys]])
+    )
+    block = (np.arange(k) < r[0]) & (r[1:k + 1] < r[k + 1:])
+    return sorted(ys[block].tolist())
 
 
 def unmatched_zero_neighbors_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
@@ -191,20 +176,15 @@ def unmatched_zero_neighbors_of(inst: RoommatesInstance, m: Matching, v: int) ->
     The edge weight is zero exactly when v likes its own partner
     better, since the unmatched side always votes plus one.
     """
-    pr = _partner_rank(inst, m, v)
-    out = [
-        x
-        for pos, x in enumerate(inst.pref[v])
-        if pos > pr and m.partner[x] is None
-    ]
-    return sorted(out)
+    off = inst._arrays["off"]
+    pa = _partner_array(m)
+    worse = inst._arrays["dv"][off[v] + _ranks(inst, [v], [pa[v]])[0] + 1:off[v + 1]]
+    return sorted(worse[pa[worse] < 0].tolist())
 
 
 def is_blocking_edge(inst: RoommatesInstance, m: Matching, u: int, v: int) -> bool:
     """True when uv is an edge both sides prefer to their current state."""
-    try:
-        iu = inst.pref[u].index(v)
-        iv = inst.pref[v].index(u)
-    except ValueError:
+    if not inst.has_edges([u], [v])[0]:
         return False
-    return iu < _partner_rank(inst, m, u) and iv < _partner_rank(inst, m, v)
+    r = _ranks(inst, (u, u, v, v), (v, m.partner[u], u, m.partner[v]))
+    return bool(r[0] < r[1] and r[2] < r[3])

@@ -48,7 +48,7 @@ class Graph:
 
     __slots__ = ("n", "off", "nbr", "_arrays")
 
-    def __init__(self, n, off, nbr, arrays=None):
+    def __init__(self, n, off, nbr, arrays):
         self.n = n
         self.off = off
         self.nbr = nbr
@@ -56,26 +56,29 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
+        """Graph from a (k, 2) int array or an iterable of pairs; a repeated edge counts once.
+
+        One sort of the directed keys src * n + dst of both directions puts
+        the adjacency in CSR order.
+        """
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        e = e.reshape(-1, 2)
+        us, vs = e[:, 0], e[:, 1]
+        bad = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
+        if bad.any():
+            u, v = e[int(np.argmax(bad))].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        off = [0] * (n + 1)
-        nbr: list[int] = []
-        for v in range(n):
-            adj[v].sort()
-            nbr.extend(adj[v])
-            off[v + 1] = len(nbr)
-        return cls(n, off, nbr)
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        key = np.concatenate([us * n + vs, vs * n + us])
+        key.sort()
+        if key.size:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        src = key // max(n, 1)
+        nbr = key - src * n
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+        return cls(n, off.tolist(), nbr.tolist(), (src, nbr))
 
     def neighbors(self, v: int) -> list[int]:
         return self.nbr[self.off[v]:self.off[v + 1]]
@@ -99,10 +102,6 @@ class Graph:
 
     def edge_arrays(self) -> tuple:
         """(src, dst) int64 arrays, every edge once per direction, in CSR order."""
-        if self._arrays is None:
-            deg = np.diff(np.asarray(self.off, dtype=np.int64))
-            src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
-            self._arrays = (src, np.asarray(self.nbr, dtype=np.int64))
         return self._arrays
 
 
@@ -288,16 +287,34 @@ def _check_alternating_path(g, match, path):
             raise EngineError("augmenting path skips a matched edge")
 
 
+def _matching_defects(match: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """First defects of a partner array (-1 for exposed) against directed edges.
+
+    src/dst list every edge once per direction over the vertices of
+    match.  Returns (bad, missing): bad is the first entry that is out of
+    range or not an involution, missing the first matched vertex whose
+    pair is not an edge; -1 where there is none.
+    """
+    n = len(match)
+    ids = np.arange(n, dtype=np.int64)
+    matched = match != -1
+    valid = (match >= 0) & (match < n)
+    mate = np.where(valid, match, ids)
+    bad = matched & ((mate == ids) | (mate[mate] != ids))
+    found = np.zeros(n, dtype=bool)
+    found[src[dst == match[src]]] = True
+    missing = matched & ~found
+    return tuple(int(np.argmax(x)) if x.any() else -1 for x in (bad, missing))
+
+
 def _validate_matching(g, match):
     if len(match) != g.n:
         raise ValueError("matching length does not fit the graph")
-    for v, w in enumerate(match):
-        if w == -1:
-            continue
-        if not 0 <= w < g.n or w == v or match[w] != v:
-            raise ValueError(f"matching entry {v} -> {w} is not an involution")
-        if not g.has_edge(v, w):
-            raise ValueError(f"matched pair ({v}, {w}) is not an edge")
+    bad, missing = _matching_defects(np.asarray(match, dtype=np.int64), *g.edge_arrays())
+    if bad >= 0 and not 0 <= missing < bad:
+        raise ValueError(f"matching entry {bad} -> {match[bad]} is not an involution")
+    if missing >= 0:
+        raise ValueError(f"matched pair ({missing}, {match[missing]}) is not an edge")
 
 
 def find_augmenting_path(g: Graph, match: list) -> list | None:

@@ -447,8 +447,9 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     margin = doc.get("margin")
     if type(margin) is not int or margin < 1:
         return f"margin {margin!r} does not certify a defeat"
-    if delta(inst, m, better) != margin:
-        return f"better matching wins by {delta(inst, m, better)}, not {margin}"
+    won = delta(inst, m, better)
+    if won != margin:
+        return f"better matching wins by {won}, not {margin}"
     return None
 
 

@@ -18,24 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import Graph
-
-
-def _csr_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
-    """Build an engine graph from undirected edge arrays; a repeated edge counts once.
-
-    One sort of the directed keys src * n + dst of both directions puts
-    the adjacency in CSR order.
-    """
-    key = np.concatenate([us * n + vs, vs * n + us])
-    key.sort()
-    if key.size:
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    src = key // max(n, 1)
-    nbr = key - src * n
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-    return Graph(n, off.tolist(), nbr.tolist(), (src, nbr))
+from .engine import _matching_defects
 
 
 class PreferenceError(ValueError):
@@ -220,6 +203,8 @@ class Matching:
         m = object.__new__(cls)  # an involution by construction
         entries = tuple(w if w >= 0 else None for w in partner.tolist())
         object.__setattr__(m, "partner", entries)
+        partner.flags.writeable = False
+        m.__dict__["_partners"] = partner  # the cached_property's slot
         return m
 
     @classmethod
@@ -241,11 +226,18 @@ class Matching:
     def unmatched(self) -> tuple:
         return tuple(v for v, w in enumerate(self.partner) if w is None)
 
+    @cached_property
+    def _partners(self) -> np.ndarray:
+        pa = np.fromiter(
+            (-1 if w is None else w for w in self.partner), dtype=np.int64, count=self.n
+        )
+        pa.flags.writeable = False
+        return pa
+
 
 def _partner_array(m: Matching) -> np.ndarray:
-    return np.fromiter(
-        (-1 if w is None else w for w in m.partner), dtype=np.int64, count=m.n
-    )
+    """m's partners as a read-only int64 array, -1 for unmatched; built once per matching."""
+    return m._partners
 
 
 def check_matching(inst: RoommatesInstance, m: Matching) -> None:
@@ -253,37 +245,48 @@ def check_matching(inst: RoommatesInstance, m: Matching) -> None:
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
     arr = inst._arrays
-    pa = _partner_array(m)
-    hits = arr["dv"] == pa[arr["du"]]
-    per_node = np.bincount(arr["du"][hits], minlength=inst.n)
-    bad = (pa >= 0) & (per_node == 0)
-    if bool(bad.any()):
-        v = int(np.flatnonzero(bad)[0])
+    # a Matching is an involution by construction, so only its edges need checking
+    _, v = _matching_defects(_partner_array(m), arr["du"], arr["dv"])
+    if v >= 0:
         raise ValueError(f"pair ({v}, {m.partner[v]}) is not an edge of the instance")
 
 
-def _rank_of(inst: RoommatesInstance, u: int, v) -> int:
-    """Position of v in u's list; being unmatched ranks below everyone."""
-    if v is None:
-        return len(inst.pref[u])
-    try:
-        return inst.pref[u].index(v)
-    except ValueError:
-        raise ValueError(f"{v} is not a neighbor of {u}") from None
+def _ranks(inst: RoommatesInstance, us, vs) -> np.ndarray:
+    """Position of vs[i] in us[i]'s preference list, for every i at once.
+
+    vs[i] None or -1 means unmatched, which ranks below every neighbor:
+    its position is us[i]'s degree.  Raises ValueError when some us[i] is
+    out of range or (us[i], vs[i]) is not an edge.
+    """
+    arr = inst._arrays
+    us = np.asarray(us, dtype=np.int64)
+    if not isinstance(vs, np.ndarray):
+        vs = [-1 if v is None else v for v in vs]
+    vs = np.asarray(vs, dtype=np.int64)
+    outside = (us < 0) | (us >= inst.n)
+    if outside.any():
+        raise ValueError(f"node {us[np.argmax(outside)]} is out of range")
+    pos = arr["off"][us + 1] - arr["off"][us]
+    listed = np.flatnonzero(vs != -1)
+    xs, ys = us[listed], vs[listed]
+    idx = inst._edge_index(xs, ys)
+    if (idx < 0).any():
+        i = int(np.argmax(idx < 0))
+        raise ValueError(f"{ys[i]} is not a neighbor of {xs[i]}")
+    pos[listed] = np.where(arr["eu"][idx] == xs, arr["pu"][idx], arr["pv"][idx])
+    return pos
 
 
 def vote(inst: RoommatesInstance, u: int, a, b) -> int:
     """u's vote comparing partner a against partner b: +1, 0, or -1."""
-    ranks = inst.rank[u]
-    deg = len(inst.pref[u])
-    ra = deg if a is None else ranks[a]
-    rb = deg if b is None else ranks[b]
+    ra, rb = _ranks(inst, (u, u), (a, b)).tolist()
     return (ra < rb) - (rb < ra)
 
 
 def edge_weight(inst: RoommatesInstance, m: Matching, u: int, v: int) -> int:
     """Combined vote of u and v for the edge uv against their partners."""
-    return vote(inst, u, v, m.partner[u]) + vote(inst, v, u, m.partner[v])
+    r = _ranks(inst, (u, u, v, v), (v, m.partner[u], u, m.partner[v])).tolist()
+    return (r[0] < r[1]) - (r[1] < r[0]) + (r[2] < r[3]) - (r[3] < r[2])
 
 
 def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
@@ -311,60 +314,15 @@ def blocking_edges(inst: RoommatesInstance, m: Matching) -> tuple:
     return tuple(zip(arr["eu"][idx].tolist(), arr["ev"][idx].tolist()))
 
 
-@dataclass(frozen=True)
-class Star:
-    """A blocking-edge star: a middle node with its degree-one partners."""
-
-    middle: int
-    leaves: tuple
-
-
-def stars(inst: RoommatesInstance, m: Matching, blocking=None) -> tuple:
-    """Stars of the blocking graph: middles with at least two leaves.
-
-    A leaf is a node incident to exactly one blocking edge; a star
-    forms around any node with two or more leaf partners.
-    """
-    if blocking is None:
-        blocking = blocking_edges(inst, m)
-    bdeg: dict = {}
-    for u, v in blocking:
-        bdeg[u] = bdeg.get(u, 0) + 1
-        bdeg[v] = bdeg.get(v, 0) + 1
-    leaves_of: dict = {}
-    for u, v in blocking:
-        if bdeg[v] == 1:
-            leaves_of.setdefault(u, []).append(v)
-        if bdeg[u] == 1:
-            leaves_of.setdefault(v, []).append(u)
-    return tuple(
-        Star(middle=z, leaves=tuple(sorted(ls)))
-        for z, ls in sorted(leaves_of.items())
-        if len(ls) >= 2
-    )
-
-
-def reduced_graph(inst: RoommatesInstance, m: Matching) -> Graph:
-    """The instance graph without its weight minus-two edges."""
-    arr = inst._arrays
-    w = _weights(inst, m)
-    keep = w > -2
-    return _csr_graph(inst.n, arr["eu"][keep], arr["ev"][keep])
-
-
 def delta(inst: RoommatesInstance, m1: Matching, m2: Matching) -> int:
     """Vote balance of moving from m1 to m2: positive means m2 wins."""
     if m1.n != inst.n or m2.n != inst.n:
         raise ValueError("matching size does not fit the instance")
-    total = 0
-    for v in range(inst.n):
-        a, b = m2.partner[v], m1.partner[v]
-        if a == b:
-            continue
-        ra = _rank_of(inst, v, a)
-        rb = _rank_of(inst, v, b)
-        total += (ra < rb) - (rb < ra)
-    return total
+    old, new = _partner_array(m1), _partner_array(m2)
+    changed = np.flatnonzero(old != new)
+    # rank of the new partner, then of the old one, per changed node
+    r = _ranks(inst, np.repeat(changed, 2), np.stack([new[changed], old[changed]], axis=1).ravel())
+    return int(np.sign(r[1::2] - r[0::2]).sum())
 
 
 @dataclass(frozen=True)
@@ -446,32 +404,13 @@ def fractional_value_times_two(
     votes by comparing the edge's rank with its partner's.  Raises
     ValueError when p uses a pair that is not an edge.
     """
-    arr = inst._arrays
     steps = [(u, cyc[(i + 1) % len(cyc)]) for cyc in p.half_cycles for i, u in enumerate(cyc)]
     pairs = np.concatenate([_node_pairs(p.ones), _node_pairs(steps)])
     k = len(pairs)
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])  # the voting side of each pair
     others = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    outside = (ends < 0) | (ends >= inst.n)
-    if outside.any():
-        raise ValueError(f"node {ends[np.argmax(outside)]} is out of range")
-    mates = np.fromiter(
-        (-1 if w is None else w for w in map(m.partner.__getitem__, ends.tolist())),
-        dtype=np.int64,
-        count=2 * k,
-    )
-    has = mates >= 0
-    # one lookup for p's edges and for each side's matched edge
-    xs = np.concatenate([ends, ends[has]])
-    ys = np.concatenate([others, mates[has]])
-    idx = inst._edge_index(xs, ys)
-    if (idx < 0).any():
-        i = int(np.argmax(idx < 0))
-        raise ValueError(f"{ys[i]} is not a neighbor of {xs[i]}")
-    pos = np.where(arr["eu"][idx] == xs, arr["pu"][idx], arr["pv"][idx])
-    old_rank = arr["off"][ends + 1] - arr["off"][ends]  # degree when unmatched
-    old_rank[has] = pos[2 * k:]
-    side = np.sign(old_rank - pos[: 2 * k])
+    new = _ranks(inst, ends, others)  # checks the nodes before they index m
+    side = np.sign(_ranks(inst, ends, _partner_array(m)[ends]) - new)
     mult = np.concatenate([np.full(len(p.ones), 2), np.ones(len(steps), dtype=np.int64)])
     total = int((mult * (side[:k] + side[k:])).sum())
     return total + 2 * sum(loop_weight(inst, m, v) for v in p.loop_ones)

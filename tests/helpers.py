@@ -148,3 +148,16 @@ def reference_parse_matching(text: str, inst: RoommatesInstance) -> Matching:
             raise ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
         pairs.append((u, v))
     return Matching.from_pairs(inst, pairs)
+
+
+def reference_validate_matching(g, match) -> None:
+    """The per-vertex loop that engine._validate_matching replaced."""
+    if len(match) != g.n:
+        raise ValueError("matching length does not fit the graph")
+    for v, w in enumerate(match):
+        if w == -1:
+            continue
+        if not 0 <= w < g.n or w == v or match[w] != v:
+            raise ValueError(f"matching entry {v} -> {w} is not an involution")
+        if not g.has_edge(v, w):
+            raise ValueError(f"matched pair ({v}, {w}) is not an edge")

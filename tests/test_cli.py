@@ -245,3 +245,4 @@ def test_verdict_paths_never_build_the_edge_set(
             doc = parse_certificate(json.dumps(result_to_document(decide(inst, m))))
             assert verify_certificate(inst, m, doc) is None
         assert "edges" not in inst.__dict__
+        assert "rank" not in inst.__dict__  # the rank dicts serve only the oracle

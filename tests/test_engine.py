@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+import numpy as np
+
+from popmatch.auxgraph import build_aux
 from popmatch.engine import (
     EngineError,
     Graph,
     ReachSet,
+    _validate_matching,
     augment,
     check_reach_properties,
     even_path_from_roots,
@@ -17,9 +21,11 @@ from popmatch.engine import (
     reachable_set,
     shortest_alt_path_to_root,
 )
+from popmatch.generator import random_maximal_matching
+from popmatch.model import Matching, RoommatesInstance, check_matching
 from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
-from helpers import random_edge_graph
+from helpers import random_edge_graph, reference_validate_matching
 
 # odd cycle hanging off an exposed vertex: 0 - 1=2 - 3=4 - 2 (= matched)
 FLOWER = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
@@ -48,6 +54,26 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(2, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(0, 2)])
+    # the first bad edge is named, whatever its kind
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range$"):
+        Graph.from_edges(3, [(0, 1), (-1, 0), (2, 2)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 5$"):
+        Graph.from_edges(3, [(0, 1), (5, 5), (0, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) out of range$"):
+        Graph.from_edges(3, np.array([[0, 1], [1, 3], [2, 2]]))
+
+
+def test_graph_from_edge_array():
+    pairs = [(0, 1), (1, 0), (2, 1), (3, 0), (0, 1)]  # repeats in both directions
+    for edges in (pairs, np.array(pairs), iter(pairs)):
+        g = Graph.from_edges(4, edges)
+        assert (g.off, g.nbr) == ([0, 2, 4, 5, 6], [1, 3, 0, 2, 1, 0])
+        src, dst = g.edge_arrays()
+        assert src.tolist() == [0, 0, 1, 1, 2, 3] and dst.tolist() == g.nbr
+    for edges in ([], np.empty((0, 2), dtype=np.int64)):
+        g = Graph.from_edges(3, edges)
+        assert (g.off, g.nbr, g.edge_count()) == ([0, 0, 0, 0], [], 0)
+    assert Graph.from_edges(0, []).off == [0]
 
 
 def test_augmenting_path_plain():
@@ -85,6 +111,90 @@ def test_matching_validation_errors():
         find_augmenting_path(g, [1, 2, -1])
     with pytest.raises(ValueError, match="not an edge"):
         find_augmenting_path(g, [-1, 2, 1])
+
+
+def _message(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "match, message",
+    [
+        ([-1, -1], "matching length does not fit the graph"),
+        ([1, 2, -1], "matching entry 0 -> 1 is not an involution"),
+        ([-1, 2, 1], "matched pair (1, 2) is not an edge"),
+        # the first bad vertex decides the message
+        ([2, 0, 0], "matched pair (0, 2) is not an edge"),
+        ([3, -1, -1], "matching entry 0 -> 3 is not an involution"),
+        ([-2, -1, -1], "matching entry 0 -> -2 is not an involution"),
+        ([0, -1, -1], "matching entry 0 -> 0 is not an involution"),
+    ],
+)
+def test_matching_check_messages(match, message):
+    g = Graph.from_edges(3, [(0, 1)])
+    assert _message(reference_validate_matching, g, match) == message
+    for entry in (find_augmenting_path, gallai_edmonds):
+        assert _message(entry, g, match) == message
+    assert _message(reachable_set, g, match, []) == message
+
+
+def test_instance_matching_check_messages(triangle_pendant):
+    inst, _ = triangle_pendant
+    with pytest.raises(ValueError, match="^matching size does not fit the instance$"):
+        check_matching(inst, Matching.empty(3))
+    # 1-2 is an edge, 0-3 is not
+    with pytest.raises(ValueError, match=r"^pair \(0, 3\) is not an edge of the instance$"):
+        check_matching(inst, Matching((3, 2, 1, 0)))
+
+
+def test_matching_check_matches_vertex_loop():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = Graph.from_edges(n, random_edge_graph(rng, n, rng.choice([0.2, 0.5, 0.9])))
+        match = maximum_matching(g)
+        for _ in range(rng.randint(0, 2)):
+            match[rng.randrange(n)] = rng.randint(-2, n)
+        assert _message(_validate_matching, g, match) == _message(
+            reference_validate_matching, g, match
+        )
+
+
+def test_matching_check_on_a_large_auxiliary_graph():
+    rng = random.Random(3)
+    n = 10000
+    adj = [[] for _ in range(n)]
+    for u, v in {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40000)}:
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        rng.shuffle(row)
+    inst = RoommatesInstance(tuple(map(tuple, adj)))
+    aux = build_aux(inst, random_maximal_matching(inst, seed=3))
+    g = aux.graph
+    assert g.n > 8000
+    good = list(aux.matching)
+    _validate_matching(g, good)
+    matched = [v for v in range(g.n) if good[v] != -1]
+    for _ in range(20):
+        match = list(good)
+        v = rng.choice(matched)
+        match[v] = rng.choice([-2, g.n, v, -1, rng.choice([w for w in matched if w != good[v]])])
+        want = _message(reference_validate_matching, g, match)
+        assert want is not None and _message(_validate_matching, g, match) == want
+        # swapping two matched pairs keeps an involution but leaves the edges
+        match = list(good)
+        a, c = rng.sample(matched, 2)
+        b, d = good[a], good[c]
+        if len({a, b, c, d}) == 4:
+            match[a], match[c], match[b], match[d] = c, a, d, b
+            assert _message(_validate_matching, g, match) == _message(
+                reference_validate_matching, g, match
+            )
 
 
 def test_maximum_matching_sizes():

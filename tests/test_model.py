@@ -3,6 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from popmatch.auxgraph import (
+    blocking_partners_of,
+    build_aux,
+    is_blocking_edge,
+    unmatched_zero_neighbors_of,
+)
 from popmatch.model import (
     HalfIntegralMatching,
     Matching,
@@ -15,8 +21,6 @@ from popmatch.model import (
     fractional_value_times_two,
     half_from_matching,
     loop_weight,
-    reduced_graph,
-    stars,
     vote,
 )
 
@@ -95,28 +99,21 @@ def test_losing_edge_weight():
 def test_blocking_and_stars(two_triangles_pendants):
     inst, m = two_triangles_pendants
     assert blocking_edges(inst, m) == ((0, 2), (3, 4), (3, 5))
-    star_list = stars(inst, m)
-    assert len(star_list) == 1
-    assert star_list[0].middle == 3
-    assert star_list[0].leaves == (4, 5)
+    assert build_aux(inst, m).star_leaves == {3: (4, 5)}
 
 
 def test_no_stars_without_shared_middle(two_triangles):
     inst, m = two_triangles
     assert blocking_edges(inst, m) == ((0, 2),)
-    assert stars(inst, m) == ()
+    assert build_aux(inst, m).star_of == {}
 
 
-def test_reduced_graph_drops_losing_edges(two_triangles_pendants):
-    inst, m = two_triangles_pendants
-    g = reduced_graph(inst, m)
-    # weight 0 and +2 edges survive; this fixture has no -2 edge to lose
-    assert g.has_edge(1, 2)
-    assert g.has_edge(0, 2)
-    assert g.has_edge(3, 4)
-    h = reduced_graph(TOP_PAIRS, TOP_PAIRS_M)
-    assert h.has_edge(0, 1) and h.has_edge(2, 3)
-    assert not h.has_edge(0, 2) and not h.has_edge(1, 3)
+def test_aux_graph_drops_losing_edges():
+    # the matched pairs survive as auxiliary edges, the two -2 edges do not
+    aux = build_aux(TOP_PAIRS, TOP_PAIRS_M)
+    assert aux.u_id == -1 and aux.seeds == ()
+    assert sorted(aux.graph.edges()) == [(0, 1), (2, 3)]
+    assert not aux.graph.has_edge(0, 2) and not aux.graph.has_edge(1, 3)
 
 
 def test_delta_hand_values(two_triangles_pendants):
@@ -224,3 +221,81 @@ def test_fractional_value_rejects_non_edges(triangle_pendant):
         p = HalfIntegralMatching(ones=ones, loop_ones=(), half_cycles=())
         with pytest.raises(ValueError):
             fractional_value_times_two(inst, m, p)
+
+
+# Reference votes over the inst.rank dicts, the lookup that _ranks replaced.
+def _ref_rank(inst, u, v):
+    if v is None:
+        return len(inst.pref[u])
+    if v not in inst.rank[u]:
+        raise ValueError(f"{v} is not a neighbor of {u}")
+    return inst.rank[u][v]
+
+
+def _ref_vote(inst, u, a, b):
+    ra, rb = _ref_rank(inst, u, a), _ref_rank(inst, u, b)
+    return (ra < rb) - (rb < ra)
+
+
+def _ref_blocking(inst, m, u, v):
+    return v in inst.rank[u] and _ref_vote(inst, u, v, m.partner[u]) + _ref_vote(
+        inst, v, u, m.partner[v]
+    ) == 2
+
+
+def _same(f, ref):
+    """f() and ref() return equal values or raise ValueError with equal messages."""
+    try:
+        want = ref()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            f()
+        assert str(got.value) == str(exc)
+        return
+    assert f() == want
+
+
+def test_rank_lookups_match_rank_dicts():
+    rng = random.Random(44)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        inst = random_instance(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        m = _shuffled_maximal(inst, rng) if rng.random() < 0.8 else Matching.empty(n)
+        rival = _shuffled_maximal(inst, rng)
+        # a matching of another instance on the same nodes may use non-edges
+        stranger = _shuffled_maximal(random_instance(rng, n, 0.7), rng)
+        for other in (rival, stranger):
+            _same(
+                lambda: delta(inst, m, other),
+                lambda: sum(_ref_vote(inst, v, other.partner[v], m.partner[v]) for v in range(n)),
+            )
+        for u in range(n):
+            for a in (None, *range(n)):
+                b = m.partner[u]
+                _same(lambda: vote(inst, u, a, b), lambda: _ref_vote(inst, u, a, b))
+                _same(lambda: vote(inst, u, b, a), lambda: _ref_vote(inst, u, b, a))
+            for v in range(n):
+                _same(
+                    lambda: edge_weight(inst, m, u, v),
+                    lambda: _ref_vote(inst, u, v, m.partner[u])
+                    + _ref_vote(inst, v, u, m.partner[v]),
+                )
+                assert is_blocking_edge(inst, m, u, v) == _ref_blocking(inst, m, u, v)
+            assert blocking_partners_of(inst, m, u) == sorted(
+                y for y in inst.pref[u] if _ref_blocking(inst, m, u, y)
+            )
+            assert unmatched_zero_neighbors_of(inst, m, u) == sorted(
+                x
+                for x in inst.pref[u]
+                if m.partner[x] is None and _ref_vote(inst, u, x, m.partner[u]) < 0
+            )
+
+
+def test_rank_lookup_rejects_bad_nodes(triangle_pendant):
+    inst, m = triangle_pendant
+    with pytest.raises(ValueError, match="3 is not a neighbor of 0"):
+        vote(inst, 0, 3, None)
+    with pytest.raises(ValueError, match="node 4 is out of range"):
+        vote(inst, 4, None, None)
+    with pytest.raises(ValueError, match="3 is not a neighbor of 1"):
+        edge_weight(inst, m, 1, 3)
