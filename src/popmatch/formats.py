@@ -198,11 +198,8 @@ def parse_instance(text: str) -> RoommatesInstance:
         raise ParseError(f"expected {n} preference lines, found {found}")
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(t.per_line[rows[:n]], out=off[1:])
-    flat = t.values[1:].tolist()
-    bounds = off.tolist()
-    pref = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
     try:
-        return RoommatesInstance(pref)
+        return RoommatesInstance(csr=(off, t.values[1:]))
     except PreferenceError as exc:
         k = exc.entry + 1
         where = f"line {t.lineno(k)}: node {exc.node} lists"
@@ -331,7 +328,8 @@ def result_to_document(res) -> dict:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # no indent: an indent sends json to its pure-Python encoder
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def parse_certificate(text: str) -> dict:

@@ -18,8 +18,6 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import _matching_defects
-
 
 class PreferenceError(ValueError):
     """A preference entry that breaks the instance rules.
@@ -73,23 +71,71 @@ def _node_pairs(pairs) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
-@dataclass(frozen=True)
 class RoommatesInstance:
-    """Immutable preference profile; pref[v] ranks v's neighbors, best first."""
+    """Immutable preference profile; pref[v] ranks v's neighbors, best first.
 
-    pref: tuple
+    The state is two read-only int64 arrays in CSR form: `off` (n + 1
+    offsets) and the flat preference array `dv`, so row v is
+    dv[off[v]:off[v + 1]]. Build from rows, `RoommatesInstance(pref)`, or
+    from arrays, `RoommatesInstance(csr=(off, dv))`; the arrays are taken
+    over, not copied. `pref`, `rank` and `edges` are views built on first
+    use. Raises PreferenceError for rows that break the instance rules.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pref", tuple(tuple(p) for p in self.pref))
-        self._arrays  # validates eagerly
+    def __init__(self, pref=None, *, csr=None):
+        if (pref is None) == (csr is None):
+            raise TypeError("RoommatesInstance takes either pref or csr")
+        if csr is None:
+            rows = tuple(tuple(p) for p in pref)
+            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            off = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(counts, out=off[1:])
+            dv = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(off[-1]))
+            self.__dict__["pref"] = rows  # the view's slot, already built
+        else:
+            off, dv = (np.asarray(a, dtype=np.int64) for a in csr)
+            if (
+                off.ndim != 1 or dv.ndim != 1 or not off.size or off[0] != 0
+                or off[-1] != dv.size or (np.diff(off) < 0).any()
+            ):
+                raise ValueError("csr needs offsets from 0 to len(dv), non-decreasing")
+        self.__dict__["_arrays"] = _validated(off, dv)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, RoommatesInstance):
+            return NotImplemented
+        return np.array_equal(self.off, other.off) and np.array_equal(self.dv, other.dv)
+
+    def __hash__(self):
+        return hash((self.off.tobytes(), self.dv.tobytes()))
+
+    def __repr__(self):
+        return f"RoommatesInstance(pref={self.pref!r})"
+
+    @property
+    def off(self) -> np.ndarray:
+        return self._arrays["off"]
+
+    @property
+    def dv(self) -> np.ndarray:
+        return self._arrays["dv"]
 
     @property
     def n(self) -> int:
-        return len(self.pref)
+        return len(self.off) - 1
 
     @property
     def m(self) -> int:
-        return sum(len(p) for p in self.pref) // 2
+        return int(self.off[-1]) // 2
+
+    @cached_property
+    def pref(self) -> tuple:
+        flat = self.dv.tolist()
+        bounds = self.off.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def rank(self) -> tuple:
@@ -97,9 +143,8 @@ class RoommatesInstance:
 
     @cached_property
     def edges(self) -> frozenset:
-        return frozenset(
-            (u, v) if u < v else (v, u) for u in range(self.n) for v in self.pref[u]
-        )
+        arr = self._arrays
+        return frozenset(zip(arr["eu"].tolist(), arr["ev"].tolist()))
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Elementwise: is (us[i], vs[i]) an edge? One batched key lookup."""
@@ -118,43 +163,44 @@ class RoommatesInstance:
         found[found] = keys[i[found]] == key[found]
         return np.where(found, i, -1)
 
-    @cached_property
-    def _arrays(self) -> dict:
-        """Validated directed and undirected edge arrays.
 
-        Each undirected edge has the key lo * n + hi; `keys` holds them
-        sorted, and eu/ev/pu/pv are aligned with it.
-        """
-        n = len(self.pref)
-        counts = np.fromiter(map(len, self.pref), dtype=np.int64, count=n)
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=off[1:])
-        total = int(off[-1])
-        dv = np.fromiter(chain.from_iterable(self.pref), dtype=np.int64, count=total)
-        du = np.repeat(np.arange(n, dtype=np.int64), counts)
-        if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
-            raise _first_defect(du, dv, n)
-        lo = np.minimum(du, dv)
-        # the low bit tells the two directions apart, so valid keys are distinct
-        key2 = (lo * n + np.maximum(du, dv)) * 2 + (du != lo)
-        order = np.argsort(key2)
-        ks = key2[order]
-        # valid iff every edge appears exactly once from each side
-        if total % 2 or not np.array_equal(ks[0::2] ^ 1, ks[1::2]):
-            raise _first_defect(du, dv, n)
-        dpos = np.arange(total, dtype=np.int64) - np.repeat(off[:-1], counts)
-        low, high = order[0::2], order[1::2]
-        return {
-            "off": off,
-            "du": du,
-            "dv": dv,
-            "dpos": dpos,
-            "keys": ks[0::2] >> 1,
-            "eu": du[low],
-            "ev": du[high],
-            "pu": dpos[low],
-            "pv": dpos[high],
-        }
+def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
+    """The instance arrays of CSR rows, read-only; PreferenceError if a row is bad.
+
+    du/dv/dpos give each directed entry's owner, neighbor and position
+    in the owner's row. Each undirected edge has the key lo * n + hi;
+    `keys` holds them sorted, and eu/ev/pu/pv are aligned with it.
+    """
+    n = len(off) - 1
+    total = len(dv)
+    counts = np.diff(off)
+    du = np.repeat(np.arange(n, dtype=np.int64), counts)
+    if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
+        raise _first_defect(du, dv, n)
+    lo = np.minimum(du, dv)
+    # the low bit tells the two directions apart, so valid keys are distinct
+    key2 = (lo * n + np.maximum(du, dv)) * 2 + (du != lo)
+    order = np.argsort(key2)
+    ks = key2[order]
+    # valid iff every edge appears exactly once from each side
+    if total % 2 or not np.array_equal(ks[0::2] ^ 1, ks[1::2]):
+        raise _first_defect(du, dv, n)
+    dpos = np.arange(total, dtype=np.int64) - np.repeat(off[:-1], counts)
+    low, high = order[0::2], order[1::2]
+    arrays = {
+        "off": off,
+        "du": du,
+        "dv": dv,
+        "dpos": dpos,
+        "keys": ks[0::2] >> 1,
+        "eu": du[low],
+        "ev": du[high],
+        "pu": dpos[low],
+        "pv": dpos[high],
+    }
+    for a in arrays.values():
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -244,10 +290,12 @@ def check_matching(inst: RoommatesInstance, m: Matching) -> None:
     """Raise ValueError unless m matches along edges of inst."""
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
-    arr = inst._arrays
-    # a Matching is an involution by construction, so only its edges need checking
-    _, v = _matching_defects(_partner_array(m), arr["du"], arr["dv"])
-    if v >= 0:
+    # a Matching is an involution by construction, so only its pairs need checking
+    pa = _partner_array(m)
+    us = np.flatnonzero(pa > np.arange(m.n))  # the lower end of each pair
+    has = inst.has_edges(us, pa[us])
+    if not has.all():
+        v = int(us[np.argmin(has)])
         raise ValueError(f"pair ({v}, {m.partner[v]}) is not an edge of the instance")
 
 

@@ -354,21 +354,28 @@ def build_dual_witness(
     """
     members = np.asarray(reach.label) != 0
     pay = aux.payload_array
-    two_sets = []
-    for k in np.flatnonzero(ge.sizes >= 3).tolist():
-        root = ge.roots[k]
-        if not members[root]:
-            continue
-        comp = ge.vertices(k)
-        if aux.kind[root] not in (KIND_ORIG, KIND_STAR):
-            raise InternalError(
-                f"reached component of size {len(comp)} rooted at {aux.label_of(root)}"
-            )
-        # a star node's payload is its middle, so both kinds map the same way
-        group = frozenset(pay[comp].tolist())
-        if len(group) != len(comp) or len(group) % 2 == 0:
-            raise InternalError("odd set construction collided")
-        two_sets.append(group)
+    big = np.flatnonzero(ge.sizes >= 3)
+    roots = np.array([ge.roots[k] for k in big.tolist()], dtype=np.int64)
+    big, roots = big[members[roots]], roots[members[roots]]
+    for r in roots.tolist():
+        if aux.kind[r] not in (KIND_ORIG, KIND_STAR):
+            size = int(ge.sizes[ge.piece[r]])
+            raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
+    # the reached pieces' vertices in one pass, grouped by piece; a star
+    # node's payload is its middle, so both root kinds map the same way
+    chosen = np.zeros(len(ge.roots) + 1, dtype=bool)  # the last slot is piece -1
+    chosen[big] = True
+    verts = np.flatnonzero(chosen[ge.piece])
+    items = pay[verts[np.argsort(ge.piece[verts], kind="stable")]]
+    ends = np.cumsum(ge.sizes[big])
+    starts = ends - ge.sizes[big]
+    # the odd sets in the order of their least node
+    by_min = np.argsort(np.minimum.reduceat(items, starts) if items.size else starts, kind="stable")
+    flat = items.tolist()
+    spans = list(zip(starts[by_min].tolist(), ends[by_min].tolist()))
+    two_sets = [frozenset(flat[a:b]) for a, b in spans]
+    if any(len(s) != b - a or len(s) % 2 == 0 for s, (a, b) in zip(two_sets, spans)):
+        raise InternalError("odd set construction collided")
     reached = members.copy()
     reached[aux.n_matched:] = False  # original nodes only
     cmatched = np.flatnonzero(reached & (ge.label == 0))
@@ -377,7 +384,6 @@ def build_dual_witness(
     alpha = np.zeros(inst.n, dtype=np.int64)
     alpha[pay[reached & (ge.label == _EVEN)]] = -1
     alpha[pay[reached & (ge.label == _ODD)]] = 1
-    two_sets.sort(key=min)
     return DualWitness(alpha=tuple(alpha.tolist()), two_sets=tuple(two_sets))
 
 

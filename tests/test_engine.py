@@ -25,7 +25,7 @@ from popmatch.generator import random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance, check_matching
 from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
-from helpers import random_edge_graph, reference_validate_matching
+from helpers import random_edge_graph, random_instance, reference_validate_matching
 
 # odd cycle hanging off an exposed vertex: 0 - 1=2 - 3=4 - 2 (= matched)
 FLOWER = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
@@ -149,6 +149,28 @@ def test_instance_matching_check_messages(triangle_pendant):
     # 1-2 is an edge, 0-3 is not
     with pytest.raises(ValueError, match=r"^pair \(0, 3\) is not an edge of the instance$"):
         check_matching(inst, Matching((3, 2, 1, 0)))
+
+
+def test_instance_matching_check_names_the_least_bad_vertex():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        inst = random_instance(rng, n, rng.choice([0.2, 0.5, 0.9]))
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        partner = [None] * n
+        for k in range(0, rng.randint(0, n // 2) * 2, 2):  # any pairs, edges or not
+            partner[nodes[k]], partner[nodes[k + 1]] = nodes[k + 1], nodes[k]
+        m = Matching(tuple(partner))
+        bad = [
+            v
+            for v, w in enumerate(partner)
+            if w is not None and (min(v, w), max(v, w)) not in inst.edges
+        ]
+        message = None
+        if bad:
+            message = f"pair ({bad[0]}, {partner[bad[0]]}) is not an edge of the instance"
+        assert _message(check_matching, inst, m) == message
 
 
 def test_matching_check_matches_vertex_loop():

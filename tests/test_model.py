@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from popmatch.auxgraph import (
@@ -9,6 +10,7 @@ from popmatch.auxgraph import (
     is_blocking_edge,
     unmatched_zero_neighbors_of,
 )
+from popmatch.formats import parse_instance, serialize_instance
 from popmatch.model import (
     HalfIntegralMatching,
     Matching,
@@ -33,6 +35,57 @@ def test_instance_basics(two_triangles_pendants):
     assert inst.m == 9
     assert (0, 2) in inst.edges and (6, 7) not in inst.edges
     assert inst.rank[3][4] == 0 and inst.rank[3][6] == 3
+
+
+def test_parsed_and_built_instances_are_equal():
+    rng = random.Random(11)
+    rows_cases = [(), ((),), ((), (), ()), ((), (2,), (1,), ())] + [
+        random_instance(rng, rng.randint(1, 12), rng.choice([0.0, 0.2, 0.6])).pref
+        for _ in range(60)
+    ]
+    for rows in rows_cases:
+        built = RoommatesInstance(rows)
+        parsed = parse_instance(serialize_instance(built))
+        assert "pref" not in parsed.__dict__
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.pref == built.pref == rows  # the view round-trips every row
+        assert repr(parsed) == repr(built) == f"RoommatesInstance(pref={rows!r})"
+        assert (parsed.n, parsed.m) == (len(rows), sum(map(len, rows)) // 2)
+        assert parsed.edges == built.edges
+        assert parsed.rank == built.rank
+    # equal exactly when the preference lists are equal
+    assert RoommatesInstance(((1, 2), (0, 2), (0, 1))) != RoommatesInstance(
+        ((2, 1), (0, 2), (0, 1))
+    )
+    assert RoommatesInstance(()) != RoommatesInstance(((),))
+    assert RoommatesInstance(((),)) != ((),)
+
+
+def test_instance_arrays_are_read_only(two_triangles_pendants):
+    inst, _ = two_triangles_pendants
+    for arr in inst._arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+    assert inst.dv[inst.off[3]:inst.off[4]].tolist() == list(inst.pref[3])
+    with pytest.raises(AttributeError):
+        inst.pref = ()
+
+
+def test_instance_rejects_bad_csr():
+    off, dv = np.array([0, 1, 2]), np.array([1, 0])
+    assert RoommatesInstance(csr=(off, dv)).pref == ((1,), (0,))
+    for bad in [
+        (np.array([0, 1]), dv),  # offsets end before the entries
+        (np.array([1, 1, 2]), dv),  # offsets do not start at 0
+        (np.array([0, 2, 1, 2]), dv),  # offsets decrease
+        (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    ]:
+        with pytest.raises(ValueError, match="csr needs offsets"):
+            RoommatesInstance(csr=bad)
+    with pytest.raises(ValueError, match="not vice versa"):
+        RoommatesInstance(csr=(np.array([0, 1, 1]), np.array([1])))
+    with pytest.raises(TypeError):
+        RoommatesInstance(((1,), (0,)), csr=(off, dv))
 
 
 def test_instance_rejects_asymmetry():

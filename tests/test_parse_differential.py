@@ -96,6 +96,7 @@ def test_valid_texts_parse_like_the_reference(data):
     ref = outcome(reference_parse_instance, itext)
     assert ref[0] == "ok", ref
     assert outcome(parse_instance, itext) == ref
+    assert parse_instance(itext).pref == ref[1].pref == tuple(map(tuple, rows))
     mlines = matching_lines(matching)
     for _ in range(data.draw(st.integers(0, 2))):
         mlines.insert(data.draw(st.integers(0, len(mlines))), [])

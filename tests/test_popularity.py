@@ -1,5 +1,10 @@
 import random
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR
 from popmatch.model import Matching, RoommatesInstance, delta
 from popmatch.oracle import brute_popular, enumerate_matchings
 from popmatch.popularity import (
@@ -8,15 +13,18 @@ from popmatch.popularity import (
     PATH_TWO_BLOCKING,
     BlockingStructure,
     DualWitness,
+    InternalError,
     Popular,
     Unpopular,
+    _analyze,
+    build_dual_witness,
     check_blocking_structure,
     is_popular,
     more_popular_matching,
     witness_violation,
 )
 
-from helpers import random_instance
+from helpers import partner_first_instance, random_instance
 
 
 def test_unpopular_two_triangles_pendants(two_triangles_pendants):
@@ -37,6 +45,66 @@ def test_popular_triangle_pendant(triangle_pendant):
     assert res.witness.alpha == (-1, -1, 1, -1)
     assert res.witness.two_sets == (frozenset({0, 1, 2}),)
     assert witness_violation(inst, m, res.witness) is None
+
+
+def _reference_two_sets(an) -> list:
+    """The odd sets as a loop over the pieces builds them."""
+    members = np.asarray(an.reach.label) != 0
+    sets = []
+    for k in range(len(an.ge.roots)):
+        comp = np.flatnonzero(an.ge.piece == k)
+        root = an.ge.roots[k]
+        if len(comp) >= 3 and members[root]:
+            assert an.aux.kind[root] in (KIND_ORIG, KIND_STAR)
+            sets.append(frozenset(an.aux.payload_array[comp].tolist()))
+    return sorted(sets, key=min)
+
+
+def _tiled(rng, parts):
+    """Disjoint union of (instance, matching) parts, node ids shuffled."""
+    n = sum(inst.n for inst, _ in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pref, partner = [None] * n, [None] * n
+    base = 0
+    for inst, m in parts:
+        for v in range(inst.n):
+            pref[perm[base + v]] = tuple(perm[base + w] for w in inst.pref[v])
+            w = m.partner[v]
+            partner[perm[base + v]] = None if w is None else perm[base + w]
+        base += inst.n
+    return RoommatesInstance(tuple(pref)), Matching(tuple(partner))
+
+
+def test_dual_witness_odd_sets_match_a_piece_loop(triangle_pendant, two_triangles):
+    rng = random.Random(4)
+    for _ in range(60):
+        # each gadget brings one reached triangle, so one odd set
+        gadgets = [rng.choice([triangle_pendant, two_triangles]) for _ in range(rng.randint(1, 6))]
+        others = [partner_first_instance(rng, 6, 0.5) for _ in range(rng.randint(0, 3))]
+        inst, m = _tiled(rng, gadgets + others)
+        an = _analyze(inst, m)
+        assert an.aug_path is None
+        w = build_dual_witness(inst, m, an.aux, an.ge, an.reach)
+        assert list(w.two_sets) == _reference_two_sets(an)
+        assert len(w.two_sets) >= len(gadgets)
+
+
+def test_dual_witness_rejects_bad_pieces(triangle_pendant):
+    inst, m = triangle_pendant
+    an = _analyze(inst, m)
+    comp = np.flatnonzero(an.ge.piece == an.ge.piece[an.ge.roots[0]])
+    assert len(comp) == 3
+    kind = list(an.aux.kind)
+    kind[an.ge.roots[0]] = KIND_BLOCK
+    aux = replace(an.aux, kind=tuple(kind))
+    with pytest.raises(InternalError, match="^reached component of size 3 rooted at b_"):
+        build_dual_witness(inst, m, aux, an.ge, an.reach)
+    pay = an.aux.payload_array.copy()
+    pay[comp[1]] = pay[comp[0]]
+    aux = replace(an.aux, payload_array=pay)
+    with pytest.raises(InternalError, match="^odd set construction collided$"):
+        build_dual_witness(inst, m, aux, an.ge, an.reach)
 
 
 def test_popular_two_triangles(two_triangles):

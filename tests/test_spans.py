@@ -1,14 +1,17 @@
 """The benchmark's tracer wraps popmatch's cross-module names by path.
 
-A name that a change deletes or renames would otherwise surface only in a
-traced benchmark run.
+A name that a change deletes or renames, or a call the tracer's wrapper
+cannot stand in for, would otherwise surface only in a traced benchmark
+run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import popmatch
-import popmatch.cli  # noqa: F401  (the tracer wraps names in popmatch.cli)
+import popmatch.cli
+from popmatch.formats import serialize_instance, serialize_matching
 
 
 def _spans_module():
@@ -28,3 +31,21 @@ def test_tracer_names_resolve():
     assert popmatch.popularity.build_aux is not raw
     tracer.end()
     assert popmatch.popularity.build_aux is raw
+
+
+def test_traced_verdict_records_the_parse_spans(tmp_path, capsys, triangle_pendant):
+    inst, m = triangle_pendant
+    ipath, mpath = tmp_path / "inst.txt", tmp_path / "match.txt"
+    ipath.write_text(serialize_instance(inst))
+    mpath.write_text(serialize_matching(m))
+    tracer = _spans_module().Tracer(popmatch)
+    tracer.begin("verdict")
+    try:
+        code = popmatch.cli.main(["fractional", "-i", str(ipath), "-m", str(mpath), "--json"])
+    finally:
+        tracer.end()
+    assert code == 1, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["verdict"] == "not-fractional-popular"
+    recorded = {span[0] for span in tracer.spans}
+    assert {"formats.parse_instance", "model.instance", "formats.parse_matching"} <= recorded
+    assert tracer.metrics("verdict")["model.instance_s"] > 0
