@@ -8,11 +8,15 @@ exactly one blocking edge) gets one shared exposed neighbor adjacent to
 its leaves; all M-unmatched nodes collapse into a single exposed node;
 finally the blocking edges themselves are deleted.  M is popular in the
 instance exactly when M is a maximum matching of this graph.
+
+`AuxGraph` holds every map between the two graphs as a read-only array;
+its tuple and dict attributes are views built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,41 +34,102 @@ KIND_ORIG = "orig"
 KIND_BLOCK = "block"
 KIND_STAR = "star"
 KIND_U = "u"
+# kind_array codes
+CODE_ORIG, CODE_BLOCK, CODE_STAR, CODE_U = range(4)
+_CODES = {KIND_ORIG: CODE_ORIG, KIND_BLOCK: CODE_BLOCK, KIND_STAR: CODE_STAR, KIND_U: CODE_U}
 
 
-@dataclass(frozen=True)
+def _index_map(arr: np.ndarray) -> dict:
+    """{i: arr[i]} for every i with arr[i] != -1."""
+    keys = np.flatnonzero(arr >= 0)
+    return dict(zip(keys.tolist(), arr[keys].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class AuxGraph:
     """The derived graph plus every mapping needed to walk back out of it.
 
     Node ids: matched original nodes first in ascending order (ids
     below n_matched), then one node per blocking-edge owner, one per
     star, and the collapsed exposed node last when M leaves anything
-    unmatched.  payload_array is payload as an int64 array.
+    unmatched.
+
+    The maps are read-only int64 arrays.  Per auxiliary node:
+    `payload_array`, the original node it stands for (a star's middle,
+    -1 for the exposed node); `matching_array`, its partner or -1; and
+    the star leaves in CSR form, `leaf_nodes[leaf_off[i]:leaf_off[i + 1]]`
+    ascending, empty unless i is a star.  Per original node, -1 where
+    there is none: `orig_to_aux_array`, `b_of_array` (its blocking
+    node), `star_of_array` (the star of which it is the middle) and
+    `leaf_star_array` (the middle of the star it is a leaf of).  `kind`
+    is a tuple of shared strings and `kind_array` its int8 codes
+    (CODE_ORIG, ...), filled in by build_aux.  The other tuple and dict
+    attributes are views built on first use.
     """
 
-    graph: Graph = field(compare=False)
-    matching: tuple
+    graph: Graph
     kind: tuple
-    payload: tuple
-    payload_array: np.ndarray = field(compare=False, repr=False)
+    payload_array: np.ndarray
+    matching_array: np.ndarray
     n_matched: int
     n_orig: int
-    orig_to_aux: tuple
+    orig_to_aux_array: np.ndarray
     u_id: int
-    b_of: dict = field(compare=False)
-    star_of: dict = field(compare=False)
-    star_leaves: dict = field(compare=False)
-    leaf_star: dict = field(compare=False)
+    b_of_array: np.ndarray
+    star_of_array: np.ndarray
+    leaf_star_array: np.ndarray
+    leaf_off: np.ndarray
+    leaf_nodes: np.ndarray
     seeds: tuple = ()
 
+    @cached_property
+    def kind_array(self) -> np.ndarray:
+        n = len(self.kind)
+        codes = np.fromiter(map(_CODES.__getitem__, self.kind), dtype=np.int8, count=n)
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def payload(self) -> tuple:
+        return tuple(self.payload_array.tolist())
+
+    @cached_property
+    def matching(self) -> tuple:
+        return tuple(self.matching_array.tolist())
+
+    @cached_property
+    def orig_to_aux(self) -> tuple:
+        return tuple(self.orig_to_aux_array.tolist())
+
+    @cached_property
+    def b_of(self) -> dict:
+        return _index_map(self.b_of_array)
+
+    @cached_property
+    def star_of(self) -> dict:
+        return _index_map(self.star_of_array)
+
+    @cached_property
+    def leaf_star(self) -> dict:
+        return _index_map(self.leaf_star_array)
+
+    @cached_property
+    def star_leaves(self) -> dict:
+        stars = np.flatnonzero(self.kind_array == CODE_STAR).tolist()
+        return {int(self.payload_array[s]): tuple(self.leaves(s).tolist()) for s in stars}
+
+    def leaves(self, s: int) -> np.ndarray:
+        """The leaves of star node s, ascending."""
+        return self.leaf_nodes[self.leaf_off[s]:self.leaf_off[s + 1]]
+
     def label_of(self, i: int) -> str:
-        k = self.kind[i]
-        if k == KIND_ORIG:
-            return str(self.payload[i])
-        if k == KIND_BLOCK:
-            return f"b_{self.payload[i]}"
-        if k == KIND_STAR:
-            return f"bS_{self.payload[i]}"
+        k = self.kind_array[i]
+        if k == CODE_ORIG:
+            return str(self.payload_array[i])
+        if k == CODE_BLOCK:
+            return f"b_{self.payload_array[i]}"
+        if k == CODE_STAR:
+            return f"bS_{self.payload_array[i]}"
         return "u"
 
 
@@ -103,10 +168,10 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
 
     orig_to_aux = np.full(n, u_id, dtype=np.int64)
     orig_to_aux[morder] = np.arange(nm, dtype=np.int64)
-    b_ids = nm + np.arange(nb, dtype=np.int64)
-    star_ids = nm + nb + np.arange(ns, dtype=np.int64)
-    star_id_of = np.full(n, -1, dtype=np.int64)
-    star_id_of[middles] = star_ids
+    b_of = np.full(n, -1, dtype=np.int64)
+    b_of[owners] = nm + np.arange(nb, dtype=np.int64)
+    star_of = np.full(n, -1, dtype=np.int64)
+    star_of[middles] = nm + nb + np.arange(ns, dtype=np.int64)
 
     zmask = w == 0
     zu = orig_to_aux[eu[zmask]]
@@ -115,45 +180,44 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     zu, zv = zu[keep], zv[keep]
 
     slv = np.flatnonzero(star_leaf)
+    leaf_star = np.full(n, -1, dtype=np.int64)
+    leaf_star[slv] = bpartner[slv]
+    slv_star = star_of[bpartner[slv]]
     # edges at u repeat when several unmatched nodes share a neighbor
-    us = np.concatenate([zu, b_ids, star_id_of[bpartner[slv]]])
+    us = np.concatenate([zu, b_of[owners], slv_star])
     vs = np.concatenate([zv, orig_to_aux[owners], orig_to_aux[slv]])
     graph = Graph.from_edges(n_aux, np.column_stack((us, vs)))
 
     aux_match = np.full(n_aux, -1, dtype=np.int64)
-    left = np.flatnonzero(matched & (pa > np.arange(n)))
-    aux_match[orig_to_aux[left]] = orig_to_aux[pa[left]]
-    aux_match[orig_to_aux[pa[left]]] = orig_to_aux[left]
+    aux_match[:nm] = orig_to_aux[pa[morder]]
 
-    kind = [KIND_ORIG] * nm + [KIND_BLOCK] * nb + [KIND_STAR] * ns
-    payload_array = np.concatenate([morder, owners, middles, np.full(int(have_u), -1)])
-    payload = payload_array.tolist()
-    if have_u:
-        kind.append(KIND_U)
-
-    star_leaves = {}
-    leaf_star = {}
-    for x in slv.tolist():
-        z = int(bpartner[x])
-        star_leaves.setdefault(z, []).append(x)
-        leaf_star[x] = z
-
-    return AuxGraph(
+    leaf_off = np.zeros(n_aux + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slv_star, minlength=n_aux), out=leaf_off[1:])
+    arrays = {
+        "payload_array": np.concatenate([morder, owners, middles, np.full(int(have_u), -1)]),
+        "matching_array": aux_match,
+        "orig_to_aux_array": orig_to_aux,
+        "b_of_array": b_of,
+        "star_of_array": star_of,
+        "leaf_star_array": leaf_star,
+        "leaf_off": leaf_off,
+        "leaf_nodes": slv[np.argsort(slv_star, kind="stable")],
+    }
+    for a in arrays.values():
+        a.flags.writeable = False
+    aux = AuxGraph(
         graph=graph,
-        matching=tuple(aux_match.tolist()),
-        kind=tuple(kind),
-        payload=tuple(payload),
-        payload_array=payload_array,
+        kind=(KIND_ORIG,) * nm + (KIND_BLOCK,) * nb + (KIND_STAR,) * ns + (KIND_U,) * have_u,
         n_matched=nm,
         n_orig=n,
-        orig_to_aux=tuple(orig_to_aux.tolist()),
         u_id=u_id,
-        b_of={int(o): int(b) for o, b in zip(owners.tolist(), b_ids.tolist())},
-        star_of={int(z): int(s) for z, s in zip(middles.tolist(), star_ids.tolist())},
-        star_leaves={z: tuple(sorted(ls)) for z, ls in star_leaves.items()},
-        leaf_star=leaf_star,
         seeds=tuple(range(nm, nm + nb + ns)),
+        **arrays,
     )
+    codes = np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u)))
+    codes.flags.writeable = False
+    aux.__dict__["kind_array"] = codes  # the derived attribute's slot, already built
+    return aux
 
 
 def blocking_partners_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
@@ -186,5 +250,6 @@ def is_blocking_edge(inst: RoommatesInstance, m: Matching, u: int, v: int) -> bo
     """True when uv is an edge both sides prefer to their current state."""
     if not inst.has_edges([u], [v])[0]:
         return False
-    r = _ranks(inst, (u, u, v, v), (v, m.partner[u], u, m.partner[v]))
+    pa = m.partner_array
+    r = _ranks(inst, (u, u, v, v), (v, pa[u], u, pa[v]))
     return bool(r[0] < r[1] and r[2] < r[3])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -28,6 +29,8 @@ from .model import (
     Matching,
     PreferenceError,
     RoommatesInstance,
+    _csr,
+    _int_array,
     check_matching,
     delta,
     fractional_value_times_two,
@@ -260,10 +263,18 @@ def serialize_matching(m: Matching) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _groups_doc(off: np.ndarray, values: np.ndarray) -> list:
+    """CSR groups as a list of lists of Python ints."""
+    flat = values.tolist()
+    bounds = off.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _witness_doc(w: DualWitness) -> dict:
+    alpha = w.alpha_array.tolist()
     return {
-        "alpha": {str(v): int(a) for v, a in enumerate(w.alpha)},
-        "two_sets": [sorted(s) for s in w.two_sets],
+        "alpha": dict(zip(map(str, range(len(alpha))), alpha)),
+        "two_sets": _groups_doc(w.set_off, w.set_nodes),
     }
 
 
@@ -278,10 +289,6 @@ def _structure_doc(s: BlockingStructure) -> dict:
     return {"kind": s.kind, "nodes": list(seq), "blocking_edges": blocking}
 
 
-def _pairs_doc(pairs) -> list:
-    return [[u, v] for u, v in pairs]
-
-
 def result_to_document(res) -> dict:
     """JSON-ready certificate document for any verdict object."""
     if isinstance(res, Popular):
@@ -290,7 +297,7 @@ def result_to_document(res) -> dict:
         return {
             "verdict": "unpopular",
             "blocking_structure": _structure_doc(res.structure),
-            "better_matching": _pairs_doc(res.better.pairs()),
+            "better_matching": res.better.pair_array().tolist(),
             "margin": res.margin,
         }
     if isinstance(res, FractionalPopular):
@@ -299,9 +306,9 @@ def result_to_document(res) -> dict:
         doc = {
             "verdict": "not-fractional-popular",
             "p": {
-                "ones": _pairs_doc(res.p.ones),
-                "loop_ones": list(res.p.loop_ones),
-                "half_cycles": [list(c) for c in res.p.half_cycles],
+                "ones": res.p.ones_array.tolist(),
+                "loop_ones": res.p.loop_array.tolist(),
+                "half_cycles": _groups_doc(res.p.cycle_off, res.p.cycle_nodes),
             },
             "value_times_two": res.value_times_two,
         }
@@ -321,7 +328,7 @@ def result_to_document(res) -> dict:
             }
         if res.from_unpopular is not None:
             doc["blocking_structure"] = _structure_doc(res.from_unpopular.structure)
-            doc["better_matching"] = _pairs_doc(res.from_unpopular.better.pairs())
+            doc["better_matching"] = res.from_unpopular.better.pair_array().tolist()
             doc["margin"] = res.from_unpopular.margin
         return doc
     raise TypeError(f"not a verdict object: {type(res).__name__}")
@@ -374,17 +381,14 @@ def _witness_from(doc, n: int) -> DualWitness | str:
         return "alpha values must be integers"
     if not set(vals) <= {-1, 0, 1}:
         return "alpha value outside {-1, 0, 1}"
-    alpha = [0] * n
-    for i, a in zip(idx.tolist(), vals):
-        alpha[i] = a
-    two_sets = []
+    alpha = np.zeros(n, dtype=np.int64)
+    alpha[idx] = vals
     for group in sets_doc:
         if not isinstance(group, list) or not set(map(type, group)) <= {int}:
             return "witness contains a non-node entry"
-        two_sets.append(frozenset(group))
-        if len(two_sets[-1]) != len(group):
+        if len(set(group)) != len(group):
             return "odd set repeats a node"
-    return DualWitness(alpha=tuple(alpha), two_sets=tuple(two_sets))
+    return DualWitness(alpha, csr=_csr(sets_doc))
 
 
 def _int_list(seq) -> list | None:
@@ -420,7 +424,7 @@ def _verify_popular(inst, m, doc, fractional: bool) -> str | None:
     msg = witness_violation(inst, m, w)
     if msg is not None:
         return msg
-    if fractional and w.two_sets:
+    if fractional and len(w.set_off) > 1:
         return "a fractional-popularity witness must have no two-valued sets"
     return None
 
@@ -451,29 +455,35 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     return None
 
 
+def _int_lists(items, size: int | None = None) -> bool:
+    """True if every item is a list of ints (bools excluded), of `size` entries if given."""
+    return (
+        set(map(type, items)) <= {list}
+        and (size is None or set(map(len, items)) <= {size})
+        and set(map(type, chain.from_iterable(items))) <= {int}
+    )
+
+
 def _half_from(doc, inst: RoommatesInstance) -> HalfIntegralMatching | str:
     if not isinstance(doc, dict):
         return "p is not an object"
     ones_doc = doc.get("ones")
-    loops = _int_list(doc.get("loop_ones"))
+    loops = doc.get("loop_ones")
     cycles_doc = doc.get("half_cycles")
-    if not isinstance(ones_doc, list) or loops is None or not isinstance(cycles_doc, list):
+    if not (isinstance(ones_doc, list) and _int_lists([loops]) and isinstance(cycles_doc, list)):
         return "p needs ones, loop_ones and half_cycles"
-    ones = []
-    for item in ones_doc:
-        pair = _int_list(item)
-        if pair is None or len(pair) != 2:
-            return f"bad p edge {item!r}"
-        ones.append(tuple(pair))
-    cycles = []
-    for item in cycles_doc:
-        cyc = _int_list(item)
-        if cyc is None:
-            return f"bad half cycle {item!r}"
-        cycles.append(tuple(cyc))
+    # whole-list checks; the item loops below only name the first bad item
+    if not _int_lists(ones_doc, 2):
+        item = next(x for x in ones_doc if not _int_lists([x], 2))
+        return f"bad p edge {item!r}"
+    if not _int_lists(cycles_doc):
+        item = next(x for x in cycles_doc if not _int_lists([x]))
+        return f"bad half cycle {item!r}"
     try:
         p = HalfIntegralMatching(
-            ones=tuple(ones), loop_ones=tuple(loops), half_cycles=tuple(cycles)
+            _int_array(list(chain.from_iterable(ones_doc))),
+            _int_array(loops),
+            csr=_csr(cycles_doc),
         )
         p.validate(inst)
     except (ValueError, IndexError) as exc:

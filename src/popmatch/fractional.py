@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxgraph import (
+    CODE_ORIG,
     KIND_ORIG,
     KIND_STAR,
     AuxGraph,
@@ -24,11 +25,10 @@ from .auxgraph import (
     is_blocking_edge,
 )
 from .engine import (
-    EngineError,
     even_path_from_roots,
     odd_cycle_through_root,
     reachable_set,  # unused here; kept bound so outside tracers can wrap it by name
-    shortest_alt_path_to_root,
+    shortest_alt_path_to_root,  # unused here; kept bound so outside tracers can wrap it by name
 )
 from .model import (
     HalfIntegralMatching,
@@ -107,7 +107,7 @@ def is_fractional_popular(
             structure=None, p=p, value_times_two=vt2, from_unpopular=unpop
         )
     pop = _finish_popular(inst, m, an)
-    if not pop.witness.two_sets:
+    if len(pop.witness.set_off) == 1:  # no odd set
         return FractionalPopular(witness=pop.witness)
     s = extract_fractional_structure(inst, m, an)
     msg = check_fractional_structure(inst, m, s)
@@ -142,52 +142,39 @@ def extract_fractional_structure(
     )
     if k is None:
         raise InternalError("no reached component of size 3 or more")
-    comp = frozenset(ge.vertices(k).tolist())
+    comp = ge.vertices(k)
     root = ge.roots[k]
+    pay = aux.payload_array
 
     if aux.kind[root] == KIND_STAR:
-        cyc = odd_cycle_through_root(g, match, comp, root)
-        mid = aux.payload[root]
-        rest = []
-        for i in cyc[1:]:
-            if aux.kind[i] != KIND_ORIG:
-                raise InternalError("star cycle passes a non-original node")
-            rest.append(aux.payload[i])
+        cyc = odd_cycle_through_root(g, match, comp.tolist(), root)
+        mid = int(pay[root])
+        if (aux.kind_array[cyc[1:]] != CODE_ORIG).any():
+            raise InternalError("star cycle passes a non-original node")
+        rest = pay[cyc[1:]].tolist()
         if mid in rest:
             raise InternalError("star middle collides with its own cycle")
         return CycleThroughStar(cycle=(mid, *rest), middle=mid)
 
     if aux.kind[root] != KIND_ORIG:
         raise InternalError(f"big component rooted at {aux.label_of(root)}")
-    for i in comp:
-        if aux.kind[i] != KIND_ORIG:
-            raise InternalError("matched-root component contains a non-original node")
-    q_aux = odd_cycle_through_root(g, match, comp, root)
-    cycle = tuple(aux.payload[i] for i in q_aux)
+    if (aux.kind_array[comp] != CODE_ORIG).any():
+        raise InternalError("matched-root component contains a non-original node")
+    cycle = tuple(pay[odd_cycle_through_root(g, match, comp.tolist(), root)].tolist())
 
-    # the feeding path must stay off the rest of the component, whose
-    # nodes are matched among themselves
-    blocked = bytearray(g.n)
-    for i in comp:
-        blocked[i] = i != root
-    try:
-        p0 = shortest_alt_path_to_root(g, match, aux.seeds, root, blocked)
-    except (ValueError, EngineError):
-        # the seeds' forest enters the component only through its root
-        p0 = even_path_from_roots(g, match, an.reach, root)
+    # the seeds' forest enters the component only through its root, so
+    # the path it recorded to the root stays off the rest of the component
+    p0 = even_path_from_roots(g, match, an.reach, root)
     if p0 is None:
         raise InternalError("cycle root unreachable outside its component")
-    p0 = list(p0)
 
     while True:
         seed = p0[0]
-        vs = []
-        for i in p0[1:]:
-            if aux.kind[i] != KIND_ORIG:
-                raise InternalError("alternating path passes a non-original node")
-            vs.append(aux.payload[i])
+        if (aux.kind_array[p0[1:]] != CODE_ORIG).any():
+            raise InternalError("alternating path passes a non-original node")
+        vs = pay[p0[1:]].tolist()
         if aux.kind[seed] == KIND_STAR:
-            cand = [aux.payload[seed]]
+            cand = [int(pay[seed])]
         else:
             cand = blocking_partners_of(inst, m, vs[0])
         x = next((c for c in cand if c not in vs), None)
@@ -198,10 +185,10 @@ def extract_fractional_structure(
         if pos % 2 == 0:
             raise InternalError("blocking partner meets the path at an even position")
         vi = vs[pos - 1]
-        if vi in aux.leaf_star:
-            seed2 = aux.star_of[aux.leaf_star[vi]]
-        elif vi in aux.b_of:
-            seed2 = aux.b_of[vi]
+        if aux.leaf_star_array[vi] >= 0:
+            seed2 = int(aux.star_of_array[aux.leaf_star_array[vi]])
+        elif aux.b_of_array[vi] >= 0:
+            seed2 = int(aux.b_of_array[vi])
         else:
             raise InternalError(f"node {vi} has no blocking attachment")
         p0 = [seed2] + p0[pos:]
@@ -209,8 +196,8 @@ def extract_fractional_structure(
     path = (x, *vs)
     if set(path) & set(cycle) != {cycle[0]}:
         raise InternalError("feeding path meets the cycle beyond its root")
-    mx = m.partner[x]
-    if mx is None:
+    mx = int(m.partner_array[x])
+    if mx < 0:
         raise InternalError("path head is unmatched")
     if mx in path or mx in cycle:
         raise InternalError("path head's partner lies on the structure")
@@ -230,6 +217,7 @@ def check_fractional_structure(
     inst: RoommatesInstance, m: Matching, s: CycleThroughStar | PathPlusCycle
 ) -> str | None:
     """None if s defeats m by construction, else the defect found."""
+    pa = m.partner_array
     if isinstance(s, CycleThroughStar):
         cyc = s.cycle
         msg = _bad_node(inst, cyc)
@@ -240,7 +228,7 @@ def check_fractional_structure(
         if cyc[0] != s.middle:
             return "cycle does not start at the middle"
         for i in range(1, len(cyc) - 1, 2):
-            if m.partner[cyc[i]] != cyc[i + 1]:
+            if pa[cyc[i]] != cyc[i + 1]:
                 return f"cycle nodes {cyc[i]} and {cyc[i + 1]} are not partners"
         if not is_blocking_edge(inst, m, cyc[0], cyc[1]):
             return f"edge {cyc[0]}-{cyc[1]} is not blocking"
@@ -253,8 +241,8 @@ def check_fractional_structure(
                 return f"cycle edge {a}-{b} missing"
             if edge_weight(inst, m, a, b) != 0:
                 return f"cycle edge {a}-{b} does not tie the vote"
-        w = m.partner[s.middle]
-        if w is None:
+        w = int(pa[s.middle])
+        if w < 0:
             return "middle is unmatched"
         if w in cyc:
             return "middle's partner lies on the cycle"
@@ -279,7 +267,7 @@ def check_fractional_structure(
     if not is_blocking_edge(inst, m, path[0], path[1]):
         return f"edge {path[0]}-{path[1]} is not blocking"
     for i in range(1, len(path) - 1, 2):
-        if m.partner[path[i]] != path[i + 1]:
+        if pa[path[i]] != path[i + 1]:
             return f"path nodes {path[i]} and {path[i + 1]} are not partners"
     along = inst.has_edges(path[:-1], path[1:])
     for i in range(2, len(path) - 1, 2):
@@ -289,7 +277,7 @@ def check_fractional_structure(
         if edge_weight(inst, m, a, b) != 0:
             return f"path edge {a}-{b} does not tie the vote"
     for i in range(1, len(cyc) - 1, 2):
-        if m.partner[cyc[i]] != cyc[i + 1]:
+        if pa[cyc[i]] != cyc[i + 1]:
             return f"cycle nodes {cyc[i]} and {cyc[i + 1]} are not partners"
     ring = inst.has_edges(cyc, cyc[1:] + cyc[:1])  # ring[i]: cyc[i]-cyc[i+1]
     for i in [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)]:
@@ -298,8 +286,8 @@ def check_fractional_structure(
             return f"cycle edge {a}-{b} missing"
         if edge_weight(inst, m, a, b) != 0:
             return f"cycle edge {a}-{b} does not tie the vote"
-    w = m.partner[path[0]]
-    if w is None:
+    w = int(pa[path[0]])
+    if w < 0:
         return "path head is unmatched"
     if w in path or w in cyc:
         return "path head's partner lies on the structure"
@@ -310,23 +298,25 @@ def structure_to_fractional_matching(
     inst: RoommatesInstance, m: Matching, s: CycleThroughStar | PathPlusCycle
 ) -> HalfIntegralMatching:
     """Half-integral matching encoded by a defeating structure."""
-    partner = m.partner
+    pa = m.partner_array
     if isinstance(s, CycleThroughStar):
-        body = set(s.cycle)
-        anchor = partner[s.middle]
-        new_ones: list = []
+        body = np.asarray(s.cycle, dtype=np.int64)
+        anchor = int(pa[s.middle])
+        new_ones = np.zeros((0, 2), dtype=np.int64)
     else:
-        body = set(s.path) | set(s.cycle)
-        anchor = partner[s.path[0]]
-        new_ones = [
-            (s.path[i], s.path[i + 1]) for i in range(0, len(s.path) - 1, 2)
-        ]
-    if anchor is None or anchor in body:
+        body = np.asarray(s.path + s.cycle, dtype=np.int64)
+        anchor = int(pa[s.path[0]])
+        path = np.asarray(s.path, dtype=np.int64)
+        new_ones = np.column_stack((path[0:-1:2], path[1::2]))
+    if anchor < 0 or (body == anchor).any():
         raise InternalError("structure anchor is missing its outside partner")
-    drop = body | {anchor}
-    ones = [pr for pr in m.pairs() if pr[0] not in drop and pr[1] not in drop]
-    ones.extend(new_ones)
-    loops = [anchor] + list(m.unmatched())
+    drop = np.zeros(m.n, dtype=bool)
+    drop[body] = True
+    drop[anchor] = True
+    pairs = m.pair_array()
+    kept = pairs[~(drop[pairs[:, 0]] | drop[pairs[:, 1]])]
     return HalfIntegralMatching(
-        ones=tuple(ones), loop_ones=tuple(loops), half_cycles=(tuple(s.cycle),)
+        np.concatenate([kept, new_ones]),
+        np.append(anchor, np.flatnonzero(pa < 0)),
+        csr=(np.array([0, len(s.cycle)]), np.asarray(s.cycle, dtype=np.int64)),
     )

@@ -11,10 +11,10 @@ cycles carried with value one half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -59,19 +59,76 @@ def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
     return PreferenceError("one-sided", int(du[i]), int(dv[i]), i)
 
 
+def _int_array(values) -> np.ndarray:
+    """values as an int64 array; an object array of Python ints if one does not fit.
+
+    Only outside input holds such a value. Kept exact, it still sorts and
+    compares, and messages can name it.
+    """
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _node_ids(a: np.ndarray) -> np.ndarray:
+    """a as int64 node ids; a value beyond int64, which names no node, becomes -1."""
+    if a.dtype != object:
+        return a
+    return np.where((a >= -(2**63)) & (a < 2**63), a, -1).astype(np.int64)
+
+
 def _node_pairs(pairs) -> np.ndarray:
     """(k, 2) int64 array of node pairs; ids beyond int64 become -1, no node."""
-    try:
-        arr = np.asarray(pairs, dtype=np.int64)
-    except OverflowError:
-        arr = np.asarray(
-            [[x if -(2**63) <= x < 2**63 else -1 for x in p] for p in pairs],
-            dtype=np.int64,
-        )
-    return arr.reshape(-1, 2)
+    return _node_ids(_int_array(pairs)).reshape(-1, 2)
 
 
-class RoommatesInstance:
+def _csr(groups) -> tuple:
+    """(off, values) of a sequence of sequences: group k is values[off[k]:off[k + 1]]."""
+    groups = [tuple(g) for g in groups]
+    off = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)), out=off[1:])
+    return off, _int_array(list(chain.from_iterable(groups)))
+
+
+def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """Stable indices sorting by major, then minor (two stable sorts beat np.lexsort)."""
+    o = np.argsort(minor, kind="stable")
+    return o[np.argsort(major[o], kind="stable")]
+
+
+class _Frozen:
+    """Immutable object whose state is the read-only arrays named in _STATE.
+
+    Two objects of one type are equal when those arrays are.
+    """
+
+    _STATE: tuple = ()
+
+    def _take(self, **arrays) -> None:
+        """Make the arrays read-only and store them as the state."""
+        for a in arrays.values():
+            a.flags.writeable = False
+        self.__dict__.update(arrays)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._STATE)
+
+    def __hash__(self):
+        # an object array holds a value beyond int64, so never equals an int64 one
+        parts = []
+        for k in self._STATE:
+            a = getattr(self, k)
+            parts.append(tuple(a.ravel().tolist()) if a.dtype == object else a.tobytes())
+        return hash(tuple(parts))
+
+
+class RoommatesInstance(_Frozen):
     """Immutable preference profile; pref[v] ranks v's neighbors, best first.
 
     The state is two read-only int64 arrays in CSR form: `off` (n + 1
@@ -81,6 +138,8 @@ class RoommatesInstance:
     over, not copied. `pref`, `rank` and `edges` are views built on first
     use. Raises PreferenceError for rows that break the instance rules.
     """
+
+    _STATE = ("off", "dv")
 
     def __init__(self, pref=None, *, csr=None):
         if (pref is None) == (csr is None):
@@ -100,17 +159,6 @@ class RoommatesInstance:
             ):
                 raise ValueError("csr needs offsets from 0 to len(dv), non-decreasing")
         self.__dict__["_arrays"] = _validated(off, dv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, RoommatesInstance):
-            return NotImplemented
-        return np.array_equal(self.off, other.off) and np.array_equal(self.dv, other.dv)
-
-    def __hash__(self):
-        return hash((self.off.tobytes(), self.dv.tobytes()))
 
     def __repr__(self):
         return f"RoommatesInstance(pref={self.pref!r})"
@@ -203,26 +251,43 @@ def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
     return arrays
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Partner list with None for unmatched nodes; always an involution."""
+class Matching(_Frozen):
+    """A matching as a read-only int64 partner array, -1 for unmatched nodes.
 
-    partner: tuple
+    Build from a partner sequence with None for unmatched nodes,
+    `Matching(partner)`, or with `from_pairs`, `from_partner_list` or
+    `empty`; each raises ValueError unless the partners form an
+    involution. `partner_array` is the state; `partner`, the sequence as
+    a tuple with None for unmatched nodes, is a view built on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "partner", tuple(self.partner))
-        n = len(self.partner)
-        for v, w in enumerate(self.partner):
-            if w is None:
-                continue
-            if not isinstance(w, int) or not 0 <= w < n or w == v:
-                raise ValueError(f"partner entry {v} -> {w} is out of range")
-            if self.partner[w] != v:
-                raise ValueError(f"partner entries {v} and {w} disagree")
+    _STATE = ("partner_array",)
+
+    def __init__(self, partner):
+        entries = tuple(partner)
+        n = len(entries)
+        isint = np.fromiter(map(isinstance, entries, repeat(int)), dtype=bool, count=n)
+        w = np.where(isint, np.fromiter(entries, dtype=object, count=n), -1)
+        fits = isint & (w >= 0) & (w < n)
+        given = np.fromiter(map(operator.is_not, entries, repeat(None)), dtype=bool, count=n)
+        pa = np.where(fits, w, -1).astype(np.int64)
+        _check_involution(pa, given & ~fits, entries)
+        self.__dict__["partner"] = entries  # the view's slot, already built
+        self._take(partner_array=pa)
+
+    @classmethod
+    def _of(cls, pa: np.ndarray) -> "Matching":
+        """Matching of an int64 partner array, -1 for unmatched; taken over, not copied."""
+        n = len(pa)
+        wrong = (pa < -1) | (pa >= n)
+        _check_involution(np.where(wrong, -1, pa), wrong, pa.tolist())
+        m = object.__new__(cls)
+        m._take(partner_array=pa)
+        return m
 
     @classmethod
     def empty(cls, n: int) -> "Matching":
-        return cls((None,) * n)
+        return cls._of(np.full(n, -1, dtype=np.int64))
 
     @classmethod
     def from_pairs(cls, inst: RoommatesInstance, pairs) -> "Matching":
@@ -247,43 +312,61 @@ class Matching:
         partner[arr[:, 0]] = arr[:, 1]
         partner[arr[:, 1]] = arr[:, 0]
         m = object.__new__(cls)  # an involution by construction
-        entries = tuple(w if w >= 0 else None for w in partner.tolist())
-        object.__setattr__(m, "partner", entries)
-        partner.flags.writeable = False
-        m.__dict__["_partners"] = partner  # the cached_property's slot
+        m._take(partner_array=partner)
         return m
 
     @classmethod
     def from_partner_list(cls, seq) -> "Matching":
+        """Matching of a partner sequence with -1 or None for unmatched nodes."""
         return cls(tuple(None if x is None or x < 0 else x for x in seq))
+
+    def __repr__(self):
+        return f"Matching(partner={self.partner!r})"
+
+    @cached_property
+    def partner(self) -> tuple:
+        return tuple(None if w < 0 else w for w in self.partner_array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.partner)
+        return len(self.partner_array)
+
+    def pair_array(self) -> np.ndarray:
+        """(k, 2) array of the matched pairs (low, high), ascending."""
+        pa = self.partner_array
+        low = np.flatnonzero(pa > np.arange(len(pa)))
+        return np.column_stack((low, pa[low]))
 
     def pairs(self) -> tuple:
-        return tuple(
-            (v, w) for v, w in enumerate(self.partner) if w is not None and v < w
-        )
+        return tuple(map(tuple, self.pair_array().tolist()))
 
     def size(self) -> int:
-        return sum(1 for w in self.partner if w is not None) // 2
+        return int(np.count_nonzero(self.partner_array >= 0)) // 2
 
     def unmatched(self) -> tuple:
-        return tuple(v for v, w in enumerate(self.partner) if w is None)
+        return tuple(np.flatnonzero(self.partner_array < 0).tolist())
 
-    @cached_property
-    def _partners(self) -> np.ndarray:
-        pa = np.fromiter(
-            (-1 if w is None else w for w in self.partner), dtype=np.int64, count=self.n
-        )
-        pa.flags.writeable = False
-        return pa
+
+def _check_involution(pa: np.ndarray, wrong: np.ndarray, shown) -> None:
+    """Raise ValueError at the first entry that is wrong or disagrees with its partner's.
+
+    pa holds -1 for unmatched and wrong entries; shown[v] is entry v as given.
+    """
+    v = np.arange(len(pa))
+    wrong = wrong | (pa == v)
+    bad = wrong.copy()
+    mates = np.flatnonzero(pa >= 0)
+    bad[mates] |= pa[pa[mates]] != mates
+    if bad.any():
+        i = int(np.argmax(bad))
+        if wrong[i]:
+            raise ValueError(f"partner entry {i} -> {shown[i]} is out of range")
+        raise ValueError(f"partner entries {i} and {int(pa[i])} disagree")
 
 
 def _partner_array(m: Matching) -> np.ndarray:
-    """m's partners as a read-only int64 array, -1 for unmatched; built once per matching."""
-    return m._partners
+    """m's partners as a read-only int64 array, -1 for unmatched."""
+    return m.partner_array
 
 
 def check_matching(inst: RoommatesInstance, m: Matching) -> None:
@@ -291,12 +374,11 @@ def check_matching(inst: RoommatesInstance, m: Matching) -> None:
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
     # a Matching is an involution by construction, so only its pairs need checking
-    pa = _partner_array(m)
-    us = np.flatnonzero(pa > np.arange(m.n))  # the lower end of each pair
-    has = inst.has_edges(us, pa[us])
+    pairs = m.pair_array()
+    has = inst.has_edges(pairs[:, 0], pairs[:, 1])
     if not has.all():
-        v = int(us[np.argmin(has)])
-        raise ValueError(f"pair ({v}, {m.partner[v]}) is not an edge of the instance")
+        u, v = pairs[np.argmin(has)].tolist()
+        raise ValueError(f"pair ({u}, {v}) is not an edge of the instance")
 
 
 def _ranks(inst: RoommatesInstance, us, vs) -> np.ndarray:
@@ -333,13 +415,14 @@ def vote(inst: RoommatesInstance, u: int, a, b) -> int:
 
 def edge_weight(inst: RoommatesInstance, m: Matching, u: int, v: int) -> int:
     """Combined vote of u and v for the edge uv against their partners."""
-    r = _ranks(inst, (u, u, v, v), (v, m.partner[u], u, m.partner[v])).tolist()
+    pa = m.partner_array
+    r = _ranks(inst, (u, u, v, v), (v, pa[u], u, pa[v])).tolist()
     return (r[0] < r[1]) - (r[1] < r[0]) + (r[2] < r[3]) - (r[3] < r[2])
 
 
 def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
     """Vote mass of leaving v unmatched: 0 when already unmatched, else -1."""
-    return 0 if m.partner[v] is None else -1
+    return -int(m.partner_array[v] >= 0)
 
 
 def _weights(inst: RoommatesInstance, m: Matching) -> np.ndarray:
@@ -373,73 +456,139 @@ def delta(inst: RoommatesInstance, m1: Matching, m2: Matching) -> int:
     return int(np.sign(r[1::2] - r[0::2]).sum())
 
 
-@dataclass(frozen=True)
-class HalfIntegralMatching:
+class HalfIntegralMatching(_Frozen):
     """Edge values in {0, 1/2, 1} plus loops, covering each node exactly once.
 
     ones are full edges, loop_ones the nodes parked on their loop, and
-    half_cycles odd cycles whose edges all carry one half.  Cycles are
-    stored rotated to their smallest node with the smaller neighbor
-    second, so equal objects compare equal.
+    half_cycles odd cycles whose edges all carry one half.  The state is
+    arrays in canonical form, so equal objects compare equal:
+    `ones_array`, a (k, 2) array of (low, high) rows in lexicographic
+    order; `loop_array`, ascending; and the cycles as CSR, cycle c being
+    `cycle_nodes[cycle_off[c]:cycle_off[c + 1]]`, each rotated to its
+    smallest node with the smaller neighbor second, the cycles in
+    lexicographic order.  Build from sequences, or give the cycles as
+    arrays with `csr=(cycle_off, cycle_nodes)`; arrays given are taken
+    over, not copied.  A node id beyond int64,
+    which only outside input holds, stays a Python int in an object
+    array.  `ones`, `loop_ones` and `half_cycles` are tuple views built
+    on first use.
     """
 
-    ones: tuple
-    loop_ones: tuple
-    half_cycles: tuple
+    _STATE = ("ones_array", "loop_array", "cycle_off", "cycle_nodes")
 
-    def __post_init__(self):
-        ones = tuple(sorted((min(u, v), max(u, v)) for u, v in self.ones))
-        loops = tuple(sorted(self.loop_ones))
-        cycles = []
-        for cyc in self.half_cycles:
-            cyc = tuple(cyc)
-            if len(cyc) < 3 or len(cyc) % 2 == 0:
-                raise ValueError(f"half cycle {cyc} is not odd of length >= 3")
-            if len(set(cyc)) != len(cyc):
-                raise ValueError(f"half cycle {cyc} repeats a node")
-            i = cyc.index(min(cyc))
-            rot = cyc[i:] + cyc[:i]
-            if rot[-1] < rot[1]:
-                rot = (rot[0],) + tuple(reversed(rot[1:]))
-            cycles.append(rot)
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "loop_ones", loops)
-        object.__setattr__(self, "half_cycles", tuple(sorted(cycles)))
+    def __init__(self, ones, loop_ones, half_cycles=None, *, csr=None):
+        if (half_cycles is None) == (csr is None):
+            raise TypeError("HalfIntegralMatching takes either half_cycles or csr")
+        off, nodes = _csr(half_cycles) if csr is None else csr
+        pairs = _int_array(ones).reshape(-1, 2)
+        low = np.minimum(pairs[:, 0], pairs[:, 1])
+        high = np.maximum(pairs[:, 0], pairs[:, 1])
+        order = _lex_order(low, high)
+        cycle_off, cycle_nodes = _canonical_cycles(
+            np.asarray(off, dtype=np.int64), _int_array(nodes)
+        )
+        self._take(
+            ones_array=np.column_stack((low[order], high[order])),
+            loop_array=np.sort(_int_array(loop_ones)),
+            cycle_off=cycle_off,
+            cycle_nodes=cycle_nodes,
+        )
+
+    def __repr__(self):
+        return (
+            f"HalfIntegralMatching(ones={self.ones!r}, loop_ones={self.loop_ones!r}, "
+            f"half_cycles={self.half_cycles!r})"
+        )
+
+    @cached_property
+    def ones(self) -> tuple:
+        return tuple(map(tuple, self.ones_array.tolist()))
+
+    @cached_property
+    def loop_ones(self) -> tuple:
+        return tuple(self.loop_array.tolist())
+
+    @cached_property
+    def half_cycles(self) -> tuple:
+        flat = self.cycle_nodes.tolist()
+        bounds = self.cycle_off.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def cycle_steps(self) -> tuple:
+        """(us, vs): every cycle edge once, from each node to the next one around its cycle."""
+        nodes, off = self.cycle_nodes, self.cycle_off
+        nxt = np.arange(1, len(nodes) + 1)
+        nxt[off[1:] - 1] = off[:-1]  # every cycle has three nodes or more
+        return nodes, nodes[nxt]
 
     def validate(self, inst: RoommatesInstance) -> None:
         """Raise ValueError unless this is a perfect half-integral matching."""
-        ones = _node_pairs(self.ones)
-        has = inst.has_edges(ones[:, 0], ones[:, 1])
+        ones = self.ones_array
+        has = inst.has_edges(_node_ids(ones[:, 0]), _node_ids(ones[:, 1]))
         if not has.all():
-            u, v = self.ones[int(np.argmin(has))]
+            u, v = ones[np.argmin(has)].tolist()
             raise ValueError(f"edge ({u}, {v}) is not in the instance")
-        for v in self.loop_ones:
-            if not 0 <= v < inst.n:
-                raise ValueError(f"loop node {v} is out of range")
-        steps = [
-            (u, cyc[(i + 1) % len(cyc)])
-            for cyc in self.half_cycles
-            for i, u in enumerate(cyc)
-        ]
-        cyc_edges = _node_pairs(steps)
-        has = inst.has_edges(cyc_edges[:, 0], cyc_edges[:, 1])
+        loops = self.loop_array
+        out = (loops < 0) | (loops >= inst.n)
+        if out.any():
+            raise ValueError(f"loop node {loops[np.argmax(out)]} is out of range")
+        us, vs = self.cycle_steps()
+        has = inst.has_edges(_node_ids(us), _node_ids(vs))
         if not has.all():
-            u, v = steps[int(np.argmin(has))]
-            raise ValueError(f"cycle edge ({u}, {v}) is not in the instance")
+            i = int(np.argmin(has))
+            raise ValueError(f"cycle edge ({us[i]}, {vs[i]}) is not in the instance")
         # every endpoint of a one and every loop counts twice, every cycle
-        # node once per incident cycle edge
-        loops = np.asarray(self.loop_ones, dtype=np.int64)
-        cover = 2 * np.bincount(np.concatenate([ones.ravel(), loops]), minlength=inst.n)
-        cover += np.bincount(cyc_edges.ravel(), minlength=inst.n)
+        # node once per incident cycle edge, so twice; all ids are nodes by now
+        covered = np.concatenate([ones.ravel(), loops, us]).astype(np.int64)
+        cover = 2 * np.bincount(covered, minlength=inst.n)
         if (cover != 2).any():
             v = int(np.argmax(cover != 2))
             c = int(cover[v])
             raise ValueError(f"node {v} is covered {c}/2 times, expected exactly 1")
 
 
+def _canonical_cycles(off: np.ndarray, nodes: np.ndarray) -> tuple:
+    """Cycles as CSR, each rotated to its least node with the smaller neighbor
+    second, in lexicographic order; ValueError for the first cycle, as given,
+    that is not odd of length >= 3 or repeats a node."""
+    sizes = np.diff(off)
+    k = len(sizes)
+    cid = np.repeat(np.arange(k), sizes)
+    order = _lex_order(cid, nodes)
+    srt = nodes[order]
+    repeats = np.zeros(k, dtype=bool)
+    repeats[cid[1:][(srt[1:] == srt[:-1]) & (cid[1:] == cid[:-1])]] = True
+    short = (sizes < 3) | (sizes % 2 == 0)
+    if (short | repeats).any():
+        c = int(np.argmax(short | repeats))
+        cyc = tuple(nodes[off[c]:off[c + 1]].tolist())
+        if short[c]:
+            raise ValueError(f"half cycle {cyc} is not odd of length >= 3")
+        raise ValueError(f"half cycle {cyc} repeats a node")
+    start = off[:-1]
+    least = order[start] - start  # the least node's position in its cycle
+    prev = nodes[start + (least - 1) % sizes]
+    nxt = nodes[start + (least + 1) % sizes]
+    # the t-th node of a rotated cycle sits t steps after its least node,
+    # walking backwards when the previous node is the smaller neighbor
+    first = np.repeat(start, sizes)
+    t = np.arange(len(nodes)) - first
+    step = np.where(np.repeat(prev < nxt, sizes), -t, t)
+    nodes = nodes[first + (np.repeat(least, sizes) + step) % np.repeat(sizes, sizes)]
+    if k > 1:
+        flat, bounds = nodes.tolist(), off.tolist()
+        by = sorted(range(k), key=lambda c: flat[bounds[c]:bounds[c + 1]])
+        nodes = nodes[np.concatenate([np.arange(bounds[c], bounds[c + 1]) for c in by])]
+        off = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(sizes[by], out=off[1:])
+    return off, nodes
+
+
 def half_from_matching(inst: RoommatesInstance, m: Matching) -> HalfIntegralMatching:
     return HalfIntegralMatching(
-        ones=m.pairs(), loop_ones=m.unmatched(), half_cycles=()
+        m.pair_array(),
+        np.flatnonzero(m.partner_array < 0),
+        csr=(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)),
     )
 
 
@@ -452,16 +601,18 @@ def fractional_value_times_two(
     votes by comparing the edge's rank with its partner's.  Raises
     ValueError when p uses a pair that is not an edge.
     """
-    steps = [(u, cyc[(i + 1) % len(cyc)]) for cyc in p.half_cycles for i, u in enumerate(cyc)]
-    pairs = np.concatenate([_node_pairs(p.ones), _node_pairs(steps)])
-    k = len(pairs)
-    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])  # the voting side of each pair
-    others = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    us, vs = p.cycle_steps()
+    ones = p.ones_array
+    k = len(ones) + len(us)
+    ends = _node_ids(np.concatenate([ones[:, 0], us, ones[:, 1], vs]))  # the voting side
+    others = _node_ids(np.concatenate([ones[:, 1], vs, ones[:, 0], us]))
+    pa = _partner_array(m)
     new = _ranks(inst, ends, others)  # checks the nodes before they index m
-    side = np.sign(_ranks(inst, ends, _partner_array(m)[ends]) - new)
-    mult = np.concatenate([np.full(len(p.ones), 2), np.ones(len(steps), dtype=np.int64)])
+    side = np.sign(_ranks(inst, ends, pa[ends]) - new)
+    mult = np.concatenate([np.full(len(ones), 2), np.ones(len(us), dtype=np.int64)])
     total = int((mult * (side[:k] + side[k:])).sum())
-    return total + 2 * sum(loop_weight(inst, m, v) for v in p.loop_ones)
+    # leaving a matched node on its loop costs it one vote, counted twice
+    return total - 2 * int(np.count_nonzero(pa[p.loop_array] >= 0))
 
 
 def fractional_value(

@@ -35,6 +35,11 @@ def _guard(n: int, default: int, what: str) -> None:
 
 def enumerate_matchings(inst: RoommatesInstance):
     """Yield every matching of the instance, lowest node decided first."""
+    return map(Matching, _partner_tuples(inst))
+
+
+def _partner_tuples(inst: RoommatesInstance):
+    """The partner tuple, None for unmatched, of every matching in enumeration order."""
     n = inst.n
     pref = inst.pref
     state: list = [None] * n  # None undecided, -1 fixed unmatched, else partner
@@ -43,7 +48,7 @@ def enumerate_matchings(inst: RoommatesInstance):
         while v < n and state[v] is not None:
             v += 1
         if v == n:
-            yield Matching(tuple(None if x == -1 else x for x in state))
+            yield tuple(None if x == -1 else x for x in state)
             return
         state[v] = -1
         yield from rec(v + 1)
@@ -79,9 +84,9 @@ def brute_popular(inst: RoommatesInstance, m: Matching) -> BrutePopularity:
     base = m.partner
     best = None
     best_m = None
-    for cand in enumerate_matchings(inst):
+    for cand in _partner_tuples(inst):
         total = 0
-        for v, (a, b) in enumerate(zip(cand.partner, base)):
+        for v, (a, b) in enumerate(zip(cand, base)):
             if a == b:
                 continue
             ra = degs[v] if a is None else rank[v][a]
@@ -90,7 +95,7 @@ def brute_popular(inst: RoommatesInstance, m: Matching) -> BrutePopularity:
         if best is None or total > best:
             best = total
             best_m = cand
-    return BrutePopularity(best_delta=best, witness=best_m)
+    return BrutePopularity(best_delta=best, witness=Matching(best_m))
 
 
 @dataclass(frozen=True)

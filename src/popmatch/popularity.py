@@ -11,12 +11,14 @@ positive answer comes with a dual witness that certifies optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .auxgraph import (
+    CODE_ORIG,
+    CODE_STAR,
     KIND_BLOCK,
-    KIND_ORIG,
     KIND_STAR,
     KIND_U,
     AuxGraph,
@@ -41,6 +43,11 @@ from .engine import (
 from .model import (
     Matching,
     RoommatesInstance,
+    _csr,
+    _Frozen,
+    _int_array,
+    _lex_order,
+    _node_ids,
     _partner_array,
     _weights,
     delta,
@@ -69,17 +76,59 @@ class BlockingStructure:
     nodes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(_Frozen):
     """Feasible dual solution of value zero for the vote LP.
 
     alpha[v] in {-1, 0, 1} per node, two_sets a family of disjoint odd
     node sets each carrying dual value 2.  Feasibility plus zero total
     value pins the best head-to-head outcome against M at zero.
+
+    The state is arrays: `alpha_array`, and the sets in CSR form, set k
+    being `set_nodes[set_off[k]:set_off[k + 1]]`, each set ascending and
+    the sets ordered by their least node.  Build from sequences,
+    `DualWitness(alpha, two_sets)`, or give the sets as arrays with
+    `csr=(off, nodes)`; either way they are put in that order.  Arrays
+    given are taken over, not copied.  A value beyond int64, which only
+    outside input holds, stays a Python int in an object array.  `alpha`
+    (a tuple) and `two_sets` (a tuple of frozensets) are views built on
+    first use.
     """
 
-    alpha: tuple[int, ...]
-    two_sets: tuple[frozenset[int], ...]
+    _STATE = ("alpha_array", "set_off", "set_nodes")
+
+    def __init__(self, alpha, two_sets=None, *, csr=None):
+        if (two_sets is None) == (csr is None):
+            raise TypeError("DualWitness takes either two_sets or csr")
+        off, nodes = _csr(two_sets) if csr is None else csr
+        set_off, set_nodes = _sorted_sets(np.asarray(off, dtype=np.int64), _int_array(nodes))
+        self._take(alpha_array=_int_array(alpha), set_off=set_off, set_nodes=set_nodes)
+
+    def __repr__(self):
+        return f"DualWitness(alpha={self.alpha!r}, two_sets={self.two_sets!r})"
+
+    @cached_property
+    def alpha(self) -> tuple:
+        return tuple(self.alpha_array.tolist())
+
+    @cached_property
+    def two_sets(self) -> tuple:
+        flat = self.set_nodes.tolist()
+        bounds = self.set_off.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _sorted_sets(off: np.ndarray, nodes: np.ndarray) -> tuple:
+    """CSR sets with each set ascending and the sets ordered by least node, empty ones first."""
+    if not nodes.size:
+        return off, nodes
+    sizes = np.diff(off)
+    nodes = nodes[_lex_order(np.repeat(np.arange(len(sizes)), sizes), nodes)]
+    least = np.where(sizes > 0, nodes[np.minimum(off[:-1], len(nodes) - 1)], 0)
+    by = _lex_order(sizes > 0, least)
+    new_off = np.zeros_like(off)
+    np.cumsum(sizes[by], out=new_off[1:])
+    start = np.repeat(off[:-1][by] - new_off[:-1], sizes[by])
+    return new_off, nodes[start + np.arange(len(nodes))]
 
 
 @dataclass(frozen=True)
@@ -121,7 +170,7 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     """
     aux = build_aux(inst, m)
     g = aux.graph
-    match = list(aux.matching)
+    match = aux.matching_array.tolist()
     forest = _run_search(g, match, aux.seeds, stop_on_augment=True)
     reach = None
     if forest.aug is None:
@@ -180,7 +229,7 @@ def _star_middle_or_lowest_partner(
     blocking-node endpoint leaves the choice free, take the lowest.
     """
     if aux.kind[end] == KIND_STAR:
-        return aux.payload[end]
+        return int(aux.payload_array[end])
     return blocking_partners_of(inst, m, v)[0]
 
 
@@ -193,18 +242,19 @@ def extract_blocking_structure(
     if aux.kind[path[-1]] == KIND_U:
         path = tuple(reversed(path))
 
+    pay = aux.payload_array
     if aux.kind[path[0]] == KIND_U:
         end = path[-1]
-        vs = [aux.payload[i] for i in path[1:-1]]
+        vs = pay[list(path[1:-1])].tolist()
         if not vs:
             # single edge from the unmatched hub to a blocking node
             if aux.kind[end] == KIND_BLOCK:
-                o = aux.payload[end]
+                o = int(pay[end])
                 y = blocking_partners_of(inst, m, o)[0]
             else:
-                leaves = [l for l in aux.star_leaves[aux.payload[end]] if m.partner[l] is None]
-                o = min(leaves)
-                y = aux.payload[end]
+                leaves = aux.leaves(end)
+                o = int(leaves[m.partner_array[leaves] < 0].min())
+                y = int(pay[end])
             return BlockingStructure(PATH_TO_UNMATCHED, (y, o))
         x = unmatched_zero_neighbors_of(inst, m, vs[0])[0]
         y = _star_middle_or_lowest_partner(inst, m, aux, end, vs[-1])
@@ -219,7 +269,7 @@ def extract_blocking_structure(
         nodes = (y,) + tuple(reversed(vs)) + (x,)
         return BlockingStructure(PATH_TO_UNMATCHED, nodes)
 
-    vs = [aux.payload[i] for i in path[1:-1]]
+    vs = pay[list(path[1:-1])].tolist()
     if len(vs) < 2:
         raise InternalError("augmenting path between blocking nodes has no matched interior")
     if is_blocking_edge(inst, m, vs[0], vs[-1]):
@@ -273,6 +323,7 @@ def check_blocking_structure(
     if len(seq) % 2 != 0:
         return f"odd node count {len(seq)}"
     present = inst.has_edges(seq[:-1], seq[1:])  # present[i]: seq[i]-seq[i+1]
+    pa = m.partner_array
 
     if s.kind == CYCLE:
         if len(seq) < 4:
@@ -281,12 +332,12 @@ def check_blocking_structure(
         closing = (seq[-1], seq[0])
         for i, (a, b) in enumerate(edges):
             if i % 2 == 0:
-                if m.partner[a] != b:
+                if pa[a] != b:
                     return f"cycle edge {a}-{b} should be matched"
             else:
                 if not present[i]:
                     return f"cycle edge {a}-{b} missing"
-                if m.partner[a] == b:
+                if pa[a] == b:
                     return f"cycle edge {a}-{b} should be unmatched"
         if not is_blocking_edge(inst, m, *closing):
             return f"closing edge {closing[0]}-{closing[1]} is not blocking"
@@ -299,12 +350,12 @@ def check_blocking_structure(
     for i in range(len(seq) - 1):
         a, b = seq[i], seq[i + 1]
         if i % 2 == 1:
-            if m.partner[a] != b:
+            if pa[a] != b:
                 return f"path edge {a}-{b} should be matched"
         else:
             if not present[i]:
                 return f"path edge {a}-{b} missing"
-            if m.partner[a] == b:
+            if pa[a] == b:
                 return f"path edge {a}-{b} should be unmatched"
     if not is_blocking_edge(inst, m, seq[0], seq[1]):
         return f"first edge {seq[0]}-{seq[1]} is not blocking"
@@ -312,7 +363,7 @@ def check_blocking_structure(
         if not is_blocking_edge(inst, m, seq[-2], seq[-1]):
             return f"last edge {seq[-2]}-{seq[-1]} is not blocking"
     else:
-        if m.partner[seq[-1]] is not None:
+        if pa[seq[-1]] >= 0:
             return f"end node {seq[-1]} is matched"
     return None
 
@@ -321,22 +372,19 @@ def more_popular_matching(
     inst: RoommatesInstance, m: Matching, s: BlockingStructure
 ) -> Matching:
     """Apply the switch encoded by a blocking structure."""
-    partner: list = list(m.partner)
-    for v in s.nodes:
-        w = partner[v]
-        if w is not None:
-            partner[w] = None
-            partner[v] = None
-    seq = s.nodes
+    partner = m.partner_array.copy()
+    seq = np.asarray(s.nodes, dtype=np.int64)
+    mates = partner[seq]
+    partner[mates[mates >= 0]] = -1
+    partner[seq] = -1
     if s.kind == CYCLE:
-        new = [(seq[i], seq[i + 1]) for i in range(1, len(seq) - 1, 2)]
-        new.append((seq[-1], seq[0]))
+        a = np.append(seq[1:-1:2], seq[-1])
+        b = np.append(seq[2::2], seq[0])
     else:
-        new = [(seq[i], seq[i + 1]) for i in range(0, len(seq), 2)]
-    for a, b in new:
-        partner[a] = b
-        partner[b] = a
-    return Matching(tuple(partner))
+        a, b = seq[0::2], seq[1::2]
+    partner[a] = b
+    partner[b] = a
+    return Matching._of(partner)
 
 
 def build_dual_witness(
@@ -355,27 +403,14 @@ def build_dual_witness(
     members = np.asarray(reach.label) != 0
     pay = aux.payload_array
     big = np.flatnonzero(ge.sizes >= 3)
-    roots = np.array([ge.roots[k] for k in big.tolist()], dtype=np.int64)
+    roots = np.asarray(ge.roots, dtype=np.int64)[big]
     big, roots = big[members[roots]], roots[members[roots]]
-    for r in roots.tolist():
-        if aux.kind[r] not in (KIND_ORIG, KIND_STAR):
-            size = int(ge.sizes[ge.piece[r]])
-            raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
-    # the reached pieces' vertices in one pass, grouped by piece; a star
-    # node's payload is its middle, so both root kinds map the same way
-    chosen = np.zeros(len(ge.roots) + 1, dtype=bool)  # the last slot is piece -1
-    chosen[big] = True
-    verts = np.flatnonzero(chosen[ge.piece])
-    items = pay[verts[np.argsort(ge.piece[verts], kind="stable")]]
-    ends = np.cumsum(ge.sizes[big])
-    starts = ends - ge.sizes[big]
-    # the odd sets in the order of their least node
-    by_min = np.argsort(np.minimum.reduceat(items, starts) if items.size else starts, kind="stable")
-    flat = items.tolist()
-    spans = list(zip(starts[by_min].tolist(), ends[by_min].tolist()))
-    two_sets = [frozenset(flat[a:b]) for a, b in spans]
-    if any(len(s) != b - a or len(s) % 2 == 0 for s, (a, b) in zip(two_sets, spans)):
-        raise InternalError("odd set construction collided")
+    kinds = aux.kind_array[roots]
+    stray = (kinds != CODE_ORIG) & (kinds != CODE_STAR)
+    if stray.any():
+        r = int(roots[np.argmax(stray)])
+        size = int(ge.sizes[ge.piece[r]])
+        raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
     reached = members.copy()
     reached[aux.n_matched:] = False  # original nodes only
     cmatched = np.flatnonzero(reached & (ge.label == 0))
@@ -384,7 +419,19 @@ def build_dual_witness(
     alpha = np.zeros(inst.n, dtype=np.int64)
     alpha[pay[reached & (ge.label == _EVEN)]] = -1
     alpha[pay[reached & (ge.label == _ODD)]] = 1
-    return DualWitness(alpha=tuple(alpha.tolist()), two_sets=tuple(two_sets))
+    # the reached pieces' vertices in one pass, grouped by piece; a star
+    # node's payload is its middle, so both root kinds map the same way
+    chosen = np.zeros(len(ge.roots) + 1, dtype=bool)  # the last slot is piece -1
+    chosen[big] = True
+    verts = np.flatnonzero(chosen[ge.piece])
+    off = np.zeros(len(big) + 1, dtype=np.int64)
+    np.cumsum(ge.sizes[big], out=off[1:])
+    w = DualWitness(alpha, csr=(off, pay[verts[np.argsort(ge.piece[verts], kind="stable")]]))
+    again = w.set_nodes[1:] == w.set_nodes[:-1]
+    again[w.set_off[1:-1] - 1] = False  # neighbors in two different sets
+    if again.any() or (np.diff(w.set_off) % 2 == 0).any():
+        raise InternalError("odd set construction collided")
+    return w
 
 
 def witness_violation(
@@ -392,21 +439,35 @@ def witness_violation(
 ) -> str | None:
     """None if w is a feasible zero-value dual witness for m, else the defect."""
     n = inst.n
-    if len(w.alpha) != n:
-        return f"alpha has length {len(w.alpha)}, expected {n}"
-    alpha = np.asarray(w.alpha, dtype=np.int64)
-    if alpha.size and (np.abs(alpha) > 1).any():
+    alpha = w.alpha_array
+    if len(alpha) != n:
+        return f"alpha has length {len(alpha)}, expected {n}"
+    if (np.abs(alpha) > 1).any():
         return "alpha value outside {-1, 0, 1}"
+    alpha = alpha.astype(np.int64)
+    off, nodes = w.set_off, w.set_nodes
+    sizes = np.diff(off)
+    # the set loop's first failure: a set's size is checked before its
+    # nodes, each node for range and then for an earlier occurrence
+    odd = (sizes < 3) | (sizes % 2 == 0)
+    k = int(np.argmax(odd)) if odd.any() else len(sizes)
+    invalid = (nodes < 0) | (nodes >= n)
+    ids = _node_ids(nodes)
+    order = np.argsort(ids, kind="stable")
+    srt = ids[order]
+    bad = invalid.copy()
+    bad[order[1:][srt[1:] == srt[:-1]]] = True  # every occurrence after a node's first
+    at = int(np.argmax(bad)) if bad.any() else len(nodes)
+    if k < len(sizes) and off[k] <= at:
+        return f"odd set #{k} has size {int(sizes[k])}"
+    if at < len(nodes):
+        v = nodes[at:at + 1].tolist()[0]
+        if invalid[at]:
+            k = int(np.searchsorted(off, at, side="right")) - 1
+            return f"odd set #{k} contains invalid node {v!r}"
+        return f"node {v} lies in two odd sets"
     setid = np.full(n, -1, dtype=np.int64)
-    for k, group in enumerate(w.two_sets):
-        if len(group) < 3 or len(group) % 2 == 0:
-            return f"odd set #{k} has size {len(group)}"
-        for v in group:
-            if not isinstance(v, int) or not 0 <= v < n:
-                return f"odd set #{k} contains invalid node {v!r}"
-            if setid[v] != -1:
-                return f"node {v} lies in two odd sets"
-            setid[v] = k
+    setid[ids] = np.repeat(np.arange(len(sizes)), sizes)
     arr = inst._arrays
     eu, ev = arr["eu"], arr["ev"]
     wts = _weights(inst, m)
@@ -423,7 +484,7 @@ def witness_violation(
     if (alpha[exposed] < 0).any():
         v = int(np.flatnonzero(exposed & (alpha < 0))[0])
         return f"unmatched node {v} has negative alpha"
-    total = int(alpha.sum()) + sum(len(g) - 1 for g in w.two_sets)
+    total = int(alpha.sum()) + int((sizes - 1).sum())
     if total != 0:
         return f"dual objective is {total}, expected 0"
     return None

@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from popmatch.model import Matching, RoommatesInstance
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# example database, so a hypothesis test cannot pass or fail by chance in CI.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Two triangles {a,b,c} and {d,e,f} bridged by c-d, with pendant g on d
 # and pendant h on f.  The tested matching {ab, cd, ef} loses: its three

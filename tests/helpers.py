@@ -1,9 +1,14 @@
-"""Shared random generators for the tests."""
+"""Shared random generators, corpora and reference implementations for the tests."""
 
+import functools
 import random
 
+import numpy as np
+
 from popmatch.formats import ParseError
-from popmatch.model import Matching, RoommatesInstance
+from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
+from popmatch.model import Matching, RoommatesInstance, _weights
+from popmatch.popularity import Unpopular, is_popular
 
 
 def random_instance(rng: random.Random, n: int, p: float) -> RoommatesInstance:
@@ -42,6 +47,23 @@ def partner_first_instance(rng: random.Random, n: int, p: float):
         partner[v] = u
     inst = RoommatesInstance(tuple(tuple(row) for row in pref))
     return inst, Matching(tuple(partner))
+
+
+
+def tiled(rng: random.Random, parts):
+    """Disjoint union of (instance, matching) parts, node ids shuffled."""
+    n = sum(inst.n for inst, _ in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pref, partner = [None] * n, [None] * n
+    base = 0
+    for inst, m in parts:
+        for v in range(inst.n):
+            pref[perm[base + v]] = tuple(perm[base + w] for w in inst.pref[v])
+            w = m.partner[v]
+            partner[perm[base + v]] = None if w is None else perm[base + w]
+        base += inst.n
+    return RoommatesInstance(tuple(pref)), Matching(tuple(partner))
 
 
 def random_edge_graph(rng: random.Random, n: int, p: float) -> list:
@@ -161,3 +183,149 @@ def reference_validate_matching(g, match) -> None:
             raise ValueError(f"matching entry {v} -> {w} is not an involution")
         if not g.has_edge(v, w):
             raise ValueError(f"matched pair ({v}, {w}) is not an edge")
+
+
+def improved(inst, m, steps=60):
+    """Follow the certificates' better matchings; often ends at a popular one."""
+    for _ in range(steps):
+        res = is_popular(inst, m)
+        if not isinstance(res, Unpopular):
+            break
+        m = res.better
+    return m
+
+
+@functools.cache
+def analysis_cases() -> tuple:
+    """(instance, matching) pairs above the brute-force oracle cap: greedy,
+    random maximal, the popular ones they improve to, and partner-first."""
+    rng = random.Random(2024)
+    cases = []
+    for seed in range(30):
+        n = rng.randint(50, 300)
+        inst = generate_instance(n, "gnp", rng.choice((1.5, 2.0, 3.0)) / n, seed=seed)
+        for m in (greedy_matching(inst), random_maximal_matching(inst, seed=seed)):
+            cases += [(inst, m), (inst, improved(inst, m))]
+        n = 2 * rng.randint(25, 150)
+        cases.append(partner_first_instance(rng, n, 4.0 / n))
+    return tuple(cases)
+
+
+# Object-based forms that popmatch's array code replaced, kept as references.
+
+
+def reference_half_canonical(ones, loop_ones, half_cycles) -> tuple:
+    """HalfIntegralMatching's canonical (ones, loop_ones, half_cycles) as tuples.
+
+    Raises ValueError like the constructor for a cycle that is not odd of
+    length >= 3 or repeats a node.
+    """
+    ones = tuple(sorted((min(u, v), max(u, v)) for u, v in ones))
+    loops = tuple(sorted(loop_ones))
+    cycles = []
+    for cyc in half_cycles:
+        cyc = tuple(cyc)
+        if len(cyc) < 3 or len(cyc) % 2 == 0:
+            raise ValueError(f"half cycle {cyc} is not odd of length >= 3")
+        if len(set(cyc)) != len(cyc):
+            raise ValueError(f"half cycle {cyc} repeats a node")
+        i = cyc.index(min(cyc))
+        rot = cyc[i:] + cyc[:i]
+        if rot[-1] < rot[1]:
+            rot = (rot[0],) + tuple(reversed(rot[1:]))
+        cycles.append(rot)
+    return ones, loops, tuple(sorted(cycles))
+
+
+def reference_witness_violation(inst, m, w):
+    """witness_violation with its per-node set loop over the frozenset view.
+
+    A set's nodes are visited in ascending order, the order the witness
+    keeps them in.
+    """
+    n = inst.n
+    if len(w.alpha) != n:
+        return f"alpha has length {len(w.alpha)}, expected {n}"
+    if any(abs(a) > 1 for a in w.alpha):
+        return "alpha value outside {-1, 0, 1}"
+    alpha = np.asarray(w.alpha, dtype=np.int64)
+    setid = np.full(n, -1, dtype=np.int64)
+    for k, group in enumerate(w.two_sets):
+        if len(group) < 3 or len(group) % 2 == 0:
+            return f"odd set #{k} has size {len(group)}"
+        for v in sorted(group):
+            if not isinstance(v, int) or not 0 <= v < n:
+                return f"odd set #{k} contains invalid node {v!r}"
+            if setid[v] != -1:
+                return f"node {v} lies in two odd sets"
+            setid[v] = k
+    arr = inst._arrays
+    eu, ev = arr["eu"].tolist(), arr["ev"].tolist()
+    wts = _weights(inst, m).tolist()
+    for u, v, wt in zip(eu, ev, wts):
+        lhs = int(alpha[u] + alpha[v]) + 2 * int(setid[u] >= 0 and setid[u] == setid[v])
+        if lhs < wt:
+            return f"edge {u}-{v} is undercovered: {lhs} < {wt}"
+    for v in range(n):
+        if m.partner[v] is None and alpha[v] < 0:
+            return f"unmatched node {v} has negative alpha"
+    total = int(alpha.sum()) + sum(len(g) - 1 for g in w.two_sets)
+    if total != 0:
+        return f"dual objective is {total}, expected 0"
+    return None
+
+
+def reference_aux(inst, m) -> dict:
+    """build_aux's tuples and dicts from per-edge loops over rank dicts.
+
+    Returns the id layout (kind, payload, orig_to_aux, matching, seeds,
+    u_id), the maps (b_of, star_of, star_leaves, leaf_star) and the
+    sorted edge list of the auxiliary graph.
+    """
+    n, partner, rank = inst.n, m.partner, inst.rank
+
+    def prefers(u, v):  # u would rather have v than its state under m
+        w = partner[u]
+        return w is None or rank[u][v] < rank[u][w]
+
+    blocking = {v: [] for v in range(n)}
+    kept = []
+    for u, v in sorted(inst.edges):
+        if partner[u] == v or prefers(u, v) != prefers(v, u):
+            kept.append((u, v))  # weight zero
+        elif prefers(u, v):
+            blocking[u].append(v)
+            blocking[v].append(u)
+    leaves = {}
+    for x in range(n):
+        if len(blocking[x]) == 1:
+            leaves.setdefault(blocking[x][0], []).append(x)
+    middles = sorted(z for z, ls in leaves.items() if len(ls) >= 2)
+    leaf_star = {x: z for z in middles for x in leaves[z]}
+    owners = [v for v in range(n) if blocking[v] and v not in leaf_star]
+    matched = [v for v in range(n) if partner[v] is not None]
+    nm, nb, ns = len(matched), len(owners), len(middles)
+    has_u = nm < n
+    kind = ("orig",) * nm + ("block",) * nb + ("star",) * ns + ("u",) * has_u
+    payload = tuple(matched + owners + middles + [-1] * has_u)
+    u_id = len(payload) - 1 if has_u else -1
+    aux_id = {v: i for i, v in enumerate(matched)}
+    orig_to_aux = tuple(aux_id.get(v, u_id) for v in range(n))
+    b_of = {o: nm + i for i, o in enumerate(owners)}
+    star_of = {z: nm + nb + i for i, z in enumerate(middles)}
+    edges = {tuple(sorted((orig_to_aux[u], orig_to_aux[v]))) for u, v in kept}
+    edges |= {tuple(sorted((orig_to_aux[o], b))) for o, b in b_of.items()}
+    edges |= {tuple(sorted((orig_to_aux[x], star_of[z]))) for x, z in leaf_star.items()}
+    return {
+        "kind": kind,
+        "payload": payload,
+        "orig_to_aux": orig_to_aux,
+        "matching": tuple(aux_id[partner[v]] for v in matched) + (-1,) * (nb + ns + has_u),
+        "seeds": tuple(range(nm, nm + nb + ns)),
+        "u_id": u_id,
+        "b_of": b_of,
+        "star_of": star_of,
+        "star_leaves": {z: tuple(sorted(leaves[z])) for z in middles},
+        "leaf_star": leaf_star,
+        "edges": sorted(e for e in edges if e[0] != e[1]),
+    }

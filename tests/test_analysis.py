@@ -7,12 +7,10 @@ Gallai-Edmonds search from every exposed node.  The instances lie above
 the brute-force oracle cap.
 """
 
-import random
-
 import numpy as np
 import pytest
 
-from helpers import partner_first_instance
+from helpers import analysis_cases
 from popmatch.engine import (
     EngineError,
     Graph,
@@ -22,35 +20,12 @@ from popmatch.engine import (
     is_maximum,
     reachable_set,
 )
-from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
-from popmatch.popularity import Unpopular, _analyze, is_popular
-
-
-def _improved(inst, m, steps=60):
-    """Follow the certificates' better matchings; often ends at a popular one."""
-    for _ in range(steps):
-        res = is_popular(inst, m)
-        if not isinstance(res, Unpopular):
-            break
-        m = res.better
-    return m
-
-
-def _cases():
-    rng = random.Random(2024)
-    for seed in range(30):
-        n = rng.randint(50, 300)
-        inst = generate_instance(n, "gnp", rng.choice((1.5, 2.0, 3.0)) / n, seed=seed)
-        for m in (greedy_matching(inst), random_maximal_matching(inst, seed=seed)):
-            yield inst, m
-            yield inst, _improved(inst, m)
-        n = 2 * rng.randint(25, 150)
-        yield partner_first_instance(rng, n, 4.0 / n)
+from popmatch.popularity import _analyze
 
 
 def test_one_search_equals_the_two_it_replaces():
     popular = with_seeds = with_u = big = 0
-    for inst, m in _cases():
+    for inst, m in analysis_cases():
         an = _analyze(inst, m)
         g = an.aux.graph
         match = list(an.aux.matching)

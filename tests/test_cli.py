@@ -247,3 +247,4 @@ def test_verdict_paths_never_build_the_edge_set(
         assert "edges" not in inst.__dict__
         assert "rank" not in inst.__dict__  # the rank dicts serve only the oracle
         assert "pref" not in inst.__dict__  # the instance is its arrays
+        assert "partner" not in m.__dict__  # and the matching is its partner array

@@ -344,3 +344,29 @@ def test_verifier_rejects_non_integer_scores(two_triangles_pendants, value):
         assert verify_certificate(inst, m, doc) is None
         bad = _tampered(doc, (key,), value)
         assert "does not certify a defeat" in verify_certificate(inst, m, bad)
+
+
+@pytest.mark.parametrize(
+    "path, value, expected",
+    [
+        (("p", "ones", 0, 1), True, "bad p edge [0, True]"),
+        (("p", "ones", 0, 1), 2.0, "bad p edge [0, 2.0]"),
+        (("p", "ones", 0, 1), "2", "bad p edge [0, '2']"),
+        (("p", "ones", 0), [0, 2, 3], "bad p edge [0, 2, 3]"),
+        (("p", "ones", 0), [0], "bad p edge [0]"),
+        (("p", "ones", 0), "02", "bad p edge '02'"),
+        (("p", "ones"), {"0": 2}, "p needs ones, loop_ones and half_cycles"),
+        (("p", "loop_ones", 0), False, "p needs ones, loop_ones and half_cycles"),
+        (("p", "loop_ones"), 1, "p needs ones, loop_ones and half_cycles"),
+        (("p", "half_cycles", 0, 1), 4.0, "bad half cycle [3, 4.0, 5]"),
+        (("p", "half_cycles", 0), "345", "bad half cycle '345'"),
+        (("p", "ones", 0, 1), 2**63, "edge (0, 9223372036854775808) is not in the instance"),
+        (("p", "loop_ones", 0), -(2**64), "loop node -18446744073709551616 is out of range"),
+        (("p",), [], "p is not an object"),
+    ],
+)
+def test_verifier_rejects_loose_half_integral_documents(two_triangles, path, value, expected):
+    inst, m = two_triangles
+    doc = roundtrip(is_fractional_popular(inst, m))
+    assert verify_certificate(inst, m, doc) is None
+    assert verify_certificate(inst, m, _tampered(doc, path, value)) == expected

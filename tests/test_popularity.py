@@ -24,7 +24,7 @@ from popmatch.popularity import (
     witness_violation,
 )
 
-from helpers import partner_first_instance, random_instance
+from helpers import partner_first_instance, random_instance, tiled
 
 
 def test_unpopular_two_triangles_pendants(two_triangles_pendants):
@@ -60,29 +60,13 @@ def _reference_two_sets(an) -> list:
     return sorted(sets, key=min)
 
 
-def _tiled(rng, parts):
-    """Disjoint union of (instance, matching) parts, node ids shuffled."""
-    n = sum(inst.n for inst, _ in parts)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    pref, partner = [None] * n, [None] * n
-    base = 0
-    for inst, m in parts:
-        for v in range(inst.n):
-            pref[perm[base + v]] = tuple(perm[base + w] for w in inst.pref[v])
-            w = m.partner[v]
-            partner[perm[base + v]] = None if w is None else perm[base + w]
-        base += inst.n
-    return RoommatesInstance(tuple(pref)), Matching(tuple(partner))
-
-
 def test_dual_witness_odd_sets_match_a_piece_loop(triangle_pendant, two_triangles):
     rng = random.Random(4)
     for _ in range(60):
         # each gadget brings one reached triangle, so one odd set
         gadgets = [rng.choice([triangle_pendant, two_triangles]) for _ in range(rng.randint(1, 6))]
         others = [partner_first_instance(rng, 6, 0.5) for _ in range(rng.randint(0, 3))]
-        inst, m = _tiled(rng, gadgets + others)
+        inst, m = tiled(rng, gadgets + others)
         an = _analyze(inst, m)
         assert an.aug_path is None
         w = build_dual_witness(inst, m, an.aux, an.ge, an.reach)
