@@ -30,13 +30,8 @@ from .model import (
     check_matching,
 )
 
-KIND_ORIG = "orig"
-KIND_BLOCK = "block"
-KIND_STAR = "star"
-KIND_U = "u"
-# kind_array codes
-CODE_ORIG, CODE_BLOCK, CODE_STAR, CODE_U = range(4)
-_CODES = {KIND_ORIG: CODE_ORIG, KIND_BLOCK: CODE_BLOCK, KIND_STAR: CODE_STAR, KIND_U: CODE_U}
+# AuxGraph.kind codes
+KIND_ORIG, KIND_BLOCK, KIND_STAR, KIND_U = range(4)
 
 
 def _index_map(arr: np.ndarray) -> dict:
@@ -62,13 +57,12 @@ class AuxGraph:
     there is none: `orig_to_aux_array`, `b_of_array` (its blocking
     node), `star_of_array` (the star of which it is the middle) and
     `leaf_star_array` (the middle of the star it is a leaf of).  `kind`
-    is a tuple of shared strings and `kind_array` its int8 codes
-    (CODE_ORIG, ...), filled in by build_aux.  The other tuple and dict
-    attributes are views built on first use.
+    holds int8 codes per auxiliary node (KIND_ORIG, ...).  The tuple and
+    dict attributes are views built on first use.
     """
 
     graph: Graph
-    kind: tuple
+    kind: np.ndarray
     payload_array: np.ndarray
     matching_array: np.ndarray
     n_matched: int
@@ -81,13 +75,6 @@ class AuxGraph:
     leaf_off: np.ndarray
     leaf_nodes: np.ndarray
     seeds: tuple = ()
-
-    @cached_property
-    def kind_array(self) -> np.ndarray:
-        n = len(self.kind)
-        codes = np.fromiter(map(_CODES.__getitem__, self.kind), dtype=np.int8, count=n)
-        codes.flags.writeable = False
-        return codes
 
     @cached_property
     def payload(self) -> tuple:
@@ -115,7 +102,7 @@ class AuxGraph:
 
     @cached_property
     def star_leaves(self) -> dict:
-        stars = np.flatnonzero(self.kind_array == CODE_STAR).tolist()
+        stars = np.flatnonzero(self.kind == KIND_STAR).tolist()
         return {int(self.payload_array[s]): tuple(self.leaves(s).tolist()) for s in stars}
 
     def leaves(self, s: int) -> np.ndarray:
@@ -123,12 +110,12 @@ class AuxGraph:
         return self.leaf_nodes[self.leaf_off[s]:self.leaf_off[s + 1]]
 
     def label_of(self, i: int) -> str:
-        k = self.kind_array[i]
-        if k == CODE_ORIG:
+        k = self.kind[i]
+        if k == KIND_ORIG:
             return str(self.payload_array[i])
-        if k == CODE_BLOCK:
+        if k == KIND_BLOCK:
             return f"b_{self.payload_array[i]}"
-        if k == CODE_STAR:
+        if k == KIND_STAR:
             return f"bS_{self.payload_array[i]}"
         return "u"
 
@@ -194,6 +181,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     leaf_off = np.zeros(n_aux + 1, dtype=np.int64)
     np.cumsum(np.bincount(slv_star, minlength=n_aux), out=leaf_off[1:])
     arrays = {
+        "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
         "payload_array": np.concatenate([morder, owners, middles, np.full(int(have_u), -1)]),
         "matching_array": aux_match,
         "orig_to_aux_array": orig_to_aux,
@@ -205,19 +193,14 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     }
     for a in arrays.values():
         a.flags.writeable = False
-    aux = AuxGraph(
+    return AuxGraph(
         graph=graph,
-        kind=(KIND_ORIG,) * nm + (KIND_BLOCK,) * nb + (KIND_STAR,) * ns + (KIND_U,) * have_u,
         n_matched=nm,
         n_orig=n,
         u_id=u_id,
         seeds=tuple(range(nm, nm + nb + ns)),
         **arrays,
     )
-    codes = np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u)))
-    codes.flags.writeable = False
-    aux.__dict__["kind_array"] = codes  # the derived attribute's slot, already built
-    return aux
 
 
 def blocking_partners_of(inst: RoommatesInstance, m: Matching, v: int) -> list:

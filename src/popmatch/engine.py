@@ -5,7 +5,9 @@ roots, contracting odd cycles on the fly, and can later continue the
 same forest from more roots.  Everything else here is a thin layer
 over that search: augmenting paths, maximality tests, the
 Gallai-Edmonds decomposition, alternating reachability, and recovery
-of odd alternating cycles inside factor-critical components.  A
+of odd alternating cycles inside factor-critical components.  Every path
+and cycle handed out is a trace of a forest's parent pointers, checked
+by one routine.  A
 popularity test runs the search once: first from the roots whose
 reachability it needs, then from the remaining exposed vertices, so
 one forest yields both the reachable set and the decomposition.
@@ -201,10 +203,7 @@ def _run_search(
         root[r] = r
         queue.append(r)
 
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    for v in queue:  # the loop also visits vertices appended while it runs
         mv = match[v]
         rv = root[v]
         for w in nbr[off[v]:off[v + 1]]:
@@ -255,11 +254,12 @@ def _run_search(
     return _Forest(label, p, root, None, dsu)
 
 
-def _trace_even(match, p, x):
-    """Walk from an even vertex to its tree root, listing the vertices."""
+def _trace_even(match, p, x, stop=-1):
+    """Walk from an even vertex up its tree, listing the vertices, until
+    an exposed vertex or `stop`."""
     seq = [x]
     limit = len(match) + 1
-    while match[x] != -1:
+    while x != stop and match[x] != -1:
         o = match[x]
         x = p[o]
         seq.append(o)
@@ -269,22 +269,33 @@ def _trace_even(match, p, x):
     return seq
 
 
-def _check_alternating_path(g, match, path):
-    if len(path) % 2 != 0:
-        raise EngineError("augmenting path has odd vertex count")
-    if len(set(path)) != len(path):
-        raise EngineError("augmenting path revisits a vertex")
-    if match[path[0]] != -1 or match[path[-1]] != -1:
-        raise EngineError("augmenting path end is not exposed")
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
+def _check_alternating(g, match, seq, what, closed=False):
+    """Raise EngineError unless seq is a simple alternating walk in g.
+
+    Steps alternate non-matching and matching, the first non-matching;
+    closed adds the step from the last vertex back to the first.
+    """
+    if len(set(seq)) != len(seq):
+        raise EngineError(f"{what} revisits a vertex")
+    ends = seq[1:] + seq[:1] if closed else seq[1:]
+    for i, (a, b) in enumerate(zip(seq, ends)):
         if not g.has_edge(a, b):
-            raise EngineError("augmenting path uses a missing edge")
+            raise EngineError(f"{what} uses a missing edge")
         if i % 2 == 0:
             if match[a] == b:
-                raise EngineError("augmenting path misplaces a matched edge")
+                raise EngineError(f"{what} misplaces a matched edge")
         elif match[a] != b:
-            raise EngineError("augmenting path skips a matched edge")
+            raise EngineError(f"{what} skips a matched edge")
+
+
+def _augmenting_path(g, match, forest: _Forest) -> list:
+    """The checked augmenting path through the edge where `forest` met an exposed end."""
+    v, w = forest.aug
+    path = _trace_even(match, forest.p, v)[::-1] + _trace_even(match, forest.p, w)
+    if match[path[0]] != -1 or match[path[-1]] != -1:
+        raise EngineError("augmenting path end is not exposed")
+    _check_alternating(g, match, path, "augmenting path")
+    return path
 
 
 def _matching_defects(match: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
@@ -326,10 +337,7 @@ def find_augmenting_path(g: Graph, match: list) -> list | None:
     forest = _run_search(g, match, roots, stop_on_augment=True)
     if forest.aug is None:
         return None
-    v, w = forest.aug
-    path = _trace_even(match, forest.p, v)[::-1] + _trace_even(match, forest.p, w)
-    _check_alternating_path(g, match, path)
-    return path
+    return _augmenting_path(g, match, forest)
 
 
 def augment(match: list, path: list) -> None:
@@ -487,13 +495,12 @@ class ReachSet:
     even is exact: v is in it iff some even-length alternating path
     from a root ends at v.  odd only records vertices whose final
     label stayed odd, a sound subset of the odd-reachable vertices.
-    label is the search's label array (0 for unreached vertices); p and
-    root are its parent and root lists, kept for path recovery.
+    label is the search's label array (0 for unreached vertices); p is
+    its parent list, kept for path recovery.
     """
 
     label: np.ndarray
     p: list
-    root: list
 
     @cached_property
     def members(self) -> frozenset:
@@ -516,9 +523,7 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     """
     _validate_matching(g, match)
     forest = _run_search(g, match, sorted(roots), stop_on_augment=False)
-    return ReachSet(
-        label=np.array(forest.label, dtype=np.int8), p=forest.p, root=forest.root
-    )
+    return ReachSet(label=np.array(forest.label, dtype=np.int8), p=forest.p)
 
 
 def even_path_from_roots(g: Graph, match: list, reach: ReachSet, target: int) -> list | None:
@@ -531,19 +536,9 @@ def even_path_from_roots(g: Graph, match: list, reach: ReachSet, target: int) ->
     if reach.label[target] != _EVEN:
         return None
     path = _trace_even(match, reach.p, target)[::-1]
-    if len(path) % 2 != 1 or len(set(path)) != len(path):
-        raise EngineError("even-path trace is not a simple path")
     if match[path[0]] != -1:
         raise EngineError("even-path trace does not start at a root")
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        if not g.has_edge(a, b):
-            raise EngineError("even-path trace uses a missing edge")
-        if i % 2 == 0:
-            if match[a] == b:
-                raise EngineError("even-path trace misplaces a matched edge")
-        elif match[a] != b:
-            raise EngineError("even-path trace skips a matched edge")
+    _check_alternating(g, match, path, "even-path trace")
     return path
 
 
@@ -610,53 +605,37 @@ def shortest_alt_path_to_root(
     return path
 
 
-def odd_cycle_through_root(g: Graph, match: list, component, root: int) -> list:
+def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, component, root: int) -> list:
     """An odd alternating cycle through `root` inside one component.
 
     The component must be factor-critical with the matching covering
-    everything but root inside it.  The returned vertex list starts at
-    root; consecutive pairs after root are matched edges and the two
-    edges at root are non-matching.
+    everything but root inside it, and `reach` a search that closed it
+    as one outermost blossom based at root.  Tracing an even neighbor of
+    root up the forest then stays inside the blossom and ends at root,
+    so the trace plus the edge back to root is the cycle.  The returned
+    vertex list starts at root; consecutive pairs after root are matched
+    edges and the two edges at root are non-matching.
     """
-    comp = sorted(component)
-    if root not in component:
+    inside = set(component)
+    if root not in inside:
         raise ValueError("root lies outside the component")
-    index = {v: i for i, v in enumerate(comp)}
-    k = len(comp)
-    edges = []
-    for v in comp:
-        for w in g.neighbors(v):
-            if w in index and v < w:
-                edges.append((index[v], index[w]))
-    sub = Graph.from_edges(k, edges)
-    sub_match = [-1] * k
-    for v in comp:
-        w = match[v]
-        if w != -1 and w in index:
-            sub_match[index[v]] = index[w]
-    for i, v in enumerate(comp):
-        if v != root and sub_match[i] == -1:
+    for v in sorted(inside):
+        if v != root and match[v] not in inside:
             raise ValueError(f"vertex {v} is not matched inside the component")
-    if sub_match[index[root]] != -1:
+    if match[root] in inside:
         raise ValueError("root is matched inside the component")
-
-    forest = _run_search(sub, sub_match, [index[root]], stop_on_augment=False)
-    if any(lb != _EVEN for lb in forest.label):
-        raise ValueError("component is not factor-critical from this root")
-    r = index[root]
-    for a in sub.neighbors(r):
-        seq = _trace_even(sub_match, forest.p, a)
-        cycle = seq[::-1]
-        if cycle[0] != r or len(cycle) < 3 or len(cycle) % 2 == 0:
+    for a in g.neighbors(root):
+        if a not in inside or reach.label[a] != _EVEN:
             continue
-        if len(set(cycle)) != len(cycle):
+        seq = _trace_even(match, reach.p, a, stop=root)
+        if seq[-1] != root or not inside.issuperset(seq):
             continue
-        ok = all(sub.has_edge(cycle[i], cycle[i + 1]) for i in range(len(cycle) - 1))
-        ok = ok and all(
-            sub_match[cycle[i]] == cycle[i + 1] for i in range(1, len(cycle) - 1, 2)
-        )
-        if ok:
-            return [comp[i] for i in cycle]
+        cycle = [root] + seq[-2::-1]
+        try:
+            _check_alternating(g, match, cycle, "odd cycle", closed=True)
+        except EngineError:
+            continue
+        return cycle
     raise EngineError("no valid odd cycle through the component root")
 
 

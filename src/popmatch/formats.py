@@ -384,35 +384,30 @@ def _witness_from(doc, n: int) -> DualWitness | str:
     alpha = np.zeros(n, dtype=np.int64)
     alpha[idx] = vals
     for group in sets_doc:
-        if not isinstance(group, list) or not set(map(type, group)) <= {int}:
+        if not _int_lists([group]):
             return "witness contains a non-node entry"
         if len(set(group)) != len(group):
             return "odd set repeats a node"
     return DualWitness(alpha, csr=_csr(sets_doc))
 
 
-def _int_list(seq) -> list | None:
-    if not isinstance(seq, list):
-        return None
-    out = []
-    for v in seq:
-        if isinstance(v, bool) or not isinstance(v, int):
-            return None
-        out.append(v)
-    return out
+def _int_lists(items, size: int | None = None) -> bool:
+    """True if every item is a list of ints (bools excluded), of `size` entries if given."""
+    return (
+        set(map(type, items)) <= {list}
+        and (size is None or set(map(len, items)) <= {size})
+        and set(map(type, chain.from_iterable(items))) <= {int}
+    )
 
 
 def _matching_from(doc, inst: RoommatesInstance) -> Matching | str:
     if not isinstance(doc, list):
         return "better_matching is not a list"
-    pairs = []
-    for item in doc:
-        pair = _int_list(item)
-        if pair is None or len(pair) != 2:
-            return f"bad matching pair {item!r}"
-        pairs.append(tuple(pair))
+    if not _int_lists(doc, 2):
+        item = next(x for x in doc if not _int_lists([x], 2))
+        return f"bad matching pair {item!r}"
     try:
-        return Matching.from_pairs(inst, pairs)
+        return Matching.from_pairs(inst, doc)
     except (ValueError, IndexError) as exc:
         return str(exc)
 
@@ -433,8 +428,8 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     sdoc = doc.get("blocking_structure")
     if not isinstance(sdoc, dict):
         return "missing blocking_structure"
-    nodes = _int_list(sdoc.get("nodes"))
-    if nodes is None or not isinstance(sdoc.get("kind"), str):
+    nodes = sdoc.get("nodes")
+    if not _int_lists([nodes]) or not isinstance(sdoc.get("kind"), str):
         return "blocking_structure needs kind and nodes"
     s = BlockingStructure(kind=sdoc["kind"], nodes=tuple(nodes))
     msg = check_blocking_structure(inst, m, s)
@@ -453,15 +448,6 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     if won != margin:
         return f"better matching wins by {won}, not {margin}"
     return None
-
-
-def _int_lists(items, size: int | None = None) -> bool:
-    """True if every item is a list of ints (bools excluded), of `size` entries if given."""
-    return (
-        set(map(type, items)) <= {list}
-        and (size is None or set(map(len, items)) <= {size})
-        and set(map(type, chain.from_iterable(items))) <= {int}
-    )
 
 
 def _half_from(doc, inst: RoommatesInstance) -> HalfIntegralMatching | str:
@@ -496,16 +482,14 @@ def _frac_structure_from(sdoc) -> CycleThroughStar | PathPlusCycle | str:
         return "fractional_structure is not an object"
     kind = sdoc.get("kind")
     if kind == "cycle-through-star":
-        cyc = _int_list(sdoc.get("cycle"))
+        cyc = sdoc.get("cycle")
         mid = sdoc.get("middle")
-        if cyc is None or isinstance(mid, bool) or not isinstance(mid, int):
+        if not _int_lists([cyc, [mid]]):
             return "cycle-through-star needs cycle and middle"
         return CycleThroughStar(cycle=tuple(cyc), middle=mid)
     if kind == "path-plus-cycle":
-        path = _int_list(sdoc.get("path"))
-        cyc = _int_list(sdoc.get("cycle"))
-        be = _int_list(sdoc.get("blocking_edge"))
-        if path is None or cyc is None or be is None or len(be) != 2:
+        path, cyc, be = sdoc.get("path"), sdoc.get("cycle"), sdoc.get("blocking_edge")
+        if not (_int_lists([path, cyc]) and _int_lists([be], 2)):
             return "path-plus-cycle needs path, cycle and blocking_edge"
         return PathPlusCycle(path=tuple(path), cycle=tuple(cyc), blocking_edge=tuple(be))
     return f"unknown fractional structure kind {kind!r}"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxgraph import (
-    CODE_ORIG,
     KIND_ORIG,
     KIND_STAR,
     AuxGraph,
@@ -147,9 +146,9 @@ def extract_fractional_structure(
     pay = aux.payload_array
 
     if aux.kind[root] == KIND_STAR:
-        cyc = odd_cycle_through_root(g, match, comp.tolist(), root)
+        cyc = odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)
         mid = int(pay[root])
-        if (aux.kind_array[cyc[1:]] != CODE_ORIG).any():
+        if (aux.kind[cyc[1:]] != KIND_ORIG).any():
             raise InternalError("star cycle passes a non-original node")
         rest = pay[cyc[1:]].tolist()
         if mid in rest:
@@ -158,9 +157,9 @@ def extract_fractional_structure(
 
     if aux.kind[root] != KIND_ORIG:
         raise InternalError(f"big component rooted at {aux.label_of(root)}")
-    if (aux.kind_array[comp] != CODE_ORIG).any():
+    if (aux.kind[comp] != KIND_ORIG).any():
         raise InternalError("matched-root component contains a non-original node")
-    cycle = tuple(pay[odd_cycle_through_root(g, match, comp.tolist(), root)].tolist())
+    cycle = tuple(pay[odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)].tolist())
 
     # the seeds' forest enters the component only through its root, so
     # the path it recorded to the root stays off the rest of the component
@@ -170,7 +169,7 @@ def extract_fractional_structure(
 
     while True:
         seed = p0[0]
-        if (aux.kind_array[p0[1:]] != CODE_ORIG).any():
+        if (aux.kind[p0[1:]] != KIND_ORIG).any():
             raise InternalError("alternating path passes a non-original node")
         vs = pay[p0[1:]].tolist()
         if aux.kind[seed] == KIND_STAR:

@@ -551,37 +551,20 @@ def _canonical_cycles(off: np.ndarray, nodes: np.ndarray) -> tuple:
     """Cycles as CSR, each rotated to its least node with the smaller neighbor
     second, in lexicographic order; ValueError for the first cycle, as given,
     that is not odd of length >= 3 or repeats a node."""
-    sizes = np.diff(off)
-    k = len(sizes)
-    cid = np.repeat(np.arange(k), sizes)
-    order = _lex_order(cid, nodes)
-    srt = nodes[order]
-    repeats = np.zeros(k, dtype=bool)
-    repeats[cid[1:][(srt[1:] == srt[:-1]) & (cid[1:] == cid[:-1])]] = True
-    short = (sizes < 3) | (sizes % 2 == 0)
-    if (short | repeats).any():
-        c = int(np.argmax(short | repeats))
-        cyc = tuple(nodes[off[c]:off[c + 1]].tolist())
-        if short[c]:
+    flat, bounds = nodes.tolist(), off.tolist()
+    cycles = []
+    for a, b in zip(bounds, bounds[1:]):
+        cyc = tuple(flat[a:b])
+        if len(cyc) < 3 or len(cyc) % 2 == 0:
             raise ValueError(f"half cycle {cyc} is not odd of length >= 3")
-        raise ValueError(f"half cycle {cyc} repeats a node")
-    start = off[:-1]
-    least = order[start] - start  # the least node's position in its cycle
-    prev = nodes[start + (least - 1) % sizes]
-    nxt = nodes[start + (least + 1) % sizes]
-    # the t-th node of a rotated cycle sits t steps after its least node,
-    # walking backwards when the previous node is the smaller neighbor
-    first = np.repeat(start, sizes)
-    t = np.arange(len(nodes)) - first
-    step = np.where(np.repeat(prev < nxt, sizes), -t, t)
-    nodes = nodes[first + (np.repeat(least, sizes) + step) % np.repeat(sizes, sizes)]
-    if k > 1:
-        flat, bounds = nodes.tolist(), off.tolist()
-        by = sorted(range(k), key=lambda c: flat[bounds[c]:bounds[c + 1]])
-        nodes = nodes[np.concatenate([np.arange(bounds[c], bounds[c + 1]) for c in by])]
-        off = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(sizes[by], out=off[1:])
-    return off, nodes
+        if len(set(cyc)) != len(cyc):
+            raise ValueError(f"half cycle {cyc} repeats a node")
+        i = cyc.index(min(cyc))
+        rot = cyc[i:] + cyc[:i]
+        if rot[-1] < rot[1]:
+            rot = rot[:1] + rot[:0:-1]
+        cycles.append(rot)
+    return _csr(sorted(cycles))
 
 
 def half_from_matching(inst: RoommatesInstance, m: Matching) -> HalfIntegralMatching:

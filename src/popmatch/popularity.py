@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .auxgraph import (
-    CODE_ORIG,
-    CODE_STAR,
     KIND_BLOCK,
+    KIND_ORIG,
     KIND_STAR,
     KIND_U,
     AuxGraph,
@@ -32,9 +31,8 @@ from .engine import (
     _ODD,
     GallaiEdmonds,
     ReachSet,
-    _check_alternating_path,
+    _augmenting_path,
     _run_search,
-    _trace_even,
     _validate_matching,
     check_reach_properties,
     gallai_edmonds,
@@ -178,15 +176,10 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
         reach_label = np.array(forest.label, dtype=np.int8)
         if aux.u_id >= 0:
             forest = _run_search(g, match, [aux.u_id], stop_on_augment=True, forest=forest)
-        # phase two labels only u's tree, so p and root stay valid for the seeds' forest
-        reach = ReachSet(label=reach_label, p=forest.p, root=forest.root)
+        # phase two labels only u's tree, so p stays valid for the seeds' forest
+        reach = ReachSet(label=reach_label, p=forest.p)
     if forest.aug is not None:
-        v, w = forest.aug
-        left = _trace_even(match, forest.p, v)
-        right = _trace_even(match, forest.p, w)
-        path = tuple(reversed(left)) + tuple(right)
-        _check_alternating_path(g, match, list(path))
-        return _Analysis(aux, match, path, None, None)
+        return _Analysis(aux, match, tuple(_augmenting_path(g, match, forest)), None, None)
     ge = gallai_edmonds(g, match, forest)
     check_reach_properties(g, match, reach, ge, forbidden=aux.u_id)
     return _Analysis(aux, match, None, ge, reach)
@@ -405,8 +398,8 @@ def build_dual_witness(
     big = np.flatnonzero(ge.sizes >= 3)
     roots = np.asarray(ge.roots, dtype=np.int64)[big]
     big, roots = big[members[roots]], roots[members[roots]]
-    kinds = aux.kind_array[roots]
-    stray = (kinds != CODE_ORIG) & (kinds != CODE_STAR)
+    kinds = aux.kind[roots]
+    stray = (kinds != KIND_ORIG) & (kinds != KIND_STAR)
     if stray.any():
         r = int(roots[np.argmax(stray)])
         size = int(ge.sizes[ge.piece[r]])

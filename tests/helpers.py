@@ -66,6 +66,15 @@ def tiled(rng: random.Random, parts):
     return RoommatesInstance(tuple(pref)), Matching(tuple(partner))
 
 
+def gadget_cases(count, seed, gadgets):
+    """Tiled popular gadgets, each bringing an odd set, among partner-first parts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [rng.choice(gadgets) for _ in range(rng.randint(1, 5))]
+        parts += [partner_first_instance(rng, 6, 0.5) for _ in range(rng.randint(0, 2))]
+        yield tiled(rng, parts)
+
+
 def random_edge_graph(rng: random.Random, n: int, p: float) -> list:
     return [
         (u, v)

@@ -4,13 +4,16 @@
 then continues it from the hub u.  Its reach labels must equal a separate
 reachability search from the seeds, and its decomposition a separate
 Gallai-Edmonds search from every exposed node.  The instances lie above
-the brute-force oracle cap.
+the brute-force oracle cap.  The odd cycle of every reached piece is read
+off the same forest and re-checked here on its own.
 """
 
 import numpy as np
 import pytest
 
-from helpers import analysis_cases
+from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
+from helpers import analysis_cases, gadget_cases
+from popmatch.auxgraph import KIND_ORIG, KIND_STAR
 from popmatch.engine import (
     EngineError,
     Graph,
@@ -18,6 +21,7 @@ from popmatch.engine import (
     _run_search,
     gallai_edmonds,
     is_maximum,
+    odd_cycle_through_root,
     reachable_set,
 )
 from popmatch.popularity import _analyze
@@ -53,6 +57,30 @@ def test_one_search_equals_the_two_it_replaces():
         )
     # the corpus must exercise both phases and big pieces
     assert popular >= 40 and with_seeds >= 20 and with_u >= 20 and big >= 20
+
+
+def test_forest_cycle_on_every_reached_piece():
+    # triangle-pendant pieces hang on a star node, two-triangles pieces on an original node
+    gadgets = [(TRIANGLE_PENDANT, TRIANGLE_PENDANT_M), (TWO_TRIANGLES, TWO_TRIANGLES_M)]
+    pieces = {KIND_ORIG: 0, KIND_STAR: 0}
+    for inst, m in gadget_cases(120, 11, gadgets):
+        an = _analyze(inst, m)
+        assert an.aug_path is None
+        g, match = an.aux.graph, an.match
+        for k in np.flatnonzero(an.ge.sizes >= 3).tolist():
+            root = an.ge.roots[k]
+            if an.reach.label[root] == 0:
+                continue
+            piece = set(an.ge.vertices(k).tolist())
+            cyc = odd_cycle_through_root(g, match, an.reach, piece, root)
+            size = len(cyc)
+            assert cyc[0] == root and size >= 3 and size % 2 == 1
+            assert len(set(cyc)) == size and piece.issuperset(cyc)
+            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            assert all(match[cyc[i]] == cyc[i + 1] for i in range(1, size - 1, 2))
+            assert match[root] not in (cyc[1], cyc[-1])
+            pieces[an.aux.kind[root]] += 1
+    assert sum(pieces.values()) >= 300 and min(pieces.values()) >= 100
 
 
 def test_seed_phase_stops_at_the_hub():

@@ -14,12 +14,11 @@ import pytest
 
 from helpers import (
     analysis_cases,
-    partner_first_instance,
+    gadget_cases,
     random_instance,
     reference_aux,
     reference_half_canonical,
     reference_witness_violation,
-    tiled,
 )
 from popmatch.auxgraph import build_aux
 from popmatch.fractional import NotFractionalPopular, is_fractional_popular
@@ -47,24 +46,15 @@ def _small_cases(count, seed):
         yield inst, _random_matching(rng, inst)
 
 
-def _gadget_cases(count, seed, gadgets):
-    """Tiled popular gadgets, each bringing an odd set, among partner-first parts."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        parts = [rng.choice(gadgets) for _ in range(rng.randint(1, 5))]
-        parts += [partner_first_instance(rng, 6, 0.5) for _ in range(rng.randint(0, 2))]
-        yield tiled(rng, parts)
-
-
 def test_aux_arrays_match_the_tuple_reference():
     stars = 0
     for inst, m in list(analysis_cases()) + list(_small_cases(300, 5)):
         aux = build_aux(inst, m)
         ref = reference_aux(inst, m)
-        got = {key: getattr(aux, key) for key in ref if key != "edges"}
+        got = {key: getattr(aux, key) for key in ref if key not in ("edges", "kind")}
         got["edges"] = sorted(aux.graph.edges())
+        got["kind"] = tuple(("orig", "block", "star", "u")[k] for k in aux.kind)
         assert got == ref
-        assert aux.kind_array.tolist() == build_aux(inst, m).kind_array.tolist()
         assert [aux.leaves(s).tolist() for s in aux.star_of.values()] == [
             list(ls) for ls in ref["star_leaves"].values()
         ]
@@ -105,7 +95,7 @@ def _mutated_witnesses(rng, w, n):
 def test_witness_check_matches_the_set_loop(triangle_pendant, two_triangles):
     rng = random.Random(8)
     popular = odd_sets = 0
-    gadgets = _gadget_cases(100, 10, [triangle_pendant, two_triangles])
+    gadgets = gadget_cases(100, 10, [triangle_pendant, two_triangles])
     for inst, m in list(analysis_cases()) + list(_small_cases(200, 9)) + list(gadgets):
         res = is_popular(inst, m)
         if not isinstance(res, Popular):

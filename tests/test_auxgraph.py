@@ -19,7 +19,7 @@ def test_aux_ids_and_seeds(two_triangles_pendants):
     inst, m = two_triangles_pendants
     aux = build_aux(inst, m)
     assert aux.graph.n == 11
-    assert aux.kind == (KIND_ORIG,) * 6 + (KIND_BLOCK,) * 3 + (KIND_STAR, KIND_U)
+    assert tuple(aux.kind) == (KIND_ORIG,) * 6 + (KIND_BLOCK,) * 3 + (KIND_STAR, KIND_U)
     assert aux.payload == (0, 1, 2, 3, 4, 5, 0, 2, 3, 3, -1)
     assert aux.orig_to_aux == (0, 1, 2, 3, 4, 5, 10, 10)
     assert aux.u_id == 10
@@ -62,7 +62,7 @@ def test_aux_without_unmatched(swap_square):
     inst, m = swap_square
     aux = build_aux(inst, m)
     assert aux.u_id == -1
-    assert aux.kind == (KIND_ORIG,) * 4 + (KIND_BLOCK,) * 2
+    assert tuple(aux.kind) == (KIND_ORIG,) * 4 + (KIND_BLOCK,) * 2
     assert aux.payload == (0, 1, 2, 3, 1, 2)
     assert sorted(aux.graph.edges()) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 5)]
     assert aux.matching == (1, 0, 3, 2, -1, -1)
@@ -73,7 +73,7 @@ def test_aux_empty_matching(triangle_pendant):
     inst, _ = triangle_pendant
     aux = build_aux(inst, Matching.empty(inst.n))
     # every edge blocks, nobody is a star leaf, all originals fold into u
-    assert aux.kind == (KIND_BLOCK,) * 4 + (KIND_U,)
+    assert tuple(aux.kind) == (KIND_BLOCK,) * 4 + (KIND_U,)
     assert aux.u_id == 4
     assert sorted(aux.graph.edges()) == [(0, 4), (1, 4), (2, 4), (3, 4)]
     assert aux.matching == (-1,) * 5

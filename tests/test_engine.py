@@ -275,13 +275,14 @@ def test_shortest_alt_path_rejects_nonsimple_walk():
 def test_odd_cycle_through_root_triangle():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     match = [-1, 2, 1]
-    assert odd_cycle_through_root(g, match, {0, 1, 2}, 0) == [0, 2, 1]
+    reach = reachable_set(g, match, [0])
+    assert odd_cycle_through_root(g, match, reach, {0, 1, 2}, 0) == [0, 2, 1]
 
 
 def test_odd_cycle_through_root_five_cycle():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     match = [-1, 2, 1, 4, 3]
-    cyc = odd_cycle_through_root(g, match, set(range(5)), 0)
+    cyc = odd_cycle_through_root(g, match, reachable_set(g, match, [0]), set(range(5)), 0)
     assert cyc[0] == 0 and len(cyc) == 5 and len(set(cyc)) == 5
     for i in range(1, 4, 2):
         assert match[cyc[i]] == cyc[i + 1]
@@ -290,10 +291,11 @@ def test_odd_cycle_through_root_five_cycle():
 
 def test_odd_cycle_argument_errors():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    reach = reachable_set(g, [-1, 2, 1], [0])
     with pytest.raises(ValueError, match="outside the component"):
-        odd_cycle_through_root(g, [-1, 2, 1], {1, 2}, 0)
+        odd_cycle_through_root(g, [-1, 2, 1], reach, {1, 2}, 0)
     with pytest.raises(ValueError, match="not matched inside"):
-        odd_cycle_through_root(g, [-1, 2, 1], {0, 1}, 0)
+        odd_cycle_through_root(g, [-1, 2, 1], reach, {0, 1}, 0)
 
 
 def test_check_reach_properties():
@@ -308,7 +310,6 @@ def _hand_reach(members, n):
     return ReachSet(
         label=[1 if v in members else 0 for v in range(n)],
         p=[],
-        root=[],
     )
 
 

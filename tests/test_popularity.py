@@ -79,9 +79,9 @@ def test_dual_witness_rejects_bad_pieces(triangle_pendant):
     an = _analyze(inst, m)
     comp = np.flatnonzero(an.ge.piece == an.ge.piece[an.ge.roots[0]])
     assert len(comp) == 3
-    kind = list(an.aux.kind)
+    kind = an.aux.kind.copy()
     kind[an.ge.roots[0]] = KIND_BLOCK
-    aux = replace(an.aux, kind=tuple(kind))
+    aux = replace(an.aux, kind=kind)
     with pytest.raises(InternalError, match="^reached component of size 3 rooted at b_"):
         build_dual_witness(inst, m, aux, an.ge, an.reach)
     pay = an.aux.payload_array.copy()
