@@ -163,16 +163,12 @@ def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
         v = p[o]
 
 
-def _run_search(
-    g: Graph, match: list, roots, stop_on_augment: bool, forest: _Forest | None = None
-) -> _Forest:
+def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> _Forest:
     """Grow alternating trees from `roots` until exhaustion.
 
-    With stop_on_augment the search returns as soon as it finds an
-    augmenting path: two trees meet, or an even vertex sees an exposed
-    vertex outside the forest.  The meeting edge is reported in the
-    forest.  Otherwise either event means the caller believed a
-    non-maximum matching was maximum, and a ValueError is raised.
+    The search returns as soon as it finds an augmenting path: two trees
+    meet, or an even vertex sees an exposed vertex outside the forest.
+    The meeting edge is reported in the forest's `aug`.
 
     Given an exhausted `forest`, the search continues it in place with
     the extra roots.  Scanning some exposed vertices after the others
@@ -224,9 +220,7 @@ def _run_search(
                 if bv == bw:
                     continue
                 if rv != root[w]:
-                    if stop_on_augment:
-                        return _Forest(label, p, root, (v, w), dsu)
-                    raise ValueError("matching is not maximum")
+                    return _Forest(label, p, root, (v, w), dsu)
                 stamp += 1
                 ca = _lca(match, p, dsu, visit, stamp, bv, bw)
                 pending: list[int] = []
@@ -238,11 +232,8 @@ def _run_search(
                         dsu[rx] = ca
             else:
                 mw = match[w]
-                if mw == -1:
-                    # w is exposed yet was not given as a root
-                    if stop_on_augment:
-                        return _Forest(label, p, root, (v, w), dsu)
-                    raise ValueError("matching is not maximum")
+                if mw == -1:  # w is exposed yet was not given as a root
+                    return _Forest(label, p, root, (v, w), dsu)
                 if label[mw] != 0:
                     raise EngineError("partner of a fresh odd vertex is labeled")
                 label[w] = _ODD
@@ -334,7 +325,7 @@ def find_augmenting_path(g: Graph, match: list) -> list | None:
     roots = [v for v in range(g.n) if match[v] == -1]
     if not roots:
         return None
-    forest = _run_search(g, match, roots, stop_on_augment=True)
+    forest = _run_search(g, match, roots)
     if forest.aug is None:
         return None
     return _augmenting_path(g, match, forest)
@@ -441,8 +432,8 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     if forest is None:
         _validate_matching(g, match)
         roots = [v for v in range(g.n) if match[v] == -1]
-        forest = _run_search(g, match, roots, stop_on_augment=False)
-    elif forest.aug is not None:
+        forest = _run_search(g, match, roots)
+    if forest.aug is not None:
         raise ValueError("matching is not maximum")
     n = g.n
     label = np.array(forest.label, dtype=np.int8)
@@ -522,7 +513,9 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     which can only happen when the matching is not maximum.
     """
     _validate_matching(g, match)
-    forest = _run_search(g, match, sorted(roots), stop_on_augment=False)
+    forest = _run_search(g, match, sorted(roots))
+    if forest.aug is not None:
+        raise ValueError("matching is not maximum")
     return ReachSet(label=np.array(forest.label, dtype=np.int8), p=forest.p)
 
 

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import NoReturn
 
 import numpy as np
 
@@ -52,9 +51,11 @@ class ParseError(ValueError):
 
 
 # Input grammar: tokens are -?[0-9]+ separated by spaces or tabs, `#`
-# starts a comment, lines end in \n or \r\n. Text is read in one array
-# pass; the per-line scans below only name the error once that pass has
-# rejected the text, and always raise.
+# starts a comment, lines end in \n or \r\n. One array pass splits the
+# text into tokens, bad ones included, and finds the first token outside
+# the grammar; the parsers raise every error from those arrays. A byte
+# outside the grammar, a `\r` that ends no line included, belongs to the
+# token that holds it.
 _OTHER, _DIGIT, _MINUS, _BLANK, _NEWLINE, _CR, _HASH = range(7)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
@@ -64,19 +65,18 @@ _CLASS[ord("\n")] = _NEWLINE
 _CLASS[ord("\r")] = _CR
 _CLASS[ord("#")] = _HASH
 _INT64_MAX = np.iinfo(np.int64).max
-_TOKEN = re.compile(r"[^ \t]+")
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
 class _Tokens:
     data: bytes
-    values: np.ndarray  # per token; a value beyond int64 reads as int64 max
+    values: np.ndarray  # per token, read only if bad == -1; beyond int64 reads as int64 max
     starts: np.ndarray  # byte offset of each token
     ends: np.ndarray
     newlines: np.ndarray  # byte offset of each line end
     per_line: np.ndarray  # token count of each line
     comment_only: np.ndarray  # per line: nothing but blanks before a `#`
+    bad: int  # the first token that is not -?[0-9]+, or -1
 
     def exact(self, k: int) -> int:
         """Token k as a Python int, beyond int64 too."""
@@ -86,10 +86,20 @@ class _Tokens:
         """1-based line number of token k."""
         return int(np.searchsorted(self.newlines, self.starts[k])) + 1
 
+    def not_integer(self, k: int) -> ParseError:
+        """The error naming token k, which is not an integer."""
+        line = self.lineno(k)
+        first = int(self.newlines[line - 2]) + 1 if line > 1 else 0  # the line's first byte
+        # every byte before the first bad token of a line is ASCII, so the
+        # byte offset is the character column
+        col = int(self.starts[k]) - first + 1
+        tok = self.data[self.starts[k] : self.ends[k]].decode("utf-8", "surrogatepass")
+        return ParseError(f"line {line}, column {col}: expected an integer, got {tok!r}")
 
-def _tokenize(text: str) -> _Tokens | None:
-    """Token arrays of text in one pass, or None if it breaks the grammar."""
-    data = text.encode("utf-8", "replace")
+
+def _tokenize(text: str) -> _Tokens:
+    """Token arrays of text in one pass."""
+    data = text.encode("utf-8", "surrogatepass")
     cls = _CLASS[np.frombuffer(data, dtype=np.uint8)]
     newlines = np.flatnonzero(cls == _NEWLINE)
     lines = len(newlines) + (not data.endswith(b"\n") and bool(data))
@@ -109,20 +119,23 @@ def _tokenize(text: str) -> _Tokens | None:
         has_comment[hline] = True
     crs = np.flatnonzero(cls == _CR)
     if crs.size:
-        if crs[-1] + 1 == len(data) or (cls[crs + 1] != _NEWLINE).any():
-            return None
-        cls[crs] = _BLANK
-    if (cls == _OTHER).any():
-        return None
+        # a \r ends its line only before a \n; the last byte reads itself
+        ended = cls[np.minimum(crs + 1, len(cls) - 1)] == _NEWLINE
+        cls[crs] = np.where(ended, _BLANK, _OTHER)
+    other = cls == _OTHER
     edge = np.diff((cls <= _MINUS).view(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edge == 1)
     ends = np.flatnonzero(edge == -1)
-    # every `-` opens a token and is followed by a digit
     neg = cls[starts] == _MINUS
-    if int(neg.sum()) != int((cls == _MINUS).sum()) or (ends[neg] - starts[neg] < 2).any():
-        return None
+    bad = -1
+    if other.any() or neg.sum() != (cls == _MINUS).sum() or (ends[neg] - starts[neg] < 2).any():
+        # the first token holding another byte or a `-` past its start, or a lone `-`
+        wrong = other | (cls == _MINUS)
+        wrong[starts] = other[starts]
+        lone = neg & (ends - starts < 2)
+        bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
     values = np.zeros(0, dtype=np.int64)
-    if starts.size:
+    if starts.size and bad < 0:
         source = text  # ASCII: every byte outside comments passed the classes
         if hashes.size:
             clean = np.frombuffer(data, dtype=np.uint8).copy()
@@ -130,7 +143,7 @@ def _tokenize(text: str) -> _Tokens | None:
             source = clean.tobytes().decode("ascii")
         values = np.fromstring(source, dtype=np.int64, sep=" ")
         if values.size != starts.size:
-            return None
+            raise ParseError(f"read {values.size} integers from {starts.size} tokens")
         for k in np.flatnonzero(ends - starts > 18).tolist():
             v = int(data[starts[k] : ends[k]])
             values[k] = v if -_INT64_MAX <= v <= _INT64_MAX else _INT64_MAX
@@ -138,40 +151,7 @@ def _tokenize(text: str) -> _Tokens | None:
     before = np.append(np.searchsorted(starts, newlines), len(starts))[:lines]
     per_line = np.diff(before, prepend=0)
     comment_only = has_comment & (per_line == 0)
-    return _Tokens(data, values, starts, ends, newlines, per_line, comment_only)
-
-
-def _scan_lines(text: str):
-    """(line number, [(column, token)]) per line, comments and line ends cut."""
-    raws = text.split("\n")
-    for lineno, raw in enumerate(raws, start=1):
-        if lineno < len(raws) and raw.endswith("\r"):
-            raw = raw[:-1]
-        body = raw.split("#", 1)[0]
-        yield lineno, [(t.start() + 1, t.group()) for t in _TOKEN.finditer(body)]
-
-
-def _int_token(lineno: int, col: int, tok: str) -> int:
-    if not _INTEGER.fullmatch(tok):
-        raise ParseError(f"line {lineno}, column {col}: expected an integer, got {tok!r}")
-    return int(tok)
-
-
-def _instance_error(text: str) -> NoReturn:
-    """Raise the error of the first line breaking the instance grammar."""
-    counted = False
-    for lineno, toks in _scan_lines(text):
-        if not counted and toks:
-            if len(toks) != 1:
-                raise ParseError(f"line {lineno}: expected only the node count")
-            n = _int_token(lineno, *toks[0])
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative node count {n}")
-            counted = True
-        else:
-            for col, tok in toks:
-                _int_token(lineno, col, tok)
-    raise ParseError("instance text could not be read")
+    return _Tokens(data, values, starts, ends, newlines, per_line, comment_only, bad)
 
 
 def parse_instance(text: str) -> RoommatesInstance:
@@ -182,16 +162,18 @@ def parse_instance(text: str) -> RoommatesInstance:
     lines are tolerated.
     """
     t = _tokenize(text)
-    if t is None:
-        _instance_error(text)
-    if not t.values.size:
+    if not t.starts.size:
         raise ParseError("missing the node count line")
     head = t.lineno(0)  # lines before it hold no token
     if t.per_line[head - 1] != 1:
         raise ParseError(f"line {head}: expected only the node count")
+    if t.bad == 0:
+        raise t.not_integer(0)
     n = t.exact(0)
     if n < 0:
         raise ParseError(f"line {head}: negative node count {n}")
+    if t.bad > 0:
+        raise t.not_integer(t.bad)
     rows = head + np.flatnonzero(~t.comment_only[head:])
     found = len(rows)
     if found > n:  # drop trailing empty rows beyond the count
@@ -224,38 +206,38 @@ def serialize_instance(inst: RoommatesInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matching_error(text: str, inst: RoommatesInstance) -> NoReturn:
-    """Raise the error of the first line breaking the matching rules."""
+def _matching_error(t: _Tokens, inst: RoommatesInstance) -> ParseError:
+    """The error of the first line of rejected text that breaks the matching rules."""
     used = {}
-    for lineno, toks in _scan_lines(text):
-        if not toks:
-            continue
-        if len(toks) != 2:
-            raise ParseError(f"line {lineno}: expected exactly two node ids")
-        u = _int_token(lineno, *toks[0])
-        v = _int_token(lineno, *toks[1])
+    k = 0  # the line's first token
+    for line in np.flatnonzero(t.per_line).tolist():
+        lineno = line + 1
+        if t.per_line[line] != 2:
+            return ParseError(f"line {lineno}: expected exactly two node ids")
+        if k <= t.bad < k + 2:
+            return t.not_integer(t.bad)
+        u, v = t.exact(k), t.exact(k + 1)
+        k += 2
         for w in (u, v):
             if not 0 <= w < inst.n:
-                raise ParseError(f"line {lineno}: node {w} is out of range")
+                return ParseError(f"line {lineno}: node {w} is out of range")
             if w in used:
-                raise ParseError(
-                    f"line {lineno}: node {w} already matched on line {used[w]}"
-                )
+                return ParseError(f"line {lineno}: node {w} already matched on line {used[w]}")
             used[w] = lineno
         if not inst.has_edges([u], [v])[0]:
-            raise ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
-    raise ParseError("matching text could not be read")
+            return ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
+    return ParseError("matching text could not be read")
 
 
 def parse_matching(text: str, inst: RoommatesInstance) -> Matching:
     """Read `i j` pair lines against an already parsed instance."""
     t = _tokenize(text)
-    if t is None or (t.per_line[t.per_line > 0] != 2).any():
-        _matching_error(text, inst)
-    try:
-        return Matching.from_pairs(inst, t.values.reshape(-1, 2))
-    except ValueError:
-        _matching_error(text, inst)
+    if t.bad < 0 and (t.per_line[t.per_line > 0] == 2).all():
+        try:
+            return Matching.from_pairs(inst, t.values.reshape(-1, 2))
+        except ValueError:
+            pass
+    raise _matching_error(t, inst)
 
 
 def serialize_matching(m: Matching) -> str:

@@ -42,8 +42,10 @@ from .popularity import (
     InternalError,
     Unpopular,
     _analyze,
+    _bad_nodes,
     _finish_popular,
     _finish_unpopular,
+    _reached_big_pieces,
 )
 
 
@@ -105,10 +107,11 @@ def is_fractional_popular(
         return NotFractionalPopular(
             structure=None, p=p, value_times_two=vt2, from_unpopular=unpop
         )
-    pop = _finish_popular(inst, m, an)
-    if len(pop.witness.set_off) == 1:  # no odd set
-        return FractionalPopular(witness=pop.witness)
-    s = extract_fractional_structure(inst, m, an)
+    big = _reached_big_pieces(an.aux, an.ge, an.reach)
+    if not big.size:
+        return FractionalPopular(witness=_finish_popular(inst, m, an).witness)
+    # pieces are numbered by least vertex, so big[0] is the lowest reached one
+    s = extract_fractional_structure(inst, m, an, int(big[0]))
     msg = check_fractional_structure(inst, m, s)
     if msg is not None:
         raise InternalError(f"constructed fractional structure is invalid: {msg}")
@@ -126,27 +129,18 @@ def is_fractional_popular(
 
 
 def extract_fractional_structure(
-    inst: RoommatesInstance, m: Matching, an
+    inst: RoommatesInstance, m: Matching, an, k: int
 ) -> CycleThroughStar | PathPlusCycle:
-    """Defeating structure from the lowest reached big component."""
+    """Defeating structure from the reached big piece k, rooted at a star or an original node."""
     aux = an.aux
     g = aux.graph
     match = an.match
-    ge = an.ge
-    members = an.reach.label != 0
-    # pieces are numbered by least vertex, so the first reached one is the lowest
-    k = next(
-        (k for k in np.flatnonzero(ge.sizes >= 3).tolist() if members[ge.roots[k]]),
-        None,
-    )
-    if k is None:
-        raise InternalError("no reached component of size 3 or more")
-    comp = ge.vertices(k)
-    root = ge.roots[k]
+    comp = an.ge.vertices(k)
+    root = an.ge.roots[k]
     pay = aux.payload_array
+    cyc = odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)
 
     if aux.kind[root] == KIND_STAR:
-        cyc = odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)
         mid = int(pay[root])
         if (aux.kind[cyc[1:]] != KIND_ORIG).any():
             raise InternalError("star cycle passes a non-original node")
@@ -155,11 +149,9 @@ def extract_fractional_structure(
             raise InternalError("star middle collides with its own cycle")
         return CycleThroughStar(cycle=(mid, *rest), middle=mid)
 
-    if aux.kind[root] != KIND_ORIG:
-        raise InternalError(f"big component rooted at {aux.label_of(root)}")
     if (aux.kind[comp] != KIND_ORIG).any():
         raise InternalError("matched-root component contains a non-original node")
-    cycle = tuple(pay[odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)].tolist())
+    cycle = tuple(pay[cyc].tolist())
 
     # the seeds' forest enters the component only through its root, so
     # the path it recorded to the root stays off the rest of the component
@@ -192,23 +184,27 @@ def extract_fractional_structure(
             raise InternalError(f"node {vi} has no blocking attachment")
         p0 = [seed2] + p0[pos:]
 
-    path = (x, *vs)
-    if set(path) & set(cycle) != {cycle[0]}:
-        raise InternalError("feeding path meets the cycle beyond its root")
-    mx = int(m.partner_array[x])
-    if mx < 0:
-        raise InternalError("path head is unmatched")
-    if mx in path or mx in cycle:
-        raise InternalError("path head's partner lies on the structure")
-    return PathPlusCycle(path=path, cycle=cycle, blocking_edge=(x, vs[0]))
+    return PathPlusCycle(path=(x, *vs), cycle=cycle, blocking_edge=(x, vs[0]))
 
 
-def _bad_node(inst: RoommatesInstance, seq) -> str | None:
-    n = inst.n
-    if any(not isinstance(v, int) or not 0 <= v < n for v in seq):
-        return "node out of range"
-    if len(set(seq)) != len(seq):
-        return "repeated node"
+def _unpartnered(pa: np.ndarray, seq, what: str) -> str | None:
+    """The defect unless seq[1], seq[2] and seq[3], seq[4], ... are partners."""
+    for i in range(1, len(seq) - 1, 2):
+        if pa[seq[i]] != seq[i + 1]:
+            return f"{what} nodes {seq[i]} and {seq[i + 1]} are not partners"
+    return None
+
+
+def _untied(inst: RoommatesInstance, m: Matching, seq, steps, what: str) -> str | None:
+    """The defect unless, for each i in steps, seq[i] and the next node
+    (cyclically) are joined by an edge that ties the vote."""
+    ends = [(seq[i], seq[(i + 1) % len(seq)]) for i in steps]
+    present = inst.has_edges([a for a, _ in ends], [b for _, b in ends])
+    for (a, b), ok in zip(ends, present):
+        if not ok:
+            return f"{what} edge {a}-{b} missing"
+        if edge_weight(inst, m, a, b) != 0:
+            return f"{what} edge {a}-{b} does not tie the vote"
     return None
 
 
@@ -219,38 +215,30 @@ def check_fractional_structure(
     pa = m.partner_array
     if isinstance(s, CycleThroughStar):
         cyc = s.cycle
-        msg = _bad_node(inst, cyc)
+        msg = _bad_nodes(inst, cyc)
         if msg:
             return msg
         if len(cyc) < 3 or len(cyc) % 2 == 0:
             return f"cycle length {len(cyc)} is not odd and >= 3"
         if cyc[0] != s.middle:
             return "cycle does not start at the middle"
-        for i in range(1, len(cyc) - 1, 2):
-            if pa[cyc[i]] != cyc[i + 1]:
-                return f"cycle nodes {cyc[i]} and {cyc[i + 1]} are not partners"
+        msg = _unpartnered(pa, cyc, "cycle")
+        if msg:
+            return msg
         if not is_blocking_edge(inst, m, cyc[0], cyc[1]):
             return f"edge {cyc[0]}-{cyc[1]} is not blocking"
         if not is_blocking_edge(inst, m, cyc[0], cyc[-1]):
             return f"edge {cyc[0]}-{cyc[-1]} is not blocking"
-        ring = inst.has_edges(cyc, cyc[1:] + cyc[:1])  # ring[i]: cyc[i]-cyc[i+1]
-        for i in range(2, len(cyc) - 1, 2):
-            a, b = cyc[i], cyc[i + 1]
-            if not ring[i]:
-                return f"cycle edge {a}-{b} missing"
-            if edge_weight(inst, m, a, b) != 0:
-                return f"cycle edge {a}-{b} does not tie the vote"
-        w = int(pa[s.middle])
-        if w < 0:
-            return "middle is unmatched"
-        if w in cyc:
-            return "middle's partner lies on the cycle"
-        return None
+        msg = _untied(inst, m, cyc, range(2, len(cyc) - 1, 2), "cycle")
+        if msg:
+            return msg
+        # the partner check leaves the middle's partner off the cycle
+        return "middle is unmatched" if pa[s.middle] < 0 else None
 
     if not isinstance(s, PathPlusCycle):
         return f"unknown structure {type(s).__name__}"
     path, cyc = s.path, s.cycle
-    msg = _bad_node(inst, path) or _bad_node(inst, cyc)
+    msg = _bad_nodes(inst, path) or _bad_nodes(inst, cyc)
     if msg:
         return msg
     if len(path) < 3 or len(path) % 2 == 0:
@@ -265,32 +253,16 @@ def check_fractional_structure(
         return "declared blocking edge differs from the first path edge"
     if not is_blocking_edge(inst, m, path[0], path[1]):
         return f"edge {path[0]}-{path[1]} is not blocking"
-    for i in range(1, len(path) - 1, 2):
-        if pa[path[i]] != path[i + 1]:
-            return f"path nodes {path[i]} and {path[i + 1]} are not partners"
-    along = inst.has_edges(path[:-1], path[1:])
-    for i in range(2, len(path) - 1, 2):
-        a, b = path[i], path[i + 1]
-        if not along[i]:
-            return f"path edge {a}-{b} missing"
-        if edge_weight(inst, m, a, b) != 0:
-            return f"path edge {a}-{b} does not tie the vote"
-    for i in range(1, len(cyc) - 1, 2):
-        if pa[cyc[i]] != cyc[i + 1]:
-            return f"cycle nodes {cyc[i]} and {cyc[i + 1]} are not partners"
-    ring = inst.has_edges(cyc, cyc[1:] + cyc[:1])  # ring[i]: cyc[i]-cyc[i+1]
-    for i in [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)]:
-        a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-        if not ring[i]:
-            return f"cycle edge {a}-{b} missing"
-        if edge_weight(inst, m, a, b) != 0:
-            return f"cycle edge {a}-{b} does not tie the vote"
-    w = int(pa[path[0]])
-    if w < 0:
-        return "path head is unmatched"
-    if w in path or w in cyc:
-        return "path head's partner lies on the structure"
-    return None
+    msg = (
+        _unpartnered(pa, path, "path")
+        or _untied(inst, m, path, range(2, len(path) - 1, 2), "path")
+        or _unpartnered(pa, cyc, "cycle")
+        or _untied(inst, m, cyc, [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)], "cycle")
+    )
+    if msg:
+        return msg
+    # the partner checks leave the head's partner off the structure
+    return "path head is unmatched" if pa[path[0]] < 0 else None
 
 
 def structure_to_fractional_matching(

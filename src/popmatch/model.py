@@ -413,8 +413,19 @@ def vote(inst: RoommatesInstance, u: int, a, b) -> int:
     return (ra < rb) - (rb < ra)
 
 
+def _check_ids(inst: RoommatesInstance, m: Matching, ids, what: str = "node") -> None:
+    """Raise ValueError unless m fits inst and every id is a node of it."""
+    if m.n != inst.n:
+        raise ValueError("matching size does not fit the instance")
+    ids = np.asarray(ids)
+    out = (ids < 0) | (ids >= inst.n)
+    if out.any():
+        raise ValueError(f"{what} {ids[np.argmax(out)]} is out of range")
+
+
 def edge_weight(inst: RoommatesInstance, m: Matching, u: int, v: int) -> int:
     """Combined vote of u and v for the edge uv against their partners."""
+    _check_ids(inst, m, [u, v])
     pa = m.partner_array
     r = _ranks(inst, (u, u, v, v), (v, pa[u], u, pa[v])).tolist()
     return (r[0] < r[1]) - (r[1] < r[0]) + (r[2] < r[3]) - (r[3] < r[2])
@@ -422,6 +433,7 @@ def edge_weight(inst: RoommatesInstance, m: Matching, u: int, v: int) -> int:
 
 def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
     """Vote mass of leaving v unmatched: 0 when already unmatched, else -1."""
+    _check_ids(inst, m, [v])
     return -int(m.partner_array[v] >= 0)
 
 
@@ -589,6 +601,7 @@ def fractional_value_times_two(
     k = len(ones) + len(us)
     ends = _node_ids(np.concatenate([ones[:, 0], us, ones[:, 1], vs]))  # the voting side
     others = _node_ids(np.concatenate([ones[:, 1], vs, ones[:, 0], us]))
+    _check_ids(inst, m, p.loop_array, "loop node")
     pa = _partner_array(m)
     new = _ranks(inst, ends, others)  # checks the nodes before they index m
     side = np.sign(_ranks(inst, ends, pa[ends]) - new)

@@ -169,13 +169,13 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     aux = build_aux(inst, m)
     g = aux.graph
     match = aux.matching_array.tolist()
-    forest = _run_search(g, match, aux.seeds, stop_on_augment=True)
+    forest = _run_search(g, match, aux.seeds)
     reach = None
     if forest.aug is None:
         _validate_matching(g, match)
         reach_label = np.array(forest.label, dtype=np.int8)
         if aux.u_id >= 0:
-            forest = _run_search(g, match, [aux.u_id], stop_on_augment=True, forest=forest)
+            forest = _run_search(g, match, [aux.u_id], forest=forest)
         # phase two labels only u's tree, so p stays valid for the seeds' forest
         reach = ReachSet(label=reach_label, p=forest.p)
     if forest.aug is not None:
@@ -308,56 +308,52 @@ def check_blocking_structure(
 ) -> str | None:
     """None if s is a well-formed blocking structure for m, else the defect."""
     seq = s.nodes
-    n = inst.n
-    if any(not isinstance(v, int) or not 0 <= v < n for v in seq):
-        return "node out of range"
-    if len(set(seq)) != len(seq):
-        return "repeated node"
+    msg = _bad_nodes(inst, seq)
+    if msg:
+        return msg
     if len(seq) % 2 != 0:
         return f"odd node count {len(seq)}"
-    present = inst.has_edges(seq[:-1], seq[1:])  # present[i]: seq[i]-seq[i+1]
-    pa = m.partner_array
-
     if s.kind == CYCLE:
         if len(seq) < 4:
             return "cycle shorter than 4"
-        edges = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        closing = (seq[-1], seq[0])
-        for i, (a, b) in enumerate(edges):
-            if i % 2 == 0:
-                if pa[a] != b:
-                    return f"cycle edge {a}-{b} should be matched"
-            else:
-                if not present[i]:
-                    return f"cycle edge {a}-{b} missing"
-                if pa[a] == b:
-                    return f"cycle edge {a}-{b} should be unmatched"
-        if not is_blocking_edge(inst, m, *closing):
-            return f"closing edge {closing[0]}-{closing[1]} is not blocking"
-        return None
-
-    if s.kind not in (PATH_TWO_BLOCKING, PATH_TO_UNMATCHED):
+        word, matched = "cycle", 0  # the steps of this parity are matched edges
+    elif s.kind in (PATH_TWO_BLOCKING, PATH_TO_UNMATCHED):
+        if len(seq) < 2 or (s.kind == PATH_TWO_BLOCKING and len(seq) < 4):
+            return "path too short"
+        word, matched = "path", 1
+    else:
         return f"unknown kind {s.kind!r}"
-    if len(seq) < 2 or (s.kind == PATH_TWO_BLOCKING and len(seq) < 4):
-        return "path too short"
+    present = inst.has_edges(seq[:-1], seq[1:])  # present[i]: seq[i]-seq[i+1]
+    pa = m.partner_array
     for i in range(len(seq) - 1):
         a, b = seq[i], seq[i + 1]
-        if i % 2 == 1:
+        if i % 2 == matched:
             if pa[a] != b:
-                return f"path edge {a}-{b} should be matched"
-        else:
-            if not present[i]:
-                return f"path edge {a}-{b} missing"
-            if pa[a] == b:
-                return f"path edge {a}-{b} should be unmatched"
+                return f"{word} edge {a}-{b} should be matched"
+        elif not present[i]:
+            return f"{word} edge {a}-{b} missing"
+        elif pa[a] == b:
+            return f"{word} edge {a}-{b} should be unmatched"
+    if s.kind == CYCLE:
+        if not is_blocking_edge(inst, m, seq[-1], seq[0]):
+            return f"closing edge {seq[-1]}-{seq[0]} is not blocking"
+        return None
     if not is_blocking_edge(inst, m, seq[0], seq[1]):
         return f"first edge {seq[0]}-{seq[1]} is not blocking"
     if s.kind == PATH_TWO_BLOCKING:
         if not is_blocking_edge(inst, m, seq[-2], seq[-1]):
             return f"last edge {seq[-2]}-{seq[-1]} is not blocking"
-    else:
-        if pa[seq[-1]] >= 0:
-            return f"end node {seq[-1]} is matched"
+    elif pa[seq[-1]] >= 0:
+        return f"end node {seq[-1]} is matched"
+    return None
+
+
+def _bad_nodes(inst: RoommatesInstance, seq) -> str | None:
+    """The defect if some entry of seq is not a node id or repeats one."""
+    if any(not isinstance(v, int) or not 0 <= v < inst.n for v in seq):
+        return "node out of range"
+    if len(set(seq)) != len(seq):
+        return "repeated node"
     return None
 
 
@@ -380,6 +376,22 @@ def more_popular_matching(
     return Matching._of(partner)
 
 
+def _reached_big_pieces(aux: AuxGraph, ge: GallaiEdmonds, reach: ReachSet) -> np.ndarray:
+    """Ascending ids of the reached pieces of size >= 3, each rooted at an
+    original or a star node."""
+    big = np.flatnonzero(ge.sizes >= 3)
+    roots = np.asarray(ge.roots, dtype=np.int64)[big]
+    reached = np.asarray(reach.label)[roots] != 0
+    big, roots = big[reached], roots[reached]
+    kinds = aux.kind[roots]
+    stray = (kinds != KIND_ORIG) & (kinds != KIND_STAR)
+    if stray.any():
+        r = int(roots[np.argmax(stray)])
+        size = int(ge.sizes[ge.piece[r]])
+        raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
+    return big
+
+
 def build_dual_witness(
     inst: RoommatesInstance,
     m: Matching,
@@ -393,18 +405,9 @@ def build_dual_witness(
     (a star root is traded for its middle); reached nodes take alpha -1
     in the exposed part and +1 in the separator, everyone else 0.
     """
-    members = np.asarray(reach.label) != 0
+    big = _reached_big_pieces(aux, ge, reach)
     pay = aux.payload_array
-    big = np.flatnonzero(ge.sizes >= 3)
-    roots = np.asarray(ge.roots, dtype=np.int64)[big]
-    big, roots = big[members[roots]], roots[members[roots]]
-    kinds = aux.kind[roots]
-    stray = (kinds != KIND_ORIG) & (kinds != KIND_STAR)
-    if stray.any():
-        r = int(roots[np.argmax(stray)])
-        size = int(ge.sizes[ge.piece[r]])
-        raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
-    reached = members.copy()
+    reached = np.asarray(reach.label) != 0
     reached[aux.n_matched:] = False  # original nodes only
     cmatched = np.flatnonzero(reached & (ge.label == 0))
     if cmatched.size:

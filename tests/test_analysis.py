@@ -87,27 +87,27 @@ def test_seed_phase_stops_at_the_hub():
     # 0 - 1 = 2 - 3 with only 0 as a root: 3 is exposed outside the forest
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     match = [-1, 2, 1, -1]
-    assert _run_search(g, match, [0], stop_on_augment=True).aug == (2, 3)
+    assert _run_search(g, match, [0]).aug == (2, 3)
     with pytest.raises(ValueError, match="not maximum"):
-        _run_search(g, match, [0], stop_on_augment=False)
+        reachable_set(g, match, [0])
 
 
 def test_continued_search_matches_one_search():
     # the flower plus a pendant path 5 = 6 - 7; roots 0, then 7
     g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7)])
     match = [-1, 2, 1, 4, 3, 6, 5, -1]
-    first = _run_search(g, match, [0], stop_on_augment=True)
+    first = _run_search(g, match, [0])
     assert first.aug is None and first.label[7] == 0
-    both = _run_search(g, match, [7], stop_on_augment=True, forest=first)
-    whole = _run_search(g, match, [0, 7], stop_on_augment=False)
+    both = _run_search(g, match, [7], forest=first)
+    whole = _run_search(g, match, [0, 7])
     assert both.label == whole.label
     ge = gallai_edmonds(g, match, both)
     assert ge.components == gallai_edmonds(g, match).components
     with pytest.raises(ValueError, match="duplicate root"):
-        _run_search(g, match, [0], stop_on_augment=True, forest=both)
+        _run_search(g, match, [0], forest=both)
     met = _Forest(label=[0] * 8, p=[-1] * 8, root=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
     with pytest.raises(EngineError, match="cannot continue"):
-        _run_search(g, match, [7], stop_on_augment=True, forest=met)
+        _run_search(g, match, [7], forest=met)
 
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
