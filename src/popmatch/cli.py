@@ -60,9 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    with open(args.instance, encoding="utf-8") as fh:
+    # the parsers read UTF-8 bytes, so the text is never decoded
+    with open(args.instance, "rb") as fh:
         inst = parse_instance(fh.read())
-    with open(args.matching, encoding="utf-8") as fh:
+    with open(args.matching, "rb") as fh:
         m = parse_matching(fh.read(), inst)
     return inst, m
 

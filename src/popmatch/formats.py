@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -65,26 +66,88 @@ _CLASS[ord("\n")] = _NEWLINE
 _CLASS[ord("\r")] = _CR
 _CLASS[ord("#")] = _HASH
 _INT64_MAX = np.iinfo(np.int64).max
+_NO_LINES = np.zeros(0, dtype=np.int64)
+
+
+def _token_mask(b: np.ndarray, newlines: np.ndarray) -> tuple:
+    """(pad, cls, commented) of the text bytes b, whose line ends are newlines.
+
+    pad marks the token bytes, with one non-token byte added at each end.
+    cls is None when b holds only digits, `-`, spaces and `\n`: then the
+    token bytes are those above a space. Otherwise cls holds the byte
+    classes with comments blanked and each `\r` resolved, and commented
+    the lines that hold a comment.
+    """
+    pad = np.zeros(b.size + 2, dtype=bool)
+    tok = pad[1:-1]
+    if not b.size or (
+        b.max() <= ord("9")
+        and np.count_nonzero(b >= ord("0")) + np.count_nonzero(b == ord("-"))
+        + np.count_nonzero(b == ord(" ")) + newlines.size == b.size
+    ):
+        np.greater(b, ord(" "), out=tok)
+        return pad, None, _NO_LINES
+    cls = _CLASS[b]
+    hashes = np.flatnonzero(cls == _HASH)
+    commented = _NO_LINES
+    if hashes.size:
+        # a comment runs from the first `#` of its line to the line end
+        hline = np.searchsorted(newlines, hashes)
+        first = np.ones(len(hashes), dtype=bool)
+        first[1:] = hline[1:] != hline[:-1]
+        commented = hline[first]
+        mark = np.zeros(b.size + 1, dtype=np.int8)
+        mark[hashes[first]] = 1
+        mark[np.append(newlines, b.size)[commented]] = -1
+        cls[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] = _BLANK
+    crs = np.flatnonzero(cls == _CR)
+    if crs.size:
+        # a \r ends its line only before a \n; the last byte reads itself
+        ended = cls[np.minimum(crs + 1, b.size - 1)] == _NEWLINE
+        cls[crs] = np.where(ended, _BLANK, _OTHER)
+    np.less_equal(cls, _MINUS, out=tok)
+    return pad, cls, commented
+
+
+def _token_edges(pad: np.ndarray) -> tuple:
+    """(starts, ends) byte offsets of the tokens of a padded token mask."""
+    edge = np.flatnonzero(pad[1:] != pad[:-1])
+    return edge[0::2], edge[1::2]
 
 
 @dataclass(frozen=True)
 class _Tokens:
     data: bytes
     values: np.ndarray  # per token, read only if bad == -1; beyond int64 reads as int64 max
-    starts: np.ndarray  # byte offset of each token
-    ends: np.ndarray
+    count: int  # the number of tokens
     newlines: np.ndarray  # byte offset of each line end
     per_line: np.ndarray  # token count of each line
     comment_only: np.ndarray  # per line: nothing but blanks before a `#`
     bad: int  # the first token that is not -?[0-9]+, or -1
 
+    @cached_property
+    def offsets(self) -> tuple:
+        """(starts, ends): the byte offset of each token and of the byte after it.
+
+        Only messages need them, so they are found again from the bytes
+        rather than held while the instance is validated.
+        """
+        b = np.frombuffer(self.data, dtype=np.uint8)
+        return _token_edges(_token_mask(b, self.newlines)[0])
+
+    def _raw(self, k: int) -> bytes:
+        starts, ends = self.offsets
+        return self.data[starts[k] : ends[k]]
+
     def exact(self, k: int) -> int:
         """Token k as a Python int, beyond int64 too."""
-        return int(self.data[self.starts[k] : self.ends[k]])
+        if self.bad < 0 and self.values[k] != _INT64_MAX:
+            return int(self.values[k])
+        return int(self._raw(k))
 
     def lineno(self, k: int) -> int:
         """1-based line number of token k."""
-        return int(np.searchsorted(self.newlines, self.starts[k])) + 1
+        return int(np.searchsorted(self.newlines, self.offsets[0][k])) + 1
 
     def not_integer(self, k: int) -> ParseError:
         """The error naming token k, which is not an integer."""
@@ -92,79 +155,65 @@ class _Tokens:
         first = int(self.newlines[line - 2]) + 1 if line > 1 else 0  # the line's first byte
         # every byte before the first bad token of a line is ASCII, so the
         # byte offset is the character column
-        col = int(self.starts[k]) - first + 1
-        tok = self.data[self.starts[k] : self.ends[k]].decode("utf-8", "surrogatepass")
+        col = int(self.offsets[0][k]) - first + 1
+        try:
+            tok = self._raw(k).decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:  # bytes that are not UTF-8 show as escapes
+            tok = self._raw(k).decode("utf-8", "surrogateescape")
         return ParseError(f"line {line}, column {col}: expected an integer, got {tok!r}")
 
 
-def _tokenize(text: str) -> _Tokens:
-    """Token arrays of text in one pass."""
-    data = text.encode("utf-8", "surrogatepass")
-    cls = _CLASS[np.frombuffer(data, dtype=np.uint8)]
-    newlines = np.flatnonzero(cls == _NEWLINE)
+def _tokenize(text: str | bytes) -> _Tokens:
+    """Token arrays of text, or of its UTF-8 bytes."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    b = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(b == ord("\n"))
     lines = len(newlines) + (not data.endswith(b"\n") and bool(data))
-    has_comment = np.zeros(lines, dtype=bool)
-    hashes = np.flatnonzero(cls == _HASH)
-    if hashes.size:
-        # a comment runs from the first `#` of its line to the line end
-        hline = np.searchsorted(newlines, hashes)
-        first = np.ones(len(hashes), dtype=bool)
-        first[1:] = hline[1:] != hline[:-1]
-        hline = hline[first]
-        mark = np.zeros(len(data) + 1, dtype=np.int8)
-        mark[hashes[first]] = 1
-        mark[np.append(newlines, len(data))[hline]] = -1
-        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
-        cls[inside] = _BLANK
-        has_comment[hline] = True
-    crs = np.flatnonzero(cls == _CR)
-    if crs.size:
-        # a \r ends its line only before a \n; the last byte reads itself
-        ended = cls[np.minimum(crs + 1, len(cls) - 1)] == _NEWLINE
-        cls[crs] = np.where(ended, _BLANK, _OTHER)
-    other = cls == _OTHER
-    edge = np.diff((cls <= _MINUS).view(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edge == 1)
-    ends = np.flatnonzero(edge == -1)
-    neg = cls[starts] == _MINUS
+    pad, cls, commented = _token_mask(b, newlines)
+    starts, ends = _token_edges(pad)
+    minus = b == ord("-") if cls is None else cls == _MINUS
+    other = None if cls is None else cls == _OTHER
     bad = -1
-    if other.any() or neg.sum() != (cls == _MINUS).sum() or (ends[neg] - starts[neg] < 2).any():
-        # the first token holding another byte or a `-` past its start, or a lone `-`
-        wrong = other | (cls == _MINUS)
-        wrong[starts] = other[starts]
+    minuses = np.count_nonzero(minus)
+    if minuses or other is not None:
+        neg = minus[starts]
         lone = neg & (ends - starts < 2)
-        bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
+        if (other is not None and other.any()) or np.count_nonzero(neg) != minuses or lone.any():
+            # the first token holding another byte or a `-` past its start, or a lone `-`
+            wrong = minus if other is None else other | minus
+            wrong[starts] = False if other is None else other[starts]
+            bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
     values = np.zeros(0, dtype=np.int64)
     if starts.size and bad < 0:
-        source = text  # ASCII: every byte outside comments passed the classes
-        if hashes.size:
-            clean = np.frombuffer(data, dtype=np.uint8).copy()
-            clean[inside] = ord(" ")
-            source = clean.tobytes().decode("ascii")
-        values = np.fromstring(source, dtype=np.int64, sep=" ")
-        if values.size != starts.size:
-            raise ParseError(f"read {values.size} integers from {starts.size} tokens")
+        source = data  # ASCII: every byte outside comments passed the classes
+        if commented.size:
+            source = np.where(pad[1:-1], b, np.uint8(ord(" "))).tobytes()
+        # every token is -?[0-9]+ between blanks, so each one reads as one
+        # value; the count spares fromstring growing its buffer
+        values = np.fromstring(source, dtype=np.int64, count=starts.size, sep=" ")
         for k in np.flatnonzero(ends - starts > 18).tolist():
             v = int(data[starts[k] : ends[k]])
             values[k] = v if -_INT64_MAX <= v <= _INT64_MAX else _INT64_MAX
     # tokens before each line end, differenced into a count per line
     before = np.append(np.searchsorted(starts, newlines), len(starts))[:lines]
     per_line = np.diff(before, prepend=0)
-    comment_only = has_comment & (per_line == 0)
-    return _Tokens(data, values, starts, ends, newlines, per_line, comment_only, bad)
+    comment_only = np.zeros(lines, dtype=bool)
+    comment_only[commented] = True
+    comment_only &= per_line == 0
+    return _Tokens(data, values, len(starts), newlines, per_line, comment_only, bad)
 
 
-def parse_instance(text: str) -> RoommatesInstance:
-    """Read the preference-list format.
+def parse_instance(text: str | bytes) -> RoommatesInstance:
+    """Read the preference-list format, from text or its UTF-8 bytes.
 
     After the count line, every line that is not only a comment is one
     node's row in order; an isolated node's row is empty. Trailing blank
     lines are tolerated.
     """
     t = _tokenize(text)
-    if not t.starts.size:
+    if not t.count:
         raise ParseError("missing the node count line")
-    head = t.lineno(0)  # lines before it hold no token
+    head = int(np.argmax(t.per_line > 0)) + 1  # the first line with a token
     if t.per_line[head - 1] != 1:
         raise ParseError(f"line {head}: expected only the node count")
     if t.bad == 0:
@@ -229,8 +278,8 @@ def _matching_error(t: _Tokens, inst: RoommatesInstance) -> ParseError:
     return ParseError("matching text could not be read")
 
 
-def parse_matching(text: str, inst: RoommatesInstance) -> Matching:
-    """Read `i j` pair lines against an already parsed instance."""
+def parse_matching(text: str | bytes, inst: RoommatesInstance) -> Matching:
+    """Read `i j` pair lines, from text or its UTF-8 bytes, against an already parsed instance."""
     t = _tokenize(text)
     if t.bad < 0 and (t.per_line[t.per_line > 0] == 2).all():
         try:

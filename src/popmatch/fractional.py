@@ -109,7 +109,7 @@ def is_fractional_popular(
         )
     big = _reached_big_pieces(an.aux, an.ge, an.reach)
     if not big.size:
-        return FractionalPopular(witness=_finish_popular(inst, m, an).witness)
+        return FractionalPopular(witness=_finish_popular(inst, m, an, big).witness)
     # pieces are numbered by least vertex, so big[0] is the lowest reached one
     s = extract_fractional_structure(inst, m, an, int(big[0]))
     msg = check_fractional_structure(inst, m, s)

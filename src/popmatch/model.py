@@ -225,9 +225,17 @@ def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
     du = np.repeat(np.arange(n, dtype=np.int64), counts)
     if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
         raise _first_defect(du, dv, n)
+    # (lo * n + hi) * 2 + (du > dv), built in place: the low bit tells the
+    # two directions apart, so valid keys are distinct
+    key2 = np.maximum(du, dv)
+    key2 *= 2
+    key2 += du > dv
     lo = np.minimum(du, dv)
-    # the low bit tells the two directions apart, so valid keys are distinct
-    key2 = (lo * n + np.maximum(du, dv)) * 2 + (du != lo)
+    lo *= 2 * n
+    key2 += lo
+    # lo and key2 live until the return: freeing them early lowers the
+    # parse peak but lets glibc trim heap that later decides reuse
+    # (CHANGES.md, FOUND on heap trimming)
     order = np.argsort(key2)
     ks = key2[order]
     # valid iff every edge appears exactly once from each side

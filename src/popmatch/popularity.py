@@ -193,8 +193,10 @@ def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:
     return _finish_unpopular(inst, m, an)
 
 
-def _finish_popular(inst: RoommatesInstance, m: Matching, an: _Analysis) -> Popular:
-    witness = build_dual_witness(inst, m, an.aux, an.ge, an.reach)
+def _finish_popular(
+    inst: RoommatesInstance, m: Matching, an: _Analysis, big: np.ndarray | None = None
+) -> Popular:
+    witness = build_dual_witness(inst, m, an.aux, an.ge, an.reach, big)
     msg = witness_violation(inst, m, witness)
     if msg is not None:
         raise InternalError(f"constructed dual witness is invalid: {msg}")
@@ -398,14 +400,17 @@ def build_dual_witness(
     aux: AuxGraph,
     ge: GallaiEdmonds,
     reach: ReachSet,
+    big: np.ndarray | None = None,
 ) -> DualWitness:
     """Dual witness from the decomposition of the auxiliary graph.
 
     Reached factor-critical components of size >= 3 become the odd sets
     (a star root is traded for its middle); reached nodes take alpha -1
-    in the exposed part and +1 in the separator, everyone else 0.
+    in the exposed part and +1 in the separator, everyone else 0. big
+    is `_reached_big_pieces` of the decomposition, if already known.
     """
-    big = _reached_big_pieces(aux, ge, reach)
+    if big is None:
+        big = _reached_big_pieces(aux, ge, reach)
     pay = aux.payload_array
     reached = np.asarray(reach.label) != 0
     reached[aux.n_matched:] = False  # original nodes only

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -179,6 +180,75 @@ def reference_parse_matching(text: str, inst: RoommatesInstance) -> Matching:
             raise ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
         pairs.append((u, v))
     return Matching.from_pairs(inst, pairs)
+
+
+# The byte-class tokenizer popmatch.formats._tokenize replaced: it classes
+# every byte through a lookup table and keeps each token's offsets.
+_R_OTHER, _R_DIGIT, _R_MINUS, _R_BLANK, _R_NEWLINE, _R_CR, _R_HASH = range(7)
+_R_CLASS = np.zeros(256, dtype=np.uint8)
+_R_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _R_DIGIT
+_R_CLASS[ord("-")] = _R_MINUS
+_R_CLASS[[ord(" "), ord("\t")]] = _R_BLANK
+_R_CLASS[ord("\n")] = _R_NEWLINE
+_R_CLASS[ord("\r")] = _R_CR
+_R_CLASS[ord("#")] = _R_HASH
+_R_INT64_MAX = np.iinfo(np.int64).max
+
+
+def reference_tokenize(text: str) -> SimpleNamespace:
+    """Token arrays of text: values, starts, ends, newlines, per_line, comment_only, bad."""
+    data = text.encode("utf-8", "surrogatepass")
+    cls = _R_CLASS[np.frombuffer(data, dtype=np.uint8)]
+    newlines = np.flatnonzero(cls == _R_NEWLINE)
+    lines = len(newlines) + (not data.endswith(b"\n") and bool(data))
+    has_comment = np.zeros(lines, dtype=bool)
+    hashes = np.flatnonzero(cls == _R_HASH)
+    if hashes.size:
+        hline = np.searchsorted(newlines, hashes)
+        first = np.ones(len(hashes), dtype=bool)
+        first[1:] = hline[1:] != hline[:-1]
+        hline = hline[first]
+        mark = np.zeros(len(data) + 1, dtype=np.int8)
+        mark[hashes[first]] = 1
+        mark[np.append(newlines, len(data))[hline]] = -1
+        inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+        cls[inside] = _R_BLANK
+        has_comment[hline] = True
+    crs = np.flatnonzero(cls == _R_CR)
+    if crs.size:
+        ended = cls[np.minimum(crs + 1, len(cls) - 1)] == _R_NEWLINE
+        cls[crs] = np.where(ended, _R_BLANK, _R_OTHER)
+    other = cls == _R_OTHER
+    edge = np.diff((cls <= _R_MINUS).view(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edge == 1)
+    ends = np.flatnonzero(edge == -1)
+    neg = cls[starts] == _R_MINUS
+    bad = -1
+    if other.any() or neg.sum() != (cls == _R_MINUS).sum() or (ends[neg] - starts[neg] < 2).any():
+        wrong = other | (cls == _R_MINUS)
+        wrong[starts] = other[starts]
+        lone = neg & (ends - starts < 2)
+        bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
+    values = np.zeros(0, dtype=np.int64)
+    if starts.size and bad < 0:
+        source = text
+        if hashes.size:
+            clean = np.frombuffer(data, dtype=np.uint8).copy()
+            clean[inside] = ord(" ")
+            source = clean.tobytes().decode("ascii")
+        values = np.fromstring(source, dtype=np.int64, sep=" ")
+        if values.size != starts.size:
+            raise ParseError(f"read {values.size} integers from {starts.size} tokens")
+        for k in np.flatnonzero(ends - starts > 18).tolist():
+            v = int(data[starts[k] : ends[k]])
+            values[k] = v if -_R_INT64_MAX <= v <= _R_INT64_MAX else _R_INT64_MAX
+    before = np.append(np.searchsorted(starts, newlines), len(starts))[:lines]
+    per_line = np.diff(before, prepend=0)
+    comment_only = has_comment & (per_line == 0)
+    return SimpleNamespace(
+        data=data, values=values, starts=starts, ends=ends, newlines=newlines,
+        per_line=per_line, comment_only=comment_only, bad=bad,
+    )
 
 
 def reference_validate_matching(g, match) -> None:

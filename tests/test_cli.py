@@ -197,6 +197,21 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "does not list 0 back" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    ipath = tmp_path / "i.txt"
+    mpath = tmp_path / "m.txt"
+    ipath.write_bytes(b"2\n1\xff\n0\n")
+    mpath.write_text("")
+    assert main(["check", "-i", str(ipath), "-m", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2, column 1: expected an integer, got '1\\udcff'\n"
+    ipath.write_text("2\n1\n0\n")
+    mpath.write_bytes(b"0 \xff1\n")
+    assert main(["fractional", "-i", str(ipath), "-m", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1, column 3: expected an integer, got '\\udcff1'\n"
+
+
 def test_usage_error_is_exit_two():
     with pytest.raises(SystemExit) as err:
         main([])

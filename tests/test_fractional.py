@@ -1,5 +1,7 @@
 import random
 
+import popmatch.fractional
+import popmatch.popularity
 from popmatch.fractional import (
     CycleThroughStar,
     FractionalPopular,
@@ -16,7 +18,7 @@ from popmatch.model import (
     half_from_matching,
 )
 from popmatch.oracle import brute_fractional_popular, enumerate_matchings
-from popmatch.popularity import witness_violation
+from popmatch.popularity import _reached_big_pieces, witness_violation
 
 from helpers import partner_first_instance, random_instance
 
@@ -77,6 +79,20 @@ def test_partner_first_always_fractional_popular():
     for _ in range(30):
         inst, m = partner_first_instance(rng, 2 * rng.randint(1, 5), rng.random())
         assert isinstance(is_fractional_popular(inst, m), FractionalPopular)
+
+
+def test_fractional_popular_reads_the_reached_pieces_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _reached_big_pieces(*args)
+
+    monkeypatch.setattr(popmatch.fractional, "_reached_big_pieces", counted)
+    monkeypatch.setattr(popmatch.popularity, "_reached_big_pieces", counted)
+    inst, m = partner_first_instance(random.Random(7), 8, 0.6)
+    assert isinstance(is_fractional_popular(inst, m), FractionalPopular)
+    assert len(calls) == 1
 
 
 def test_lifted_value_matches_margin():

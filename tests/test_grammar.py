@@ -60,6 +60,30 @@ def test_matching_grammar_outside_ascii(text, expected):
     assert str(err.value) == expected
 
 
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"2\n1\xff\n0\n", "line 2, column 1: expected an integer, got '1\\udcff'"),
+        (b"\xfe 2\n1\n0\n", "line 1: expected only the node count"),
+        (b"# \xff\n2\n1\n0 \xc3\n", "line 4, column 3: expected an integer, got '\\udcc3'"),
+    ],
+)
+def test_instance_bytes_outside_utf8(data, expected):
+    # a byte that is not UTF-8 belongs to a token like any byte outside the grammar
+    with pytest.raises(ParseError) as err:
+        parse_instance(data)
+    assert str(err.value) == expected
+
+
+def test_bytes_outside_utf8_in_comments_and_matchings():
+    assert parse_instance(b"2\n1 # \xff\n0\n") == parse_instance("2\n1\n0\n")
+    with pytest.raises(ParseError) as err:
+        parse_matching(b"0 1\n2 3\xff\n", TRIANGLE_PENDANT)
+    assert str(err.value) == "line 2, column 3: expected an integer, got '3\\udcff'"
+    pairs = parse_matching(b"0 1 # \xff\n2 3\n", TRIANGLE_PENDANT)
+    assert pairs == parse_matching("0 1\n2 3\n", TRIANGLE_PENDANT)
+
+
 def _check_named_token(text, parse, *args):
     try:
         parse(text, *args)

@@ -1,0 +1,95 @@
+"""The array tokenizer against the byte-class tokenizer it replaced.
+
+`formats._tokenize` classes bytes only when the text holds more than
+digits, `-`, spaces and line ends, and finds token offsets again only
+when a message needs them. Every field the parsers read must equal the
+reference's, from text and from its UTF-8 bytes alike.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_tokenize
+from popmatch.formats import _tokenize, parse_instance, serialize_instance
+from popmatch.generator import generate_instance
+from test_grammar import ALPHABET
+
+# tokens beyond int64 and just inside it
+LONG_TOKENS = st.integers(19, 23).flatmap(
+    lambda k: st.text("0123456789", min_size=k, max_size=k)
+).flatmap(lambda digits: st.sampled_from([digits, "-" + digits]))
+TEXTS = st.lists(st.one_of(st.sampled_from(ALPHABET), LONG_TOKENS), max_size=30).map("".join)
+
+
+def assert_same_tokens(text):
+    ref = reference_tokenize(text)
+    for source in (text, text.encode("utf-8", "surrogatepass")):
+        t = _tokenize(source)
+        assert t.data == ref.data
+        assert t.bad == ref.bad
+        assert t.count == len(ref.starts)
+        np.testing.assert_array_equal(t.offsets[0], ref.starts)
+        np.testing.assert_array_equal(t.offsets[1], ref.ends)
+        np.testing.assert_array_equal(t.newlines, ref.newlines)
+        np.testing.assert_array_equal(t.per_line, ref.per_line)
+        np.testing.assert_array_equal(t.comment_only, ref.comment_only)
+        if ref.bad < 0:
+            np.testing.assert_array_equal(t.values, ref.values)
+            assert t.values.dtype == np.int64
+            exact = [int(ref.data[a:b]) for a, b in zip(ref.starts, ref.ends)]
+            assert [t.exact(k) for k in range(t.count)] == exact
+        else:
+            a, b = ref.starts[ref.bad], ref.ends[ref.bad]
+            line = int(np.searchsorted(ref.newlines, a)) + 1
+            col = a - (ref.newlines[line - 2] + 1 if line > 1 else 0) + 1
+            tok = ref.data[a:b].decode("utf-8", "surrogatepass")
+            expected = f"line {line}, column {col}: expected an integer, got {tok!r}"
+            assert str(t.not_integer(t.bad)) == expected
+        for k in range(t.count):
+            assert t.lineno(k) == int(np.searchsorted(ref.newlines, ref.starts[k])) + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\n1 2\n0 2\n0 1\n",  # plain: digits, spaces and line ends only
+        "\t\t",
+        "#",
+        "\r",
+        "1 2\r\n3\r\n",
+        "7 8",  # a token at byte 0, and one at the end with no final \n
+        "",
+        "9223372036854775807 -9223372036854775808\n",
+        "-9223372036854775807 9223372036854775808 -9223372036854775809\n",
+        "0009223372036854775807\n",
+        "1 -2 - 3-4 --5\n",
+        "1 2 # -3 x\n# only\n\n4\n",
+    ],
+)
+def test_fixed_texts_match_the_reference(text):
+    assert_same_tokens(text)
+
+
+@given(TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_random_texts_match_the_reference(text):
+    assert_same_tokens(text)
+
+
+def test_parse_peak_memory():
+    # 89,776 edges in 685,282 bytes of text. The parse peaks at 20.96
+    # times the text size from str and 19.96 times from bytes (numpy 2.4);
+    # the bound adds a margin
+    text = serialize_instance(generate_instance(600, "gnp", 0.5, seed=3))
+    for source in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            parse_instance(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22.5 * len(text), peak / len(text)
