@@ -9,8 +9,7 @@ its leaves; all M-unmatched nodes collapse into a single exposed node;
 finally the blocking edges themselves are deleted.  M is popular in the
 instance exactly when M is a maximum matching of this graph.
 
-`AuxGraph` holds every map between the two graphs as a read-only array;
-its tuple and dict attributes are views built on first use.
+`AuxGraph` holds every map between the two graphs as a read-only array.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ from .model import (
 KIND_ORIG, KIND_BLOCK, KIND_STAR, KIND_U = range(4)
 
 
-def _index_map(arr: np.ndarray) -> dict:
-    """{i: arr[i]} for every i with arr[i] != -1."""
-    keys = np.flatnonzero(arr >= 0)
-    return dict(zip(keys.tolist(), arr[keys].tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class AuxGraph:
     """The derived graph plus every mapping needed to walk back out of it.
@@ -54,11 +47,11 @@ class AuxGraph:
     -1 for the exposed node); `matching_array`, its partner or -1; and
     the star leaves in CSR form, `leaf_nodes[leaf_off[i]:leaf_off[i + 1]]`
     ascending, empty unless i is a star.  Per original node, -1 where
-    there is none: `orig_to_aux_array`, `b_of_array` (its blocking
-    node), `star_of_array` (the star of which it is the middle) and
-    `leaf_star_array` (the middle of the star it is a leaf of).  `kind`
-    holds int8 codes per auxiliary node (KIND_ORIG, ...).  The tuple and
-    dict attributes are views built on first use.
+    there is none: `b_of_array` (its blocking node), `star_of_array`
+    (the star of which it is the middle) and `leaf_star_array` (the
+    middle of the star it is a leaf of).  `kind` holds int8 codes per
+    auxiliary node (KIND_ORIG, ...).  `star_of`, {middle: star node},
+    is a view built on first use.
     """
 
     graph: Graph
@@ -66,8 +59,6 @@ class AuxGraph:
     payload_array: np.ndarray
     matching_array: np.ndarray
     n_matched: int
-    n_orig: int
-    orig_to_aux_array: np.ndarray
     u_id: int
     b_of_array: np.ndarray
     star_of_array: np.ndarray
@@ -77,33 +68,9 @@ class AuxGraph:
     seeds: tuple = ()
 
     @cached_property
-    def payload(self) -> tuple:
-        return tuple(self.payload_array.tolist())
-
-    @cached_property
-    def matching(self) -> tuple:
-        return tuple(self.matching_array.tolist())
-
-    @cached_property
-    def orig_to_aux(self) -> tuple:
-        return tuple(self.orig_to_aux_array.tolist())
-
-    @cached_property
-    def b_of(self) -> dict:
-        return _index_map(self.b_of_array)
-
-    @cached_property
     def star_of(self) -> dict:
-        return _index_map(self.star_of_array)
-
-    @cached_property
-    def leaf_star(self) -> dict:
-        return _index_map(self.leaf_star_array)
-
-    @cached_property
-    def star_leaves(self) -> dict:
-        stars = np.flatnonzero(self.kind == KIND_STAR).tolist()
-        return {int(self.payload_array[s]): tuple(self.leaves(s).tolist()) for s in stars}
+        keys = np.flatnonzero(self.star_of_array >= 0)
+        return dict(zip(keys.tolist(), self.star_of_array[keys].tolist()))
 
     def leaves(self, s: int) -> np.ndarray:
         """The leaves of star node s, ascending."""
@@ -184,7 +151,6 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
         "payload_array": np.concatenate([morder, owners, middles, np.full(int(have_u), -1)]),
         "matching_array": aux_match,
-        "orig_to_aux_array": orig_to_aux,
         "b_of_array": b_of,
         "star_of_array": star_of,
         "leaf_star_array": leaf_star,
@@ -196,7 +162,6 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     return AuxGraph(
         graph=graph,
         n_matched=nm,
-        n_orig=n,
         u_id=u_id,
         seeds=tuple(range(nm, nm + nb + ns)),
         **arrays,

@@ -20,8 +20,9 @@ index per vertex; their frozenset attributes are views built on
 first use.
 
 Vertices are 0..n-1, matchings are partner lists with -1 for exposed
-vertices.  All traversals run in sorted adjacency order, so every
-result is deterministic.
+vertices; the array checks also take an int64 partner array.  All
+traversals run in sorted adjacency order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -373,13 +374,14 @@ class GallaiEdmonds:
     even), a their outside neighbors (odd), c the rest (0).  The
     connected pieces of the subgraph induced on d are factor-critical;
     piece[v] numbers v's piece, ordered by least vertex, and is -1
-    outside d.  roots holds per piece the one vertex that the given
-    matching leaves exposed or matches outside the piece.
+    outside d.  roots, a read-only int64 array, holds per piece the one
+    vertex that the given matching leaves exposed or matches outside
+    the piece.
     """
 
     label: np.ndarray
     piece: np.ndarray
-    roots: tuple
+    roots: np.ndarray
 
     @cached_property
     def d(self) -> frozenset:
@@ -426,8 +428,8 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     """Decompose g relative to a maximum matching.
 
     `forest` is an exhausted search from every exposed vertex; without
-    it the search runs here.  Raises ValueError if the matching is not
-    maximum.
+    it the search runs here.  The matching may be a list or an int64
+    partner array.  Raises ValueError if the matching is not maximum.
     """
     if forest is None:
         _validate_matching(g, match)
@@ -437,7 +439,7 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
         raise ValueError("matching is not maximum")
     n = g.n
     label = np.array(forest.label, dtype=np.int8)
-    ma = np.array(match, dtype=np.int64)
+    ma = np.asarray(match, dtype=np.int64)
     d = label == _EVEN
     a = label == _ODD
     c = label == 0
@@ -476,18 +478,19 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     roots[piece[exits]] = exits
     if ((ma[roots] >= 0) & ~a[ma[roots]]).any():
         raise EngineError("component root is matched outside a")
-    return GallaiEdmonds(label=label, piece=piece, roots=tuple(roots.tolist()))
+    roots.flags.writeable = False
+    return GallaiEdmonds(label=label, piece=piece, roots=roots)
 
 
 @dataclass(frozen=True, eq=False)
 class ReachSet:
     """Vertices touched by alternating paths from a set of exposed roots.
 
-    even is exact: v is in it iff some even-length alternating path
-    from a root ends at v.  odd only records vertices whose final
-    label stayed odd, a sound subset of the odd-reachable vertices.
-    label is the search's label array (0 for unreached vertices); p is
-    its parent list, kept for path recovery.
+    label is the search's label array, 0 for unreached vertices.  A
+    vertex labeled even is exactly one that some even-length alternating
+    path from a root ends at; one labeled odd is odd-reachable, though
+    not every odd-reachable vertex keeps that label.  p is the search's
+    parent list, kept for path recovery.
     """
 
     label: np.ndarray
@@ -496,14 +499,6 @@ class ReachSet:
     @cached_property
     def members(self) -> frozenset:
         return _vertex_set(np.asarray(self.label) != 0)
-
-    @cached_property
-    def even(self) -> frozenset:
-        return _vertex_set(np.asarray(self.label) == _EVEN)
-
-    @cached_property
-    def odd(self) -> frozenset:
-        return _vertex_set(np.asarray(self.label) == _ODD)
 
 
 def reachable_set(g: Graph, match: list, roots) -> ReachSet:

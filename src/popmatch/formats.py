@@ -370,13 +370,16 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+_NOT_OBJECT = "certificate must be a JSON object"
+
+
 def parse_certificate(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ParseError("certificate must be a JSON object")
+        raise ParseError(_NOT_OBJECT)
     if doc.get("verdict") not in VERDICTS:
         raise ParseError(f"unknown verdict {doc.get('verdict')!r}")
     return doc
@@ -559,6 +562,8 @@ def verify_certificate(inst: RoommatesInstance, m: Matching, doc: dict) -> str |
         check_matching(inst, m)
     except ValueError as exc:
         return str(exc)
+    if not isinstance(doc, dict):
+        return _NOT_OBJECT
     verdict = doc.get("verdict")
     if verdict == "popular":
         return _verify_popular(inst, m, doc, fractional=False)

@@ -45,7 +45,6 @@ from .popularity import (
     _bad_nodes,
     _finish_popular,
     _finish_unpopular,
-    _reached_big_pieces,
 )
 
 
@@ -107,11 +106,10 @@ def is_fractional_popular(
         return NotFractionalPopular(
             structure=None, p=p, value_times_two=vt2, from_unpopular=unpop
         )
-    big = _reached_big_pieces(an.aux, an.ge, an.reach)
-    if not big.size:
-        return FractionalPopular(witness=_finish_popular(inst, m, an, big).witness)
+    if not an.big.size:
+        return FractionalPopular(witness=_finish_popular(inst, m, an).witness)
     # pieces are numbered by least vertex, so big[0] is the lowest reached one
-    s = extract_fractional_structure(inst, m, an, int(big[0]))
+    s = extract_fractional_structure(inst, m, an, int(an.big[0]))
     msg = check_fractional_structure(inst, m, s)
     if msg is not None:
         raise InternalError(f"constructed fractional structure is invalid: {msg}")
@@ -136,7 +134,7 @@ def extract_fractional_structure(
     g = aux.graph
     match = an.match
     comp = an.ge.vertices(k)
-    root = an.ge.roots[k]
+    root = int(an.ge.roots[k])
     pay = aux.payload_array
     cyc = odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)
 

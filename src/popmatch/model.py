@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -265,8 +265,9 @@ class Matching(_Frozen):
     Build from a partner sequence with None for unmatched nodes,
     `Matching(partner)`, or with `from_pairs`, `from_partner_list` or
     `empty`; each raises ValueError unless the partners form an
-    involution. `partner_array` is the state; `partner`, the sequence as
-    a tuple with None for unmatched nodes, is a view built on first use.
+    involution. A partner entry is any integer, numpy's included.
+    `partner_array` is the state; `partner`, the sequence as a tuple of
+    ints with None for unmatched nodes, is a view built on first use.
     """
 
     _STATE = ("partner_array",)
@@ -274,13 +275,18 @@ class Matching(_Frozen):
     def __init__(self, partner):
         entries = tuple(partner)
         n = len(entries)
-        isint = np.fromiter(map(isinstance, entries, repeat(int)), dtype=bool, count=n)
-        w = np.where(isint, np.fromiter(entries, dtype=object, count=n), -1)
-        fits = isint & (w >= 0) & (w < n)
-        given = np.fromiter(map(operator.is_not, entries, repeat(None)), dtype=bool, count=n)
-        pa = np.where(fits, w, -1).astype(np.int64)
-        _check_involution(pa, given & ~fits, entries)
-        self.__dict__["partner"] = entries  # the view's slot, already built
+        pa = [-1] * n
+        for v, w in enumerate(entries):
+            if w is not None:
+                try:
+                    w = operator.index(w)
+                except TypeError:
+                    w = n
+                pa[v] = w if 0 <= w < n else n  # n marks an entry that names no node
+        pa = np.array(pa, dtype=np.int64)
+        wrong = pa == n
+        pa[wrong] = -1
+        _check_involution(pa, wrong, entries)
         self._take(partner_array=pa)
 
     @classmethod

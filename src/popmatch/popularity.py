@@ -147,13 +147,20 @@ class Unpopular:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """Shared output of the auxiliary-graph search, reused by the fractional test."""
+    """Shared output of the auxiliary-graph search, reused by the fractional test.
+
+    match is the auxiliary matching as the list the forest traces read;
+    the array checks read `aux.matching_array`.  When M is popular, big
+    holds `_reached_big_pieces`; every field after aug_path is None
+    otherwise.
+    """
 
     aux: AuxGraph
     match: list
     aug_path: tuple[int, ...] | None
     ge: GallaiEdmonds | None
     reach: ReachSet | None
+    big: np.ndarray | None
 
 
 def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
@@ -168,21 +175,23 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     """
     aux = build_aux(inst, m)
     g = aux.graph
-    match = aux.matching_array.tolist()
+    ma = aux.matching_array
+    match = ma.tolist()
     forest = _run_search(g, match, aux.seeds)
     reach = None
     if forest.aug is None:
-        _validate_matching(g, match)
+        _validate_matching(g, ma)
         reach_label = np.array(forest.label, dtype=np.int8)
         if aux.u_id >= 0:
             forest = _run_search(g, match, [aux.u_id], forest=forest)
         # phase two labels only u's tree, so p stays valid for the seeds' forest
         reach = ReachSet(label=reach_label, p=forest.p)
     if forest.aug is not None:
-        return _Analysis(aux, match, tuple(_augmenting_path(g, match, forest)), None, None)
-    ge = gallai_edmonds(g, match, forest)
-    check_reach_properties(g, match, reach, ge, forbidden=aux.u_id)
-    return _Analysis(aux, match, None, ge, reach)
+        path = tuple(_augmenting_path(g, match, forest))
+        return _Analysis(aux, match, path, None, None, None)
+    ge = gallai_edmonds(g, ma, forest)
+    check_reach_properties(g, ma, reach, ge, forbidden=aux.u_id)
+    return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(aux, ge, reach))
 
 
 def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:
@@ -193,10 +202,8 @@ def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:
     return _finish_unpopular(inst, m, an)
 
 
-def _finish_popular(
-    inst: RoommatesInstance, m: Matching, an: _Analysis, big: np.ndarray | None = None
-) -> Popular:
-    witness = build_dual_witness(inst, m, an.aux, an.ge, an.reach, big)
+def _finish_popular(inst: RoommatesInstance, m: Matching, an: _Analysis) -> Popular:
+    witness = build_dual_witness(inst, m, an.aux, an.ge, an.reach, an.big)
     msg = witness_violation(inst, m, witness)
     if msg is not None:
         raise InternalError(f"constructed dual witness is invalid: {msg}")
@@ -382,8 +389,8 @@ def _reached_big_pieces(aux: AuxGraph, ge: GallaiEdmonds, reach: ReachSet) -> np
     """Ascending ids of the reached pieces of size >= 3, each rooted at an
     original or a star node."""
     big = np.flatnonzero(ge.sizes >= 3)
-    roots = np.asarray(ge.roots, dtype=np.int64)[big]
-    reached = np.asarray(reach.label)[roots] != 0
+    roots = ge.roots[big]
+    reached = reach.label[roots] != 0
     big, roots = big[reached], roots[reached]
     kinds = aux.kind[roots]
     stray = (kinds != KIND_ORIG) & (kinds != KIND_STAR)
@@ -400,19 +407,17 @@ def build_dual_witness(
     aux: AuxGraph,
     ge: GallaiEdmonds,
     reach: ReachSet,
-    big: np.ndarray | None = None,
+    big: np.ndarray,
 ) -> DualWitness:
     """Dual witness from the decomposition of the auxiliary graph.
 
-    Reached factor-critical components of size >= 3 become the odd sets
-    (a star root is traded for its middle); reached nodes take alpha -1
-    in the exposed part and +1 in the separator, everyone else 0. big
-    is `_reached_big_pieces` of the decomposition, if already known.
+    Reached factor-critical components of size >= 3, the pieces that
+    `_reached_big_pieces` gives as big, become the odd sets (a star root
+    is traded for its middle); reached nodes take alpha -1 in the
+    exposed part and +1 in the separator, everyone else 0.
     """
-    if big is None:
-        big = _reached_big_pieces(aux, ge, reach)
     pay = aux.payload_array
-    reached = np.asarray(reach.label) != 0
+    reached = reach.label != 0
     reached[aux.n_matched:] = False  # original nodes only
     cmatched = np.flatnonzero(reached & (ge.label == 0))
     if cmatched.size:

@@ -32,7 +32,8 @@ def test_one_search_equals_the_two_it_replaces():
     for inst, m in analysis_cases():
         an = _analyze(inst, m)
         g = an.aux.graph
-        match = list(an.aux.matching)
+        match = an.aux.matching_array.tolist()
+        assert match == an.match
         assert (an.aug_path is None) == is_maximum(g, match)
         if an.aug_path is not None:
             continue
@@ -47,7 +48,7 @@ def test_one_search_equals_the_two_it_replaces():
         ge = gallai_edmonds(g, match)
         assert np.array_equal(an.ge.label, ge.label)
         assert np.array_equal(an.ge.piece, ge.piece)
-        assert an.ge.roots == ge.roots
+        assert np.array_equal(an.ge.roots, ge.roots)
         # pieces are numbered by their least vertex
         least = [int(an.ge.vertices(k)[0]) for k in range(len(an.ge.roots))]
         assert least == sorted(least)

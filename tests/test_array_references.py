@@ -10,6 +10,7 @@ the same values and the same error messages, on the analysis corpus
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -20,7 +21,7 @@ from helpers import (
     reference_half_canonical,
     reference_witness_violation,
 )
-from popmatch.auxgraph import build_aux
+from popmatch.auxgraph import KIND_STAR, build_aux
 from popmatch.fractional import NotFractionalPopular, is_fractional_popular
 from popmatch.model import HalfIntegralMatching, Matching
 from popmatch.popularity import DualWitness, Popular, is_popular, witness_violation
@@ -46,15 +47,40 @@ def _small_cases(count, seed):
         yield inst, _random_matching(rng, inst)
 
 
+def _index_map(arr) -> dict:
+    """{i: arr[i]} for every i with arr[i] != -1."""
+    return {i: a for i, a in enumerate(arr.tolist()) if a != -1}
+
+
+def _aux_maps(aux, n) -> dict:
+    """build_aux's arrays in the reference's tuple and dict forms."""
+    pay = aux.payload_array
+    # matched originals come first, in ascending order; the rest fold into u
+    orig_to_aux = np.full(n, aux.u_id)
+    orig_to_aux[pay[:aux.n_matched]] = np.arange(aux.n_matched)
+    stars = np.flatnonzero(aux.kind == KIND_STAR).tolist()
+    return {
+        "kind": tuple(("orig", "block", "star", "u")[k] for k in aux.kind),
+        "payload": tuple(pay.tolist()),
+        "orig_to_aux": tuple(orig_to_aux.tolist()),
+        "matching": tuple(aux.matching_array.tolist()),
+        "seeds": aux.seeds,
+        "u_id": aux.u_id,
+        "b_of": _index_map(aux.b_of_array),
+        "star_of": _index_map(aux.star_of_array),
+        "star_leaves": {int(pay[s]): tuple(aux.leaves(s).tolist()) for s in stars},
+        "leaf_star": _index_map(aux.leaf_star_array),
+        "edges": sorted(aux.graph.edges()),
+    }
+
+
 def test_aux_arrays_match_the_tuple_reference():
     stars = 0
     for inst, m in list(analysis_cases()) + list(_small_cases(300, 5)):
         aux = build_aux(inst, m)
         ref = reference_aux(inst, m)
-        got = {key: getattr(aux, key) for key in ref if key not in ("edges", "kind")}
-        got["edges"] = sorted(aux.graph.edges())
-        got["kind"] = tuple(("orig", "block", "star", "u")[k] for k in aux.kind)
-        assert got == ref
+        assert _aux_maps(aux, inst.n) == ref
+        assert aux.star_of == ref["star_of"]
         assert [aux.leaves(s).tolist() for s in aux.star_of.values()] == [
             list(ls) for ls in ref["star_leaves"].values()
         ]

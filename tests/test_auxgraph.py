@@ -20,14 +20,15 @@ def test_aux_ids_and_seeds(two_triangles_pendants):
     aux = build_aux(inst, m)
     assert aux.graph.n == 11
     assert tuple(aux.kind) == (KIND_ORIG,) * 6 + (KIND_BLOCK,) * 3 + (KIND_STAR, KIND_U)
-    assert aux.payload == (0, 1, 2, 3, 4, 5, 0, 2, 3, 3, -1)
-    assert aux.orig_to_aux == (0, 1, 2, 3, 4, 5, 10, 10)
+    assert aux.payload_array.tolist() == [0, 1, 2, 3, 4, 5, 0, 2, 3, 3, -1]
+    assert aux.n_matched == 6 and m.unmatched() == (6, 7)  # both fold into u
     assert aux.u_id == 10
     assert aux.seeds == (6, 7, 8, 9)
-    assert aux.b_of == {0: 6, 2: 7, 3: 8}
+    assert aux.b_of_array.tolist() == [6, -1, 7, 8, -1, -1, -1, -1]
     assert aux.star_of == {3: 9}
-    assert aux.star_leaves == {3: (4, 5)}
-    assert aux.leaf_star == {4: 3, 5: 3}
+    assert aux.star_of_array.tolist() == [-1, -1, -1, 9, -1, -1, -1, -1]
+    assert aux.leaves(9).tolist() == [4, 5]
+    assert aux.leaf_star_array.tolist() == [-1, -1, -1, -1, 3, 3, -1, -1]
 
 
 def test_aux_graph_frozen(two_triangles_pendants):
@@ -46,7 +47,7 @@ def test_aux_graph_frozen(two_triangles_pendants):
         (5, 9),
         (5, 10),
     ]
-    assert aux.matching == (1, 0, 3, 2, 5, 4, -1, -1, -1, -1, -1)
+    assert aux.matching_array.tolist() == [1, 0, 3, 2, 5, 4, -1, -1, -1, -1, -1]
 
 
 def test_aux_labels(two_triangles_pendants):
@@ -63,9 +64,9 @@ def test_aux_without_unmatched(swap_square):
     aux = build_aux(inst, m)
     assert aux.u_id == -1
     assert tuple(aux.kind) == (KIND_ORIG,) * 4 + (KIND_BLOCK,) * 2
-    assert aux.payload == (0, 1, 2, 3, 1, 2)
+    assert aux.payload_array.tolist() == [0, 1, 2, 3, 1, 2]
     assert sorted(aux.graph.edges()) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 5)]
-    assert aux.matching == (1, 0, 3, 2, -1, -1)
+    assert aux.matching_array.tolist() == [1, 0, 3, 2, -1, -1]
     assert aux.seeds == (4, 5)
 
 
@@ -76,7 +77,7 @@ def test_aux_empty_matching(triangle_pendant):
     assert tuple(aux.kind) == (KIND_BLOCK,) * 4 + (KIND_U,)
     assert aux.u_id == 4
     assert sorted(aux.graph.edges()) == [(0, 4), (1, 4), (2, 4), (3, 4)]
-    assert aux.matching == (-1,) * 5
+    assert aux.matching_array.tolist() == [-1] * 5
 
 
 def test_local_blocking_probes(two_triangles_pendants):
@@ -118,7 +119,8 @@ def test_aux_invariants_random():
         # id layout: matched originals, owners, stars, then u
         origs = [i for i, k in enumerate(aux.kind) if k == KIND_ORIG]
         assert origs == list(range(len(origs)))
-        pl = aux.payload
+        pl = aux.payload_array.tolist()
+        match = aux.matching_array.tolist()
         for group in (KIND_ORIG, KIND_BLOCK, KIND_STAR):
             ids = [i for i, k in enumerate(aux.kind) if k == group]
             assert [pl[i] for i in ids] == sorted(pl[i] for i in ids)
@@ -126,13 +128,13 @@ def test_aux_invariants_random():
         if aux.u_id != -1:
             assert aux.kind[aux.u_id] == KIND_U and aux.u_id == g.n - 1
         # matching is an involution on matched originals, seeds exposed
-        for i, j in enumerate(aux.matching):
+        for i, j in enumerate(match):
             if j != -1:
-                assert aux.matching[j] == i
+                assert match[j] == i
                 assert aux.kind[i] == KIND_ORIG
                 assert m.partner[pl[i]] == pl[j]
         for s in aux.seeds:
-            assert aux.matching[s] == -1
+            assert match[s] == -1
             assert aux.kind[s] in (KIND_BLOCK, KIND_STAR)
         # blocking edges are gone, local probes agree with the weights
         for u, v in g.edges():

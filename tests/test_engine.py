@@ -6,6 +6,8 @@ import numpy as np
 
 from popmatch.auxgraph import build_aux
 from popmatch.engine import (
+    _EVEN,
+    _ODD,
     EngineError,
     Graph,
     ReachSet,
@@ -199,7 +201,7 @@ def test_matching_check_on_a_large_auxiliary_graph():
     aux = build_aux(inst, random_maximal_matching(inst, seed=3))
     g = aux.graph
     assert g.n > 8000
-    good = list(aux.matching)
+    good = aux.matching_array.tolist()
     _validate_matching(g, good)
     matched = [v for v in range(g.n) if good[v] != -1]
     for _ in range(20):
@@ -233,7 +235,8 @@ def test_gallai_edmonds_flower():
     assert ge.a == frozenset({1})
     assert ge.c == frozenset()
     assert ge.components == (frozenset({0}), frozenset({2, 3, 4}))
-    assert ge.roots == (0, 2)
+    assert ge.roots.tolist() == [0, 2]
+    assert ge.roots.dtype == np.int64 and not ge.roots.flags.writeable
 
 
 def test_gallai_edmonds_rejects_non_maximum():
@@ -245,8 +248,7 @@ def test_gallai_edmonds_rejects_non_maximum():
 def test_reachable_set_flower():
     reach = reachable_set(FLOWER, list(FLOWER_M), [0])
     assert reach.members == frozenset({0, 1, 2, 3, 4})
-    assert reach.even == frozenset({0, 2, 3, 4})
-    assert reach.odd == frozenset({1})
+    assert reach.label.tolist() == [_EVEN, _ODD, _EVEN, _EVEN, _EVEN]
 
 
 def test_even_path_crosses_blossom():

@@ -197,6 +197,12 @@ def test_parse_certificate_errors():
         parse_certificate('{"verdict": "maybe"}')
 
 
+@pytest.mark.parametrize("doc", [[], [1, 2], "popular", 3, None])
+def test_verify_rejects_a_non_object_document(triangle_pendant, doc):
+    inst, m = triangle_pendant
+    assert verify_certificate(inst, m, doc) == "certificate must be a JSON object"
+
+
 def test_verify_rejects_tampered_popular(triangle_pendant):
     inst, m = triangle_pendant
     doc = roundtrip(is_popular(inst, m))

@@ -88,8 +88,8 @@ def test_fractional_popular_reads_the_reached_pieces_once(monkeypatch):
         calls.append(args)
         return _reached_big_pieces(*args)
 
-    monkeypatch.setattr(popmatch.fractional, "_reached_big_pieces", counted)
     monkeypatch.setattr(popmatch.popularity, "_reached_big_pieces", counted)
+    assert not hasattr(popmatch.fractional, "_reached_big_pieces")
     inst, m = partner_first_instance(random.Random(7), 8, 0.6)
     assert isinstance(is_fractional_popular(inst, m), FractionalPopular)
     assert len(calls) == 1

@@ -124,6 +124,34 @@ def test_matching_validation(triangle_pendant):
         check_matching(inst, Matching.empty(3))
 
 
+@pytest.mark.parametrize(
+    "partner, message",
+    [
+        ((1, 0, 3), "partner entry 2 -> 3 is out of range"),
+        ((1, 0, -1), "partner entry 2 -> -1 is out of range"),
+        ((2**64, None), "partner entry 0 -> 18446744073709551616 is out of range"),
+        ((1.0, 0), "partner entry 0 -> 1.0 is out of range"),
+        ((None, "0"), "partner entry 1 -> 0 is out of range"),
+        ((0, None), "partner entry 0 -> 0 is out of range"),
+        ((1, 2, 0), "partner entries 0 and 1 disagree"),
+        ((None, 2, None), "partner entries 1 and 2 disagree"),
+    ],
+)
+def test_matching_partner_errors(partner, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Matching(partner)
+
+
+def test_matching_takes_numpy_integers():
+    m = Matching((np.int64(1), np.int64(0), np.int32(3), 2, None))
+    assert m.partner_array.tolist() == [1, 0, 3, 2, -1]
+    assert m.partner == (1, 0, 3, 2, None)
+    assert all(type(w) is int for w in m.partner[:4])
+    assert m == Matching((1, 0, 3, 2, None))
+    # a bool is an int, as it has always been
+    assert Matching((True, 0)).partner == (1, 0)
+
+
 def test_votes_and_weights(two_triangles_pendants):
     inst, m = two_triangles_pendants
     # node 3 ranks 4 above 2, and None is worse than anyone
@@ -152,7 +180,9 @@ def test_losing_edge_weight():
 def test_blocking_and_stars(two_triangles_pendants):
     inst, m = two_triangles_pendants
     assert blocking_edges(inst, m) == ((0, 2), (3, 4), (3, 5))
-    assert build_aux(inst, m).star_leaves == {3: (4, 5)}
+    aux = build_aux(inst, m)
+    assert aux.star_of == {3: 9}
+    assert aux.leaves(9).tolist() == [4, 5]
 
 
 def test_no_stars_without_shared_middle(two_triangles):

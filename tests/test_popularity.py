@@ -17,6 +17,7 @@ from popmatch.popularity import (
     Popular,
     Unpopular,
     _analyze,
+    _reached_big_pieces,
     build_dual_witness,
     check_blocking_structure,
     is_popular,
@@ -69,7 +70,8 @@ def test_dual_witness_odd_sets_match_a_piece_loop(triangle_pendant, two_triangle
         inst, m = tiled(rng, gadgets + others)
         an = _analyze(inst, m)
         assert an.aug_path is None
-        w = build_dual_witness(inst, m, an.aux, an.ge, an.reach)
+        assert np.array_equal(an.big, _reached_big_pieces(an.aux, an.ge, an.reach))
+        w = build_dual_witness(inst, m, an.aux, an.ge, an.reach, an.big)
         assert list(w.two_sets) == _reference_two_sets(an)
         assert len(w.two_sets) >= len(gadgets)
 
@@ -83,12 +85,12 @@ def test_dual_witness_rejects_bad_pieces(triangle_pendant):
     kind[an.ge.roots[0]] = KIND_BLOCK
     aux = replace(an.aux, kind=kind)
     with pytest.raises(InternalError, match="^reached component of size 3 rooted at b_"):
-        build_dual_witness(inst, m, aux, an.ge, an.reach)
+        _reached_big_pieces(aux, an.ge, an.reach)
     pay = an.aux.payload_array.copy()
     pay[comp[1]] = pay[comp[0]]
     aux = replace(an.aux, payload_array=pay)
     with pytest.raises(InternalError, match="^odd set construction collided$"):
-        build_dual_witness(inst, m, aux, an.ge, an.reach)
+        build_dual_witness(inst, m, aux, an.ge, an.reach, an.big)
 
 
 def test_popular_two_triangles(two_triangles):
