@@ -27,6 +27,7 @@ from .fractional import (
 from .model import (
     HalfIntegralMatching,
     Matching,
+    PairError,
     PreferenceError,
     RoommatesInstance,
     _csr,
@@ -118,7 +119,7 @@ def _token_edges(pad: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class _Tokens:
     data: bytes
-    values: np.ndarray  # per token, read only if bad == -1; beyond int64 reads as int64 max
+    values: np.ndarray  # per token before bad; beyond int64 reads as int64 max
     count: int  # the number of tokens
     newlines: np.ndarray  # byte offset of each line end
     per_line: np.ndarray  # token count of each line
@@ -141,7 +142,7 @@ class _Tokens:
 
     def exact(self, k: int) -> int:
         """Token k as a Python int, beyond int64 too."""
-        if self.bad < 0 and self.values[k] != _INT64_MAX:
+        if k < len(self.values) and self.values[k] != _INT64_MAX:
             return int(self.values[k])
         return int(self._raw(k))
 
@@ -183,15 +184,16 @@ def _tokenize(text: str | bytes) -> _Tokens:
             wrong = minus if other is None else other | minus
             wrong[starts] = False if other is None else other[starts]
             bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
+    good = starts.size if bad < 0 else bad  # the tokens read as values
     values = np.zeros(0, dtype=np.int64)
-    if starts.size and bad < 0:
-        source = data  # ASCII: every byte outside comments passed the classes
+    if good:
+        source = data  # ASCII before bad: every byte outside comments passed the classes
         if commented.size:
             source = np.where(pad[1:-1], b, np.uint8(ord(" "))).tobytes()
-        # every token is -?[0-9]+ between blanks, so each one reads as one
-        # value; the count spares fromstring growing its buffer
-        values = np.fromstring(source, dtype=np.int64, count=starts.size, sep=" ")
-        for k in np.flatnonzero(ends - starts > 18).tolist():
+        # every token before bad is -?[0-9]+ between blanks, so each one
+        # reads as one value; the count spares fromstring growing its buffer
+        values = np.fromstring(source, dtype=np.int64, count=good, sep=" ")
+        for k in np.flatnonzero(ends[:good] - starts[:good] > 18).tolist():
             v = int(data[starts[k] : ends[k]])
             values[k] = v if -_INT64_MAX <= v <= _INT64_MAX else _INT64_MAX
     # tokens before each line end, differenced into a count per line
@@ -255,38 +257,34 @@ def serialize_instance(inst: RoommatesInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matching_error(t: _Tokens, inst: RoommatesInstance) -> ParseError:
-    """The error of the first line of rejected text that breaks the matching rules."""
-    used = {}
-    k = 0  # the line's first token
-    for line in np.flatnonzero(t.per_line).tolist():
-        lineno = line + 1
-        if t.per_line[line] != 2:
-            return ParseError(f"line {lineno}: expected exactly two node ids")
-        if k <= t.bad < k + 2:
-            return t.not_integer(t.bad)
-        u, v = t.exact(k), t.exact(k + 1)
-        k += 2
-        for w in (u, v):
-            if not 0 <= w < inst.n:
-                return ParseError(f"line {lineno}: node {w} is out of range")
-            if w in used:
-                return ParseError(f"line {lineno}: node {w} already matched on line {used[w]}")
-            used[w] = lineno
-        if not inst.has_edges([u], [v])[0]:
-            return ParseError(f"line {lineno}: pair {u} {v} is not an instance edge")
-    return ParseError("matching text could not be read")
-
-
 def parse_matching(text: str | bytes, inst: RoommatesInstance) -> Matching:
     """Read `i j` pair lines, from text or its UTF-8 bytes, against an already parsed instance."""
     t = _tokenize(text)
-    if t.bad < 0 and (t.per_line[t.per_line > 0] == 2).all():
-        try:
-            return Matching.from_pairs(inst, t.values.reshape(-1, 2))
-        except ValueError:
-            pass
-    raise _matching_error(t, inst)
+    lines = np.flatnonzero(t.per_line)
+    # pairs are read up to the first line that is not two integers
+    arity = t.per_line[lines] != 2
+    stop = int(np.argmax(arity)) if arity.any() else len(lines)
+    if 0 <= t.bad < 2 * stop:
+        stop = t.bad // 2
+    try:
+        m = Matching.from_pairs(inst, t.values[: 2 * stop].reshape(-1, 2))
+    except PairError as exc:
+        k = exc.slot
+        w = t.exact(k)
+        first = lines[np.argmax(t.values[: k + 1] == t.values[k]) // 2] + 1  # where w is matched
+        raise ParseError(
+            f"line {lines[k // 2] + 1}: "
+            + {
+                "range": f"node {w} is out of range",
+                "reuse": f"node {w} already matched on line {first}",
+                "edge": f"pair {w} {t.exact(k | 1)} is not an instance edge",
+            }[exc.kind]
+        ) from None
+    if stop < len(lines):
+        if arity[stop]:
+            raise ParseError(f"line {lines[stop] + 1}: expected exactly two node ids")
+        raise t.not_integer(t.bad)
+    return m
 
 
 def serialize_matching(m: Matching) -> str:

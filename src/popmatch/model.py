@@ -38,6 +38,16 @@ class PreferenceError(ValueError):
         )
 
 
+class PairError(ValueError):
+    """A bad matching pair. kind is "range", "reuse" or "edge"; slot is
+    2 * pair + side of the node at fault, side 0 for "edge"."""
+
+    def __init__(self, kind: str, slot: int, u, v):
+        self.kind, self.slot = kind, slot
+        what = "reuses a matched node" if kind == "reuse" else "is not an edge of the instance"
+        super().__init__(f"pair ({u}, {v}) {what}")
+
+
 def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
     """The defect of the first bad entry in row order."""
     bad = (dv < 0) | (dv >= n) | (dv == du)
@@ -76,11 +86,6 @@ def _node_ids(a: np.ndarray) -> np.ndarray:
     if a.dtype != object:
         return a
     return np.where((a >= -(2**63)) & (a < 2**63), a, -1).astype(np.int64)
-
-
-def _node_pairs(pairs) -> np.ndarray:
-    """(k, 2) int64 array of node pairs; ids beyond int64 become -1, no node."""
-    return _node_ids(_int_array(pairs)).reshape(-1, 2)
 
 
 def _csr(groups) -> tuple:
@@ -305,23 +310,26 @@ class Matching(_Frozen):
 
     @classmethod
     def from_pairs(cls, inst: RoommatesInstance, pairs) -> "Matching":
-        """Matching of (u, v) pairs, each an instance edge on two fresh nodes."""
+        """Matching of (u, v) pairs, each an instance edge on two fresh nodes; PairError
+        names the first check that fails, in text order: node u, node v, the edge."""
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
-        arr = _node_pairs(pairs)
-        missing = ~inst.has_edges(arr[:, 0], arr[:, 1])
+        arr = _node_ids(_int_array(pairs)).reshape(-1, 2)  # an id beyond int64 becomes -1
         flat = arr.ravel()
-        order = np.argsort(flat, kind="stable")
-        srt = flat[order]
+        out = (flat < 0) | (flat >= inst.n)
         again = np.zeros(len(flat), dtype=bool)  # a node seen in an earlier slot
-        again[order[1:][srt[1:] == srt[:-1]]] = True
-        bad = missing | again.reshape(-1, 2).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            u, v = pairs[i]
-            if missing[i]:
-                raise ValueError(f"pair ({u}, {v}) is not an edge of the instance")
-            raise ValueError(f"pair ({u}, {v}) reuses a matched node")
+        if out.any() or (flat.size and np.bincount(flat, minlength=inst.n).max() > 1):
+            order = np.argsort(flat, kind="stable")
+            srt = flat[order]
+            again[order[1:][srt[1:] == srt[:-1]]] = True
+        bad = out | again
+        stop = int(np.argmax(bad)) if bad.any() else len(flat)  # the first bad slot
+        has = inst.has_edges(arr[: stop // 2, 0], arr[: stop // 2, 1])
+        if not has.all():
+            i = int(np.argmin(has))
+            raise PairError("edge", 2 * i, *pairs[i])
+        if stop < len(flat):
+            raise PairError("range" if out[stop] else "reuse", stop, *pairs[stop // 2])
         partner = np.full(inst.n, -1, dtype=np.int64)
         partner[arr[:, 0]] = arr[:, 1]
         partner[arr[:, 1]] = arr[:, 0]
@@ -357,9 +365,6 @@ class Matching(_Frozen):
     def size(self) -> int:
         return int(np.count_nonzero(self.partner_array >= 0)) // 2
 
-    def unmatched(self) -> tuple:
-        return tuple(np.flatnonzero(self.partner_array < 0).tolist())
-
 
 def _check_involution(pa: np.ndarray, wrong: np.ndarray, shown) -> None:
     """Raise ValueError at the first entry that is wrong or disagrees with its partner's.
@@ -374,7 +379,7 @@ def _check_involution(pa: np.ndarray, wrong: np.ndarray, shown) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         if wrong[i]:
-            raise ValueError(f"partner entry {i} -> {shown[i]} is out of range")
+            raise ValueError(f"partner entry {i} -> {shown[i]!r} is out of range")
         raise ValueError(f"partner entries {i} and {int(pa[i])} disagree")
 
 
@@ -388,11 +393,7 @@ def check_matching(inst: RoommatesInstance, m: Matching) -> None:
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
     # a Matching is an involution by construction, so only its pairs need checking
-    pairs = m.pair_array()
-    has = inst.has_edges(pairs[:, 0], pairs[:, 1])
-    if not has.all():
-        u, v = pairs[np.argmin(has)].tolist()
-        raise ValueError(f"pair ({u}, {v}) is not an edge of the instance")
+    Matching.from_pairs(inst, m.pair_array())
 
 
 def _ranks(inst: RoommatesInstance, us, vs) -> np.ndarray:

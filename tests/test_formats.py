@@ -123,6 +123,24 @@ def test_parse_matching_grammar(triangle_pendant, text, expected):
     assert str(err.value) == expected
 
 
+def test_parse_matching_looks_edges_up_once(monkeypatch):
+    # a perfect matching of 1,000 disjoint edges; its last line reuses node 0
+    n = 2000
+    inst = RoommatesInstance(tuple((v ^ 1,) for v in range(n)))
+    lines = [f"{u} {u + 1}" for u in range(0, n - 2, 2)] + [f"0 {n - 1}"]
+    calls = []
+    has_edges = RoommatesInstance.has_edges
+
+    def counted(self, us, vs):
+        calls.append(len(us))
+        return has_edges(self, us, vs)
+
+    monkeypatch.setattr(RoommatesInstance, "has_edges", counted)
+    with pytest.raises(ParseError, match="^line 1000: node 0 already matched on line 1$"):
+        parse_matching("\n".join(lines) + "\n", inst)
+    assert len(calls) <= 1
+
+
 def test_certificate_round_trips(
     two_triangles_pendants, triangle_pendant, two_triangles, swap_square
 ):

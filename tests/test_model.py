@@ -14,6 +14,7 @@ from popmatch.formats import parse_instance, serialize_instance
 from popmatch.model import (
     HalfIntegralMatching,
     Matching,
+    PairError,
     RoommatesInstance,
     blocking_edges,
     check_matching,
@@ -112,11 +113,14 @@ def test_matching_validation(triangle_pendant):
     inst, m = triangle_pendant
     assert m.pairs() == ((0, 1), (2, 3))
     assert m.size() == 2
-    assert m.unmatched() == ()
+    assert not np.flatnonzero(m.partner_array < 0).size
     with pytest.raises(ValueError, match="not an edge"):
         Matching.from_pairs(inst, [(0, 3)])
     with pytest.raises(ValueError, match="reuses"):
         Matching.from_pairs(inst, [(0, 1), (1, 2)])
+    # 1-3 is no edge either; node 1 is read before the pair, as in matching text
+    with pytest.raises(ValueError, match=r"^pair \(1, 3\) reuses a matched node$"):
+        Matching.from_pairs(inst, [(0, 1), (1, 3)])
     with pytest.raises(ValueError, match="disagree"):
         Matching((1, 2, None, None))
     assert Matching.from_partner_list([1, 0, -1, None]).pairs() == ((0, 1),)
@@ -131,7 +135,7 @@ def test_matching_validation(triangle_pendant):
         ((1, 0, -1), "partner entry 2 -> -1 is out of range"),
         ((2**64, None), "partner entry 0 -> 18446744073709551616 is out of range"),
         ((1.0, 0), "partner entry 0 -> 1.0 is out of range"),
-        ((None, "0"), "partner entry 1 -> 0 is out of range"),
+        ((None, "0"), "partner entry 1 -> '0' is out of range"),
         ((0, None), "partner entry 0 -> 0 is out of range"),
         ((1, 2, 0), "partner entries 0 and 1 disagree"),
         ((None, 2, None), "partner entries 1 and 2 disagree"),
@@ -140,6 +144,25 @@ def test_matching_validation(triangle_pendant):
 def test_matching_partner_errors(partner, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Matching(partner)
+
+
+@pytest.mark.parametrize(
+    "pairs, kind, slot",
+    [
+        ([(0, 1), (2, 9)], "range", 3),
+        ([(0, 1), (3, 1)], "reuse", 3),
+        ([(0, 1), (2, 2)], "reuse", 3),
+        ([(2, 3), (0, 1), (1, 3)], "reuse", 4),
+        ([(0, 1), (3, 2), (0, 9)], "reuse", 4),
+        ([(2, 3), (1, 0), (9, 1)], "range", 4),
+        ([(2, 1), (0, 3)], "edge", 2),
+    ],
+)
+def test_pair_error_names_the_first_bad_slot(triangle_pendant, pairs, kind, slot):
+    inst, _ = triangle_pendant
+    with pytest.raises(PairError) as err:
+        Matching.from_pairs(inst, pairs)
+    assert (err.value.kind, err.value.slot) == (kind, slot)
 
 
 def test_matching_takes_numpy_integers():
@@ -292,7 +315,7 @@ def test_fractional_value_matches_vote_loop():
         ]
         p = HalfIntegralMatching(
             ones=other.pairs(),
-            loop_ones=other.unmatched(),
+            loop_ones=np.flatnonzero(other.partner_array < 0),
             half_cycles=tuple(rng.sample(triangles, min(len(triangles), 2))),
         )
         assert fractional_value_times_two(inst, m, p) == _value_times_two_by_votes(inst, m, p)
