@@ -27,6 +27,7 @@ from .model import (
     _ranks,
     _weights,
     check_matching,
+    index_dtype,
 )
 
 # AuxGraph.kind codes
@@ -42,7 +43,8 @@ class AuxGraph:
     star, and the collapsed exposed node last when M leaves anything
     unmatched.
 
-    The maps are read-only int64 arrays.  Per auxiliary node:
+    The maps are read-only arrays of index_dtype(n_aux, 0), int32
+    unless ids reach 2^31.  Per auxiliary node:
     `payload_array`, the original node it stands for (a star's middle,
     -1 for the exposed node); `matching_array`, its partner or -1; and
     the star leaves in CSR form, `leaf_nodes[leaf_off[i]:leaf_off[i + 1]]`
@@ -102,7 +104,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     bdeg = np.bincount(bu, minlength=n) + np.bincount(bv, minlength=n)
     leaf = bdeg == 1
     # the one blocking partner of each leaf
-    bpartner = np.full(n, -1, dtype=np.int64)
+    bpartner = np.full(n, -1, dtype=eu.dtype)
     lu = leaf[bu]
     lv = leaf[bv]
     bpartner[bu[lu]] = bv[lu]
@@ -119,13 +121,14 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     have_u = bool((~matched).any())
     n_aux = nm + nb + ns + (1 if have_u else 0)
     u_id = n_aux - 1 if have_u else -1
+    idx = index_dtype(n_aux, 0)
 
-    orig_to_aux = np.full(n, u_id, dtype=np.int64)
-    orig_to_aux[morder] = np.arange(nm, dtype=np.int64)
-    b_of = np.full(n, -1, dtype=np.int64)
-    b_of[owners] = nm + np.arange(nb, dtype=np.int64)
-    star_of = np.full(n, -1, dtype=np.int64)
-    star_of[middles] = nm + nb + np.arange(ns, dtype=np.int64)
+    orig_to_aux = np.full(n, u_id, dtype=idx)
+    orig_to_aux[morder] = np.arange(nm, dtype=idx)
+    b_of = np.full(n, -1, dtype=idx)
+    b_of[owners] = np.arange(nm, nm + nb, dtype=idx)
+    star_of = np.full(n, -1, dtype=idx)
+    star_of[middles] = np.arange(nm + nb, nm + nb + ns, dtype=idx)
 
     zmask = w == 0
     zu = orig_to_aux[eu[zmask]]
@@ -134,7 +137,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     zu, zv = zu[keep], zv[keep]
 
     slv = np.flatnonzero(star_leaf)
-    leaf_star = np.full(n, -1, dtype=np.int64)
+    leaf_star = np.full(n, -1, dtype=idx)
     leaf_star[slv] = bpartner[slv]
     slv_star = star_of[bpartner[slv]]
     # edges at u repeat when several unmatched nodes share a neighbor
@@ -142,20 +145,22 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     vs = np.concatenate([zv, orig_to_aux[owners], orig_to_aux[slv]])
     graph = Graph.from_edges(n_aux, np.column_stack((us, vs)))
 
-    aux_match = np.full(n_aux, -1, dtype=np.int64)
+    aux_match = np.full(n_aux, -1, dtype=idx)
     aux_match[:nm] = orig_to_aux[pa[morder]]
 
-    leaf_off = np.zeros(n_aux + 1, dtype=np.int64)
+    leaf_off = np.zeros(n_aux + 1, dtype=idx)
     np.cumsum(np.bincount(slv_star, minlength=n_aux), out=leaf_off[1:])
     arrays = {
         "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
-        "payload_array": np.concatenate([morder, owners, middles, np.full(int(have_u), -1)]),
+        "payload_array": np.concatenate(
+            [morder, owners, middles, np.full(int(have_u), -1)]
+        ).astype(idx),
         "matching_array": aux_match,
         "b_of_array": b_of,
         "star_of_array": star_of,
         "leaf_star_array": leaf_star,
         "leaf_off": leaf_off,
-        "leaf_nodes": slv[np.argsort(slv_star, kind="stable")],
+        "leaf_nodes": slv[np.argsort(slv_star, kind="stable")].astype(idx),
     }
     for a in arrays.values():
         a.flags.writeable = False

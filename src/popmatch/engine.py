@@ -19,19 +19,24 @@ search's union-find instead of traversing the graph again.
 index per vertex; their frozenset attributes are views built on
 first use.
 
-Vertices are 0..n-1, matchings are partner lists with -1 for exposed
-vertices; the array checks also take an int64 partner array.  All
+Vertices are 0..n-1.  A graph holds its adjacency once, as
+`array.array` buffers that the search slices and numpy views for the
+vectorized checks.  Matchings are partner lists with -1 for exposed
+vertices; the array checks also take an integer partner array.  All
 traversals run in sorted adjacency order, so every result is
 deterministic.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .model import index_dtype
 
 
 class EngineError(RuntimeError):
@@ -45,17 +50,20 @@ _ODD = 2
 class Graph:
     """Undirected simple graph in CSR form with sorted adjacency.
 
-    off and nbr are Python lists for the search; `edge_arrays` gives
-    the same adjacency as numpy arrays for vectorized checks.
+    off and nbr are `array.array` buffers of index_dtype(n, 2|E|): the
+    search slices them and `bisect` reads them like lists, and
+    `edge_arrays` views the same nbr buffer as a numpy array.
     """
 
-    __slots__ = ("n", "off", "nbr", "_arrays")
+    __slots__ = ("n", "off", "nbr", "_dst")
 
-    def __init__(self, n, off, nbr, arrays):
+    def __init__(self, n, off, nbr):
         self.n = n
         self.off = off
         self.nbr = nbr
-        self._arrays = arrays
+        dst = np.frombuffer(nbr, dtype=nbr.typecode)
+        dst.flags.writeable = False  # the view also pins nbr's size
+        self._dst = dst
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -77,13 +85,13 @@ class Graph:
         key.sort()
         if key.size:
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        src = key // max(n, 1)
-        nbr = key - src * n
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-        return cls(n, off.tolist(), nbr.tolist(), (src, nbr))
+        idx = index_dtype(n, len(key))
+        off = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=off[1:])
+        key %= max(n, 1)
+        return cls(n, _buffer(off, idx), _buffer(key, idx))
 
-    def neighbors(self, v: int) -> list[int]:
+    def neighbors(self, v: int) -> array:
         return self.nbr[self.off[v]:self.off[v + 1]]
 
     def degree(self, v: int) -> int:
@@ -104,8 +112,20 @@ class Graph:
                     yield u, v
 
     def edge_arrays(self) -> tuple:
-        """(src, dst) int64 arrays, every edge once per direction, in CSR order."""
-        return self._arrays
+        """(src, dst) arrays, every edge once per direction, in CSR order.
+
+        dst is a read-only view of nbr; src is rebuilt from off on each call.
+        """
+        off = np.frombuffer(self.off, dtype=self.off.typecode)
+        return np.repeat(np.arange(self.n, dtype=off.dtype), np.diff(off)), self._dst
+
+
+def _buffer(values: np.ndarray, dtype) -> array:
+    """values as an `array.array` of dtype, allocated to size and filled in place."""
+    dtype = np.dtype(dtype)
+    buf = array(dtype.char, bytes(dtype.itemsize)) * len(values)
+    np.frombuffer(buf, dtype=dtype)[:] = values
+    return buf
 
 
 @dataclass
@@ -131,9 +151,7 @@ def _find(dsu, x):
 
 
 def _lca(match, p, dsu, visit, stamp, a, b):
-    # climb from both endpoints alternately, one base step at a time
-    a = _find(dsu, a)
-    b = _find(dsu, b)
+    # climb from the blossom bases a and b alternately, one base step at a time
     while a != -1 or b != -1:
         if a != -1:
             if visit[a] == stamp:
@@ -150,11 +168,12 @@ def _lca(match, p, dsu, visit, stamp, a, b):
 def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
     # walk from v up to the blossom base, rewiring parent pointers so
     # later traces can cross the contracted cycle in either direction
-    while _find(dsu, v) != ca:
+    bv = _find(dsu, v)
+    while bv != ca:
         o = match[v]
         if o == -1:
             raise EngineError("blossom walk passed an exposed vertex")
-        pending.append(_find(dsu, v))
+        pending.append(bv)
         pending.append(_find(dsu, o))
         p[v] = child
         if label[o] != _EVEN:
@@ -162,6 +181,7 @@ def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
             queue.append(o)
         child = o
         v = p[o]
+        bv = _find(dsu, v)
 
 
 def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> _Forest:
@@ -227,10 +247,8 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
                 pending: list[int] = []
                 _mark_path(match, p, dsu, label, queue, pending, v, ca, w)
                 _mark_path(match, p, dsu, label, queue, pending, w, ca, v)
-                for x in pending:
-                    rx = _find(dsu, x)
-                    if rx != ca:
-                        dsu[rx] = ca
+                for x in pending:  # bases, like ca, so each joins ca directly
+                    dsu[x] = ca
             else:
                 mw = match[w]
                 if mw == -1:  # w is exposed yet was not given as a root

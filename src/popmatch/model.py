@@ -50,6 +50,7 @@ class PairError(ValueError):
 
 def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
     """The defect of the first bad entry in row order."""
+    du, dv = du.astype(np.int64), dv.astype(np.int64)  # the keys below overflow int32
     bad = (dv < 0) | (dv >= n) | (dv == du)
     stop = int(np.argmax(bad)) if bad.any() else len(dv)
     # a repeat before the first bad entry comes first; ids there are valid
@@ -67,6 +68,12 @@ def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
     listed = np.searchsorted(ds, back, side="right") > np.searchsorted(ds, back)
     i = int(np.argmin(listed))
     return PreferenceError("one-sided", int(du[i]), int(dv[i]), i)
+
+
+def index_dtype(n: int, entries: int):
+    """The dtype of node ids below n and of positions up to entries: int32
+    when both fit it, int64 otherwise."""
+    return np.int32 if max(n, entries) < 2**31 else np.int64
 
 
 def _int_array(values) -> np.ndarray:
@@ -136,12 +143,14 @@ class _Frozen:
 class RoommatesInstance(_Frozen):
     """Immutable preference profile; pref[v] ranks v's neighbors, best first.
 
-    The state is two read-only int64 arrays in CSR form: `off` (n + 1
+    The state is two read-only arrays in CSR form: `off` (n + 1
     offsets) and the flat preference array `dv`, so row v is
-    dv[off[v]:off[v + 1]]. Build from rows, `RoommatesInstance(pref)`, or
-    from arrays, `RoommatesInstance(csr=(off, dv))`; the arrays are taken
-    over, not copied. `pref`, `rank` and `edges` are views built on first
-    use. Raises PreferenceError for rows that break the instance rules.
+    dv[off[v]:off[v + 1]]. Both hold the index dtype, `index_dtype(n,
+    2|E|)`, chosen once here. Build from rows, `RoommatesInstance(pref)`,
+    or from arrays, `RoommatesInstance(csr=(off, dv))`; arrays given are
+    converted to the index dtype, so they are copied unless they already
+    hold it. `pref`, `rank` and `edges` are views built on first use.
+    Raises PreferenceError for rows that break the instance rules.
     """
 
     _STATE = ("off", "dv")
@@ -218,46 +227,50 @@ class RoommatesInstance(_Frozen):
 
 
 def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
-    """The instance arrays of CSR rows, read-only; PreferenceError if a row is bad.
+    """The instance arrays of int64 CSR rows, read-only; PreferenceError if a row is bad.
 
-    du/dv/dpos give each directed entry's owner, neighbor and position
-    in the owner's row. Each undirected edge has the key lo * n + hi;
-    `keys` holds them sorted, and eu/ev/pu/pv are aligned with it.
+    They are off, dv, and per undirected edge: `keys`, the int64 keys
+    lo * n + hi in ascending order; eu/ev, its two ends; pu/pv, the
+    position of each end's entry in its own row. All but `keys` hold
+    index_dtype(n, len(dv)). The owner of each directed entry, du, is a
+    temporary.
     """
     n = len(off) - 1
     total = len(dv)
-    counts = np.diff(off)
-    du = np.repeat(np.arange(n, dtype=np.int64), counts)
+    idx = index_dtype(n, total)
+    du = np.repeat(np.arange(n, dtype=idx), np.diff(off))
     if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
         raise _first_defect(du, dv, n)
-    # (lo * n + hi) * 2 + (du > dv), built in place: the low bit tells the
-    # two directions apart, so valid keys are distinct
-    key2 = np.maximum(du, dv)
+    off = off.astype(idx, copy=False)
+    dv = dv.astype(idx, copy=False)
+    # (lo * n + hi) * 2 + (du > dv), built in int64 and in place: the low
+    # bit tells the two directions apart, so valid keys are distinct
+    key2 = np.maximum(du, dv, dtype=np.int64)
     key2 *= 2
     key2 += du > dv
-    lo = np.minimum(du, dv)
+    lo = np.minimum(du, dv, dtype=np.int64)
     lo *= 2 * n
     key2 += lo
-    # lo and key2 live until the return: freeing them early lowers the
-    # parse peak but lets glibc trim heap that later decides reuse
-    # (CHANGES.md, FOUND on heap trimming)
+    # freed as soon as used: on the benchmark's unpopular-dense run that
+    # lowers peak RSS by 7 MB and leaves decide_s as it was, though one
+    # large decide in ten then faults back ~1,700 pages that glibc trimmed
+    del lo
     order = np.argsort(key2)
     ks = key2[order]
+    del key2
     # valid iff every edge appears exactly once from each side
     if total % 2 or not np.array_equal(ks[0::2] ^ 1, ks[1::2]):
         raise _first_defect(du, dv, n)
-    dpos = np.arange(total, dtype=np.int64) - np.repeat(off[:-1], counts)
     low, high = order[0::2], order[1::2]
+    eu, ev = du[low], du[high]
     arrays = {
         "off": off,
-        "du": du,
         "dv": dv,
-        "dpos": dpos,
         "keys": ks[0::2] >> 1,
-        "eu": du[low],
-        "ev": du[high],
-        "pu": dpos[low],
-        "pv": dpos[high],
+        "eu": eu,
+        "ev": ev,
+        "pu": np.subtract(low, off[eu], dtype=idx),  # entry index minus row start
+        "pv": np.subtract(high, off[ev], dtype=idx),
     }
     for a in arrays.values():
         a.flags.writeable = False
@@ -281,17 +294,31 @@ class Matching(_Frozen):
         entries = tuple(partner)
         n = len(entries)
         pa = [-1] * n
+        # an entry pointing down to a partner that points back confirms a
+        # pair, so the entries form an involution iff none is unsound and
+        # the confirmed pairs cover every matched entry
+        sound, pairs = True, 0
         for v, w in enumerate(entries):
-            if w is not None:
-                try:
-                    w = operator.index(w)
-                except TypeError:
-                    w = n
-                pa[v] = w if 0 <= w < n else n  # n marks an entry that names no node
-        pa = np.array(pa, dtype=np.int64)
-        wrong = pa == n
-        pa[wrong] = -1
-        _check_involution(pa, wrong, entries)
+            if w is None:
+                continue
+            try:
+                w = operator.index(w)
+            except TypeError:
+                w = n
+            if v < w < n:
+                pass
+            elif 0 <= w < v and pa[w] == v:
+                pairs += 1
+            else:
+                sound = False
+                if not 0 <= w < n:
+                    w = n  # n marks an entry that names no node
+            pa[v] = w
+        pa = np.fromiter(pa, dtype=np.int64, count=n)
+        if not sound or 2 * pairs != n - entries.count(None):
+            wrong = pa == n
+            pa[wrong] = -1
+            _check_involution(pa, wrong, entries)  # names the first bad entry
         self._take(partner_array=pa)
 
     @classmethod
@@ -455,13 +482,12 @@ def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
 def _weights(inst: RoommatesInstance, m: Matching) -> np.ndarray:
     """Edge weights aligned with the undirected arrays eu/ev of inst."""
     arr = inst._arrays
-    r = (arr["off"][1:] - arr["off"][:-1]).copy()  # partner rank; degree if exposed
-    pa = _partner_array(m)
-    hit = arr["dv"] == pa[arr["du"]]
-    r[arr["du"][hit]] = arr["dpos"][hit]
-    return (np.sign(r[arr["eu"]] - arr["pu"]) + np.sign(r[arr["ev"]] - arr["pv"])).astype(
-        np.int8
-    )
+    eu, ev, pu, pv = arr["eu"], arr["ev"], arr["pu"], arr["pv"]
+    r = np.diff(arr["off"])  # partner rank; degree if exposed
+    hit = ev == _partner_array(m)[eu]  # the matched edges
+    r[eu[hit]] = pu[hit]
+    r[ev[hit]] = pv[hit]
+    return (np.sign(r[eu] - pu) + np.sign(r[ev] - pv)).astype(np.int8)
 
 
 def blocking_edges(inst: RoommatesInstance, m: Matching) -> tuple:

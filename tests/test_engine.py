@@ -43,8 +43,8 @@ PETERSEN = Graph.from_edges(
 
 def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 0), (2, 1), (3, 0)])
-    assert g.neighbors(1) == [0, 2]
-    assert g.neighbors(0) == [1, 3]
+    assert list(g.neighbors(1)) == [0, 2]
+    assert list(g.neighbors(0)) == [1, 3]
     assert g.degree(2) == 1 and g.degree(1) == 2
     assert g.has_edge(0, 3) and not g.has_edge(2, 3)
     assert g.edge_count() == 3
@@ -69,13 +69,13 @@ def test_graph_from_edge_array():
     pairs = [(0, 1), (1, 0), (2, 1), (3, 0), (0, 1)]  # repeats in both directions
     for edges in (pairs, np.array(pairs), iter(pairs)):
         g = Graph.from_edges(4, edges)
-        assert (g.off, g.nbr) == ([0, 2, 4, 5, 6], [1, 3, 0, 2, 1, 0])
+        assert (list(g.off), list(g.nbr)) == ([0, 2, 4, 5, 6], [1, 3, 0, 2, 1, 0])
         src, dst = g.edge_arrays()
-        assert src.tolist() == [0, 0, 1, 1, 2, 3] and dst.tolist() == g.nbr
+        assert src.tolist() == [0, 0, 1, 1, 2, 3] and dst.tolist() == list(g.nbr)
     for edges in ([], np.empty((0, 2), dtype=np.int64)):
         g = Graph.from_edges(3, edges)
-        assert (g.off, g.nbr, g.edge_count()) == ([0, 0, 0, 0], [], 0)
-    assert Graph.from_edges(0, []).off == [0]
+        assert (list(g.off), list(g.nbr), g.edge_count()) == ([0, 0, 0, 0], [], 0)
+    assert list(Graph.from_edges(0, []).off) == [0]
 
 
 def test_augmenting_path_plain():
