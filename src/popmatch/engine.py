@@ -51,11 +51,12 @@ class Graph:
     """Undirected simple graph in CSR form with sorted adjacency.
 
     off and nbr are `array.array` buffers of index_dtype(n, 2|E|): the
-    search slices them and `bisect` reads them like lists, and
-    `edge_arrays` views the same nbr buffer as a numpy array.
+    search slices them and `bisect` reads them like lists.  dst is a
+    read-only numpy view of the same nbr buffer, and `per_edge` gives
+    any per-vertex array aligned with it.
     """
 
-    __slots__ = ("n", "off", "nbr", "_dst")
+    __slots__ = ("n", "off", "nbr", "dst")
 
     def __init__(self, n, off, nbr):
         self.n = n
@@ -63,7 +64,7 @@ class Graph:
         self.nbr = nbr
         dst = np.frombuffer(nbr, dtype=nbr.typecode)
         dst.flags.writeable = False  # the view also pins nbr's size
-        self._dst = dst
+        self.dst = dst
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -111,13 +112,16 @@ class Graph:
                 if u < v:
                     yield u, v
 
+    def per_edge(self, values: np.ndarray) -> np.ndarray:
+        """values[src] for the src of `edge_arrays`, without building src."""
+        return np.repeat(values, np.diff(np.frombuffer(self.off, dtype=self.off.typecode)))
+
     def edge_arrays(self) -> tuple:
         """(src, dst) arrays, every edge once per direction, in CSR order.
 
-        dst is a read-only view of nbr; src is rebuilt from off on each call.
+        dst is the view `self.dst`; src is built on each call.
         """
-        off = np.frombuffer(self.off, dtype=self.off.typecode)
-        return np.repeat(np.arange(self.n, dtype=off.dtype), np.diff(off)), self._dst
+        return self.per_edge(np.arange(self.n, dtype=self.dst.dtype)), self.dst
 
 
 def _buffer(values: np.ndarray, dtype) -> array:
@@ -484,10 +488,11 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     piece = np.full(n, -1, dtype=np.int64)
     piece[dv] = rank[inv.ravel()]
 
-    src, dst = g.edge_arrays()
-    cross = np.flatnonzero(d[src] & d[dst] & (piece[src] != piece[dst]))
+    dst = g.dst
+    cross = np.flatnonzero(g.per_edge(d) & d[dst] & (g.per_edge(piece) != piece[dst]))
     if cross.size:
         i = cross[0]
+        src = g.edge_arrays()[0]
         raise EngineError(f"edge {src[i]}-{dst[i]} joins two d-components")
     exits = np.flatnonzero(d & ((ma < 0) | (piece[ma] != piece)))
     if (np.bincount(piece[exits], minlength=len(first)) != 1).any():
@@ -668,8 +673,9 @@ def check_reach_properties(
     inside = np.bincount(ge.piece[members & (ge.piece >= 0)], minlength=len(ge.roots))
     if ((inside > 0) & (inside != ge.sizes)).any():
         raise EngineError("reached set splits a factor-critical component")
-    src, dst = g.edge_arrays()
-    leave = np.flatnonzero((members & (ge.label == _EVEN))[src] & ~members[dst])
+    dst = g.dst
+    leave = np.flatnonzero(g.per_edge(members & (ge.label == _EVEN)) & ~members[dst])
     if leave.size:
         i = leave[0]
+        src = g.edge_arrays()[0]
         raise EngineError(f"edge {src[i]}-{dst[i]} leaves the reached set from its d-part")

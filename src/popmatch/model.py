@@ -294,31 +294,17 @@ class Matching(_Frozen):
         entries = tuple(partner)
         n = len(entries)
         pa = [-1] * n
-        # an entry pointing down to a partner that points back confirms a
-        # pair, so the entries form an involution iff none is unsound and
-        # the confirmed pairs cover every matched entry
-        sound, pairs = True, 0
         for v, w in enumerate(entries):
-            if w is None:
-                continue
-            try:
-                w = operator.index(w)
-            except TypeError:
-                w = n
-            if v < w < n:
-                pass
-            elif 0 <= w < v and pa[w] == v:
-                pairs += 1
-            else:
-                sound = False
-                if not 0 <= w < n:
-                    w = n  # n marks an entry that names no node
-            pa[v] = w
-        pa = np.fromiter(pa, dtype=np.int64, count=n)
-        if not sound or 2 * pairs != n - entries.count(None):
-            wrong = pa == n
-            pa[wrong] = -1
-            _check_involution(pa, wrong, entries)  # names the first bad entry
+            if w is not None:
+                try:
+                    w = operator.index(w)
+                except TypeError:
+                    w = n
+                pa[v] = w if 0 <= w < n else n  # n marks an entry that names no node
+        pa = np.array(pa, dtype=np.int64)
+        wrong = pa == n
+        pa[wrong] = -1
+        _check_involution(pa, wrong, entries)
         self._take(partner_array=pa)
 
     @classmethod

@@ -17,8 +17,10 @@ from popmatch.auxgraph import KIND_ORIG, KIND_STAR
 from popmatch.engine import (
     EngineError,
     Graph,
+    ReachSet,
     _Forest,
     _run_search,
+    check_reach_properties,
     gallai_edmonds,
     is_maximum,
     odd_cycle_through_root,
@@ -136,3 +138,11 @@ def test_gallai_edmonds_rejects_corrupted_forests(g, match, label, dsu, message)
     forest = _Forest(label=label, p=[-1] * g.n, root=[-1] * g.n, aug=None, dsu=dsu)
     with pytest.raises(EngineError, match=message):
         gallai_edmonds(g, match, forest)
+
+
+def test_reach_check_names_the_edge_leaving_the_d_part():
+    # 0 and 2 are even, 1 odd; a reached set of 0 alone leaves by 0-1
+    match = [-1, 2, 1]
+    reach = ReachSet(label=np.array([1, 0, 0], dtype=np.int8), p=[-1] * 3)
+    with pytest.raises(EngineError, match="edge 0-1 leaves the reached set from its d-part"):
+        check_reach_properties(PATH3, match, reach, gallai_edmonds(PATH3, match))

@@ -6,22 +6,28 @@ and 2 alike, so the top-id cases below fail wherever a key is built in
 int32.
 """
 
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import test_certificate_digest
+from helpers import analysis_cases
+from popmatch import auxgraph, engine, model
 from popmatch.auxgraph import build_aux
 from popmatch.engine import Graph
-from popmatch.formats import parse_instance, serialize_instance
+from popmatch.formats import (
+    parse_instance,
+    result_to_document,
+    serialize_instance,
+    verify_certificate,
+)
 from popmatch.fractional import NotFractionalPopular, is_fractional_popular
 from popmatch.generator import generate_instance, random_maximal_matching
 from popmatch.model import (
     Matching,
     PreferenceError,
     RoommatesInstance,
-    _check_involution,
     _ranks,
     _weights,
     blocking_edges,
@@ -117,6 +123,23 @@ def test_index_dtype_switches_at_2_31():
     assert index_dtype(10, 2**31) is np.int64
 
 
+def test_int64_index_arrays_decide_alike(monkeypatch):
+    # only n or 2|E| from 2^31 take int64; run that side on the digest corpus
+    for module in (model, engine, auxgraph):
+        monkeypatch.setattr(module, "index_dtype", lambda n, entries: np.int64)
+    cases = analysis_cases.__wrapped__()  # built afresh, under the patch
+    monkeypatch.setattr(test_certificate_digest, "analysis_cases", lambda: cases)
+    dtypes = {a.dtype for inst, _ in cases for a in inst._arrays.values()}
+    assert dtypes == {np.dtype(np.int64)}
+    aux = build_aux(*cases[0])
+    assert aux.graph.off.itemsize == aux.graph.dst.itemsize == 8
+    assert aux.payload_array.dtype == aux.leaf_nodes.dtype == np.int64
+    test_certificate_digest.test_certificates_are_byte_identical()
+    for inst, m in cases[::5]:
+        for decide in (is_popular, is_fractional_popular):
+            assert verify_certificate(inst, m, result_to_document(decide(inst, m))) is None
+
+
 def test_instance_holds_the_seven_read_only_arrays(two_triangles_pendants):
     inst, m = two_triangles_pendants
     arr = inst._arrays
@@ -171,39 +194,3 @@ def test_arrays_fit_the_memory_budget():
     assert g.edge_count() == aux.graph.edge_count() > 1000
     assert held <= 4 * (k + 1 + 2 * g.edge_count()) + 4096
 
-
-def _array_checked(entries) -> str | None:
-    """The message of the array check alone on a partner sequence, None if it passes."""
-    n = len(entries)
-    pa = np.array(
-        [-1 if w is None else (w if isinstance(w, int) and 0 <= w < n else n) for w in entries]
-    )
-    wrong = pa == n
-    pa[wrong] = -1
-    try:
-        _check_involution(pa, wrong, entries)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def test_matching_loop_agrees_with_the_array_check():
-    rng = random.Random(5)
-    for _ in range(3000):
-        n = rng.randrange(1, 8)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        entries = [None] * n
-        for a, b in zip(perm[0::2], perm[1::2]):
-            if rng.random() < 0.8:
-                entries[a], entries[b] = b, a
-        for _ in range(rng.choice((0, 0, 1, 2))):  # damage some entries
-            entries[rng.randrange(n)] = rng.choice([None, -1, n, rng.randrange(n)])
-        expected = _array_checked(entries)
-        if expected is None:
-            pa = Matching(entries).partner_array
-            assert pa.tolist() == [-1 if w is None else w for w in entries]
-        else:
-            with pytest.raises(ValueError) as err:
-                Matching(entries)
-            assert str(err.value) == expected
