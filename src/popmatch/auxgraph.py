@@ -67,7 +67,7 @@ class AuxGraph:
     leaf_star_array: np.ndarray
     leaf_off: np.ndarray
     leaf_nodes: np.ndarray
-    seeds: tuple = ()
+    seeds: range = range(0)
 
     @cached_property
     def star_of(self) -> dict:
@@ -168,7 +168,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         graph=graph,
         n_matched=nm,
         u_id=u_id,
-        seeds=tuple(range(nm, nm + nb + ns)),
+        seeds=range(nm, nm + nb + ns),
         **arrays,
     )
 

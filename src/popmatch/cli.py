@@ -8,6 +8,7 @@ environment trouble, and 3 means the oracle cross-check disagreed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -27,6 +28,7 @@ from .oracle import OracleLimitError, brute_fractional_popular, brute_popular
 from .popularity import InternalError, is_popular
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popmatch",

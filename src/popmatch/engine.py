@@ -422,28 +422,18 @@ class GallaiEdmonds:
         """Vertex count per piece."""
         return np.bincount(self.piece[self.piece >= 0], minlength=len(self.roots))
 
-    @cached_property
-    def _grouped(self) -> tuple:
-        # vertices sorted by piece, off d first, and where each piece starts
-        order = np.argsort(self.piece, kind="stable")
-        start = len(self.piece) - int(self.sizes.sum())
-        off = np.zeros(len(self.roots) + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=off[1:])
-        return order, off + start
-
     def vertices(self, k: int) -> np.ndarray:
         """The vertices of piece k, ascending."""
-        order, off = self._grouped
-        return order[off[k]:off[k + 1]]
+        return np.flatnonzero(self.piece == k)
 
     @cached_property
     def components(self) -> tuple:
-        order, off = self._grouped
-        flat = order.tolist()
-        bounds = off.tolist()
-        return tuple(
-            frozenset(flat[bounds[k]:bounds[k + 1]]) for k in range(len(self.roots))
-        )
+        # vertices sorted by piece, off d first, and where each piece starts
+        flat = np.argsort(self.piece, kind="stable").tolist()
+        off = np.zeros(len(self.roots) + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=off[1:])
+        bounds = (off + (len(flat) - off[-1])).tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> GallaiEdmonds:
@@ -482,11 +472,16 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
             break
         base = up
     dv = np.flatnonzero(d)
-    _, first, inv = np.unique(base[dv], return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int64)
+    bd = base[dv]
+    # number the pieces without a sort: each piece's least vertex leads it,
+    # the leaders take 0, 1, ... ascending, and least then maps base to piece
+    least = np.full(n, n, dtype=np.int64)
+    np.minimum.at(least, bd, dv)
+    lead = least[bd] == dv
+    k = int(np.count_nonzero(lead))
+    least[bd[lead]] = np.arange(k, dtype=np.int64)
     piece = np.full(n, -1, dtype=np.int64)
-    piece[dv] = rank[inv.ravel()]
+    piece[dv] = least[bd]
 
     dst = g.dst
     cross = np.flatnonzero(g.per_edge(d) & d[dst] & (g.per_edge(piece) != piece[dst]))
@@ -495,9 +490,9 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
         src = g.edge_arrays()[0]
         raise EngineError(f"edge {src[i]}-{dst[i]} joins two d-components")
     exits = np.flatnonzero(d & ((ma < 0) | (piece[ma] != piece)))
-    if (np.bincount(piece[exits], minlength=len(first)) != 1).any():
+    if (np.bincount(piece[exits], minlength=k) != 1).any():
         raise EngineError("component misses a unique root")
-    roots = np.empty(len(first), dtype=np.int64)
+    roots = np.empty(k, dtype=np.int64)
     roots[piece[exits]] = exits
     if ((ma[roots] >= 0) & ~a[ma[roots]]).any():
         raise EngineError("component root is matched outside a")

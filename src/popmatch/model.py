@@ -76,6 +76,12 @@ def index_dtype(n: int, entries: int):
     return np.int32 if max(n, entries) < 2**31 else np.int64
 
 
+def _packs(n: int, entries: int) -> bool:
+    """Whether the pairing keys of n nodes, each below 2n^2, still fit int64
+    with an entry index below `entries` packed into their low bits."""
+    return (2 * n * n) << max(entries - 1, 0).bit_length() < 2**63
+
+
 def _int_array(values) -> np.ndarray:
     """values as an int64 array; an object array of Python ints if one does not fit.
 
@@ -234,6 +240,11 @@ def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
     position of each end's entry in its own row. All but `keys` hold
     index_dtype(n, len(dv)). The owner of each directed entry, du, is a
     temporary.
+
+    Each directed entry's key, (lo * n + hi) * 2 + (du > dv), meets its
+    reverse in one sort. While the key still fits int64 with the entry
+    index packed into its low bits (`_packs`), that is an in-place value
+    sort of the packed keys; past that, an argsort. Both give one order.
     """
     n = len(off) - 1
     total = len(dv)
@@ -251,22 +262,35 @@ def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
     lo = np.minimum(du, dv, dtype=np.int64)
     lo *= 2 * n
     key2 += lo
-    # freed as soon as used: on the benchmark's unpopular-dense run that
-    # lowers peak RSS by 7 MB and leaves decide_s as it was, though one
-    # large decide in ten then faults back ~1,700 pages that glibc trimmed
+    # freed as soon as used, like key2 below: at 1e6 gadgets edges the
+    # validation then peaks 64 MB above its int64 inputs (80 MB if key2
+    # lives to the return). On the benchmark's unpopular-dense run one
+    # large decide in ten then faults back about 2,900 pages that glibc
+    # trimmed; the median decide faults none
     del lo
-    order = np.argsort(key2)
-    ks = key2[order]
-    del key2
+    if _packs(n, total):
+        # the entry index in the low bits makes every key distinct, so the
+        # in-place value sort gives one order on any numpy and sort kind
+        b = max(total - 1, 0).bit_length()
+        key2 <<= b
+        key2 += np.arange(total, dtype=np.int64)
+        key2.sort()
+        order = key2 & ((1 << b) - 1)
+        key2 >>= b
+    else:
+        order = np.argsort(key2)
+        key2 = key2[order]
     # valid iff every edge appears exactly once from each side
-    if total % 2 or not np.array_equal(ks[0::2] ^ 1, ks[1::2]):
+    if total % 2 or not np.array_equal(key2[0::2] ^ 1, key2[1::2]):
         raise _first_defect(du, dv, n)
+    keys = key2[0::2] >> 1
+    del key2
     low, high = order[0::2], order[1::2]
     eu, ev = du[low], du[high]
     arrays = {
         "off": off,
         "dv": dv,
-        "keys": ks[0::2] >> 1,
+        "keys": keys,
         "eu": eu,
         "ev": ev,
         "pu": np.subtract(low, off[eu], dtype=idx),  # entry index minus row start

@@ -400,7 +400,7 @@ def reference_aux(inst, m) -> dict:
         "payload": payload,
         "orig_to_aux": orig_to_aux,
         "matching": tuple(aux_id[partner[v]] for v in matched) + (-1,) * (nb + ns + has_u),
-        "seeds": tuple(range(nm, nm + nb + ns)),
+        "seeds": range(nm, nm + nb + ns),
         "u_id": u_id,
         "b_of": b_of,
         "star_of": star_of,

@@ -8,6 +8,7 @@ the brute-force oracle cap.  The odd cycle of every reached piece is read
 off the same forest and re-checked here on its own.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -60,6 +61,30 @@ def test_one_search_equals_the_two_it_replaces():
         )
     # the corpus must exercise both phases and big pieces
     assert popular >= 40 and with_seeds >= 20 and with_u >= 20 and big >= 20
+
+
+def test_pieces_are_the_components_of_d():
+    # networkx's components of the subgraph induced on d, numbered by least vertex
+    gadgets = [(TRIANGLE_PENDANT, TRIANGLE_PENDANT_M), (TWO_TRIANGLES, TWO_TRIANGLES_M)]
+    big = 0
+    for inst, m in list(analysis_cases()) + list(gadget_cases(120, 11, gadgets)):
+        an = _analyze(inst, m)
+        if an.aug_path is not None:
+            continue
+        g, ge = an.aux.graph, an.ge
+        d = np.flatnonzero(ge.label == 1).tolist()
+        nxg = nx.Graph()
+        nxg.add_nodes_from(d)
+        nxg.add_edges_from(zip(*(a.tolist() for a in g.edge_arrays())))
+        comps = sorted(nx.connected_components(nxg.subgraph(d)), key=min)
+        piece = np.full(g.n, -1)
+        for k, comp in enumerate(comps):
+            piece[list(comp)] = k
+        assert np.array_equal(ge.piece, piece)
+        for k, comp in enumerate(comps):
+            assert ge.vertices(k).tolist() == sorted(comp)
+        big += sum(len(comp) >= 3 for comp in comps)
+    assert big >= 300
 
 
 def test_forest_cycle_on_every_reached_piece():

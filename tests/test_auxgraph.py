@@ -26,7 +26,7 @@ def test_aux_ids_and_seeds(two_triangles_pendants):
     assert aux.n_matched == 6
     assert np.flatnonzero(m.partner_array < 0).tolist() == [6, 7]  # both fold into u
     assert aux.u_id == 10
-    assert aux.seeds == (6, 7, 8, 9)
+    assert aux.seeds == range(6, 10)
     assert aux.b_of_array.tolist() == [6, -1, 7, 8, -1, -1, -1, -1]
     assert aux.star_of == {3: 9}
     assert aux.star_of_array.tolist() == [-1, -1, -1, 9, -1, -1, -1, -1]
@@ -70,7 +70,7 @@ def test_aux_without_unmatched(swap_square):
     assert aux.payload_array.tolist() == [0, 1, 2, 3, 1, 2]
     assert sorted(aux.graph.edges()) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 5)]
     assert aux.matching_array.tolist() == [1, 0, 3, 2, -1, -1]
-    assert aux.seeds == (4, 5)
+    assert aux.seeds == range(4, 6)
 
 
 def test_aux_empty_matching(triangle_pendant):

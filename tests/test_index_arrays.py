@@ -3,16 +3,21 @@
 Node ids and positions are int32 below 2^31; the edge keys lo * n + hi
 stay int64. An int32 array times a Python int stays int32 under numpy 1
 and 2 alike, so the top-id cases below fail wherever a key is built in
-int32.
+int32. The parse pairs entries by a value sort of keys with the entry
+index packed in, or by an argsort where that would overflow int64; both
+must build the same arrays and name the same bad entry.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_certificate_digest
-from helpers import analysis_cases
+from helpers import analysis_cases, gadget_cases
 from popmatch import auxgraph, engine, model
 from popmatch.auxgraph import build_aux
 from popmatch.engine import Graph
@@ -28,6 +33,7 @@ from popmatch.model import (
     Matching,
     PreferenceError,
     RoommatesInstance,
+    _packs,
     _ranks,
     _weights,
     blocking_edges,
@@ -101,14 +107,14 @@ def test_top_ids_answer_like_small_ids(inst, m):
 K = round(2**32 / N)
 
 
-@pytest.mark.parametrize(
-    "rows, kind, node, other",
-    [
-        ({N - 1: (N - 2, N - 2), N - 2: (N - 1,)}, "twice", N - 1, N - 2),
-        ({N - 1: (N - 2,), N - 2: (N - 3,), N - 3: (N - 2,)}, "one-sided", N - 1, N - 2),
-        ({0: (1 + K * N % 2**32,), K: (1,)}, "one-sided", 0, 1 + K * N % 2**32),
-    ],
-)
+TOP_ID_DEFECTS = [
+    ({N - 1: (N - 2, N - 2), N - 2: (N - 1,)}, "twice", N - 1, N - 2),
+    ({N - 1: (N - 2,), N - 2: (N - 3,), N - 3: (N - 2,)}, "one-sided", N - 1, N - 2),
+    ({0: (1 + K * N % 2**32,), K: (1,)}, "one-sided", 0, 1 + K * N % 2**32),
+]
+
+
+@pytest.mark.parametrize("rows, kind, node, other", TOP_ID_DEFECTS)
 def test_top_ids_name_the_bad_entry(rows, kind, node, other):
     pref = [rows.get(v, ()) for v in range(N)]
     with pytest.raises(PreferenceError) as err:
@@ -121,6 +127,97 @@ def test_index_dtype_switches_at_2_31():
     assert index_dtype(2**31 - 1, 2**31 - 1) is np.int32
     assert index_dtype(2**31, 0) is np.int64
     assert index_dtype(10, 2**31) is np.int64
+
+
+def test_packed_pairing_switches_where_the_key_overflows():
+    # 2|E| entries take b = bit_length(2|E| - 1) low bits under keys below 2n^2
+    assert _packs(0, 0) and _packs(1, 1) and _packs(N, 2**20)
+    assert _packs(910_000, 2 * 10**6)  # a 1e6-edge gadgets instance
+    assert _packs(1_482_910, 2**21) and not _packs(1_482_911, 2**21)  # 2n^2 < 2^42
+    assert not _packs(1_482_910, 2**21 + 1)  # one more entry takes a 22nd bit
+    assert _packs(1_518_500_249, 2) and not _packs(1_518_500_250, 2)  # 2n^2 < 2^62
+    assert _packs(1, 2**61) and not _packs(1, 2**61 + 1)
+    for n, entries in ((1_482_910, 2**21), (1_518_500_249, 2), (1, 2**61)):
+        b = (entries - 1).bit_length()
+        assert (2 * n * n - 1) << b | (entries - 1) < 2**63
+
+
+def _pairing(packs: bool, **rows):
+    """The instance arrays of rows, given as pref or csr, or the (kind, entry,
+    node, other) they are refused with."""
+    with mock.patch.object(model, "_packs", lambda n, entries: packs):
+        try:
+            return RoommatesInstance(**rows)._arrays
+        except PreferenceError as err:
+            return err.kind, err.entry, err.node, err.other
+
+
+def _assert_same_pairing(**rows):
+    packed, sorted_ = _pairing(True, **rows), _pairing(False, **rows)
+    if isinstance(packed, tuple):
+        assert packed == sorted_
+        return
+    assert packed.keys() == sorted_.keys()
+    for k, a in packed.items():
+        assert a.dtype == sorted_[k].dtype and np.array_equal(a, sorted_[k]), k
+
+
+@pytest.mark.parametrize(
+    "pref, refusal",
+    [
+        (((1,), (5,)), ("range", 1, 1, 5)),
+        (((1,), (-1, 0)), ("range", 1, 1, -1)),
+        (((1, 0), (0,)), ("self", 1, 0, 0)),
+        (((1, 2), (0, 2), (1, 0, 1)), ("twice", 6, 2, 1)),
+        (((1, 2), (0,), (0, 1)), ("one-sided", 4, 2, 1)),
+        (((2, 1), (0, 2), (1, 0, 3), (2,), (3,)), ("one-sided", 8, 4, 3)),
+    ],
+)
+def test_both_pairings_name_the_same_bad_entry(pref, refusal):
+    assert _pairing(True, pref=pref) == _pairing(False, pref=pref) == refusal
+
+
+def test_both_pairings_build_the_same_arrays(monkeypatch):
+    gadgets = [(TWO_TRIANGLES, TWO_TRIANGLES_M), (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M)]
+    corpus = [inst for inst, _ in analysis_cases() + tuple(gadget_cases(20, 5, gadgets))]
+    corpus += [_placed(TWO_TRIANGLES_PENDANTS, N - TWO_TRIANGLES_PENDANTS.n)]
+    for inst in corpus:
+        _assert_same_pairing(csr=(inst.off, inst.dv))
+    for rows, kind, node, other in TOP_ID_DEFECTS:
+        pref = [rows.get(v, ()) for v in range(N)]
+        refusal = _pairing(False, pref=pref)
+        assert _pairing(True, pref=pref) == refusal and refusal[::2] == (kind, node)
+    # the argsort pairing passes the digest test on its own
+    monkeypatch.setattr(model, "_packs", lambda n, entries: False)
+    cases = analysis_cases.__wrapped__()  # built afresh, under the patch
+    monkeypatch.setattr(test_certificate_digest, "analysis_cases", lambda: cases)
+    test_certificate_digest.test_certificates_are_byte_identical()
+
+
+@st.composite
+def preference_rows(draw):
+    """Rows of a random graph, often with one entry added, moved or dropped."""
+    n = draw(st.integers(0, 8))
+    rows = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u].append(v)
+                rows[v].append(u)
+    rows = [draw(st.permutations(row)) for row in rows]
+    if n and draw(st.booleans()):
+        row = rows[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        else:
+            row.insert(draw(st.integers(0, len(row))), draw(st.integers(-1, n)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(preference_rows())
+def test_drawn_rows_pair_alike(rows):
+    _assert_same_pairing(pref=rows)
 
 
 def test_int64_index_arrays_decide_alike(monkeypatch):

@@ -217,7 +217,7 @@ def test_no_stars_without_shared_middle(two_triangles):
 def test_aux_graph_drops_losing_edges():
     # the matched pairs survive as auxiliary edges, the two -2 edges do not
     aux = build_aux(TOP_PAIRS, TOP_PAIRS_M)
-    assert aux.u_id == -1 and aux.seeds == ()
+    assert aux.u_id == -1 and aux.seeds == range(0)
     assert sorted(aux.graph.edges()) == [(0, 1), (2, 3)]
     assert not aux.graph.has_edge(0, 2) and not aux.graph.has_edge(1, 3)
 
