@@ -23,8 +23,9 @@ from .engine import Graph
 from .model import (
     Matching,
     RoommatesInstance,
+    _check_ids,
+    _edge_votes,
     _partner_array,
-    _ranks,
     _weights,
     check_matching,
     index_dtype,
@@ -173,36 +174,25 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     )
 
 
+def _neighbors(inst: RoommatesInstance, m: Matching, v: int) -> np.ndarray:
+    """v's neighbors, best first; ValueError unless v is a node and m fits inst."""
+    _check_ids(inst, m, [v])
+    return inst.dv[inst.off[v]:inst.off[v + 1]]
+
+
 def blocking_partners_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
     """Ascending list of y with edge vy blocking, scanning only locally."""
-    off = inst._arrays["off"]
-    ys = inst._arrays["dv"][off[v]:off[v + 1]]  # v's list, best first
-    pa = _partner_array(m)
-    k = len(ys)
-    # v's partner rank, then per neighbor y: v's rank and y's partner rank in y's list
-    r = _ranks(
-        inst, np.concatenate([[v], ys, ys]), np.concatenate([[pa[v]], np.full(k, v), pa[ys]])
-    )
-    block = (np.arange(k) < r[0]) & (r[1:k + 1] < r[k + 1:])
-    return sorted(ys[block].tolist())
+    ys = _neighbors(inst, m, v)
+    return sorted(ys[_edge_votes(inst, m, np.full(len(ys), v), ys) == 2].tolist())
 
 
 def unmatched_zero_neighbors_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
-    """Ascending unmatched neighbors x of v with a zero-weight edge xv.
-
-    The edge weight is zero exactly when v likes its own partner
-    better, since the unmatched side always votes plus one.
-    """
-    off = inst._arrays["off"]
-    pa = _partner_array(m)
-    worse = inst._arrays["dv"][off[v] + _ranks(inst, [v], [pa[v]])[0] + 1:off[v + 1]]
-    return sorted(worse[pa[worse] < 0].tolist())
+    """Ascending unmatched neighbors x of v with a zero-weight edge xv."""
+    ys = _neighbors(inst, m, v)
+    xs = ys[_partner_array(m)[ys] < 0]
+    return sorted(xs[_edge_votes(inst, m, np.full(len(xs), v), xs) == 0].tolist())
 
 
 def is_blocking_edge(inst: RoommatesInstance, m: Matching, u: int, v: int) -> bool:
     """True when uv is an edge both sides prefer to their current state."""
-    if not inst.has_edges([u], [v])[0]:
-        return False
-    pa = m.partner_array
-    r = _ranks(inst, (u, u, v, v), (v, pa[u], u, pa[v]))
-    return bool(r[0] < r[1] and r[2] < r[3])
+    return bool(_edge_votes(inst, m, [u], [v])[0] == 2)

@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 means popular (fractional-popular
 for the fractional command), 1 means not, 2 means usage, parse, or
-environment trouble, and 3 means the oracle cross-check disagreed.
+environment trouble, or an internal error, reported as `internal error: …`
+on stderr, and 3 means the oracle cross-check disagreed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .formats import (
 )
 from .fractional import CycleThroughStar, is_fractional_popular
 from .generator import generate_instance
+from .model import _groups
 from .oracle import OracleLimitError, brute_fractional_popular, brute_popular
 from .popularity import InternalError, is_popular
 
@@ -80,11 +82,12 @@ def _cmd_check(args, full: bool) -> int:
         print("popular")
         if full:
             w = res.witness
-            neg = [v for v, a in enumerate(w.alpha) if a == -1]
-            pos = [v for v, a in enumerate(w.alpha) if a == 1]
+            alpha = w.alpha_array.tolist()
+            neg = [v for v, a in enumerate(alpha) if a == -1]
+            pos = [v for v, a in enumerate(alpha) if a == 1]
             print(f"witness: alpha is -1 on {neg}, +1 on {pos}, 0 elsewhere")
-            for group in w.two_sets:
-                print(f"witness: odd set {sorted(group)} at dual value 2")
+            for group in _groups(w.set_off, w.set_nodes, list):  # each set ascending
+                print(f"witness: odd set {group} at dual value 2")
         return 0
     s = res.structure
     print(f"unpopular: {s.kind} through nodes {list(s.nodes)}; a rival wins by {res.margin}")

@@ -16,8 +16,8 @@ After an exhausted search the components of the even subgraph are
 the outermost blossoms, so the decomposition reads them off the
 search's union-find instead of traversing the graph again.
 `GallaiEdmonds` and `ReachSet` hold numpy label arrays and a piece
-index per vertex; their frozenset attributes are views built on
-first use.
+index per vertex; `GallaiEdmonds.components` and `ReachSet.members`
+are frozenset views built on first use.
 
 Vertices are 0..n-1.  A graph holds its adjacency once, as
 `array.array` buffers that the search slices and numpy views for the
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import index_dtype
+from .model import _groups, index_dtype
 
 
 class EngineError(RuntimeError):
@@ -94,9 +94,6 @@ class Graph:
 
     def neighbors(self, v: int) -> array:
         return self.nbr[self.off[v]:self.off[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return self.off[v + 1] - self.off[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         lo, hi = self.off[u], self.off[u + 1]
@@ -384,16 +381,12 @@ def maximum_matching(g: Graph) -> list:
         augment(match, path)
 
 
-def _vertex_set(mask: np.ndarray) -> frozenset:
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class GallaiEdmonds:
     """Canonical partition of a graph relative to a maximum matching.
 
-    d collects the vertices missed by some maximum matching (label
-    even), a their outside neighbors (odd), c the rest (0).  The
+    label is _EVEN on d, the vertices missed by some maximum matching,
+    _ODD on a, their outside neighbors, and 0 on c, the rest.  The
     connected pieces of the subgraph induced on d are factor-critical;
     piece[v] numbers v's piece, ordered by least vertex, and is -1
     outside d.  roots, a read-only int64 array, holds per piece the one
@@ -406,18 +399,6 @@ class GallaiEdmonds:
     roots: np.ndarray
 
     @cached_property
-    def d(self) -> frozenset:
-        return _vertex_set(self.label == _EVEN)
-
-    @cached_property
-    def a(self) -> frozenset:
-        return _vertex_set(self.label == _ODD)
-
-    @cached_property
-    def c(self) -> frozenset:
-        return _vertex_set(self.label == 0)
-
-    @cached_property
     def sizes(self) -> np.ndarray:
         """Vertex count per piece."""
         return np.bincount(self.piece[self.piece >= 0], minlength=len(self.roots))
@@ -428,12 +409,11 @@ class GallaiEdmonds:
 
     @cached_property
     def components(self) -> tuple:
-        # vertices sorted by piece, off d first, and where each piece starts
-        flat = np.argsort(self.piece, kind="stable").tolist()
+        # vertices sorted by piece, past those off d, and where each piece starts
         off = np.zeros(len(self.roots) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=off[1:])
-        bounds = (off + (len(flat) - off[-1])).tolist()
-        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        inside = np.argsort(self.piece, kind="stable")[len(self.piece) - off[-1]:]
+        return tuple(_groups(off, inside, frozenset))
 
 
 def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> GallaiEdmonds:
@@ -516,7 +496,7 @@ class ReachSet:
 
     @cached_property
     def members(self) -> frozenset:
-        return _vertex_set(np.asarray(self.label) != 0)
+        return frozenset(np.flatnonzero(np.asarray(self.label) != 0).tolist())
 
 
 def reachable_set(g: Graph, match: list, roots) -> ReachSet:

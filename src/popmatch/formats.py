@@ -31,6 +31,7 @@ from .model import (
     PreferenceError,
     RoommatesInstance,
     _csr,
+    _groups,
     _int_array,
     check_matching,
     delta,
@@ -292,18 +293,11 @@ def serialize_matching(m: Matching) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _groups_doc(off: np.ndarray, values: np.ndarray) -> list:
-    """CSR groups as a list of lists of Python ints."""
-    flat = values.tolist()
-    bounds = off.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _witness_doc(w: DualWitness) -> dict:
     alpha = w.alpha_array.tolist()
     return {
         "alpha": dict(zip(map(str, range(len(alpha))), alpha)),
-        "two_sets": _groups_doc(w.set_off, w.set_nodes),
+        "two_sets": _groups(w.set_off, w.set_nodes, list),
     }
 
 
@@ -337,7 +331,7 @@ def result_to_document(res) -> dict:
             "p": {
                 "ones": res.p.ones_array.tolist(),
                 "loop_ones": res.p.loop_array.tolist(),
-                "half_cycles": _groups_doc(res.p.cycle_off, res.p.cycle_nodes),
+                "half_cycles": _groups(res.p.cycle_off, res.p.cycle_nodes, list),
             },
             "value_times_two": res.value_times_two,
         }

@@ -30,10 +30,11 @@ from .engine import (
     shortest_alt_path_to_root,  # unused here; kept bound so outside tracers can wrap it by name
 )
 from .model import (
+    NO_EDGE,
     HalfIntegralMatching,
     Matching,
     RoommatesInstance,
-    edge_weight,
+    _edge_votes,
     fractional_value_times_two,
     half_from_matching,
 )
@@ -196,14 +197,15 @@ def _unpartnered(pa: np.ndarray, seq, what: str) -> str | None:
 def _untied(inst: RoommatesInstance, m: Matching, seq, steps, what: str) -> str | None:
     """The defect unless, for each i in steps, seq[i] and the next node
     (cyclically) are joined by an edge that ties the vote."""
-    ends = [(seq[i], seq[(i + 1) % len(seq)]) for i in steps]
-    present = inst.has_edges([a for a, _ in ends], [b for _, b in ends])
-    for (a, b), ok in zip(ends, present):
-        if not ok:
-            return f"{what} edge {a}-{b} missing"
-        if edge_weight(inst, m, a, b) != 0:
-            return f"{what} edge {a}-{b} does not tie the vote"
-    return None
+    us = [seq[i] for i in steps]
+    vs = [seq[(i + 1) % len(seq)] for i in steps]
+    w = _edge_votes(inst, m, us, vs)
+    if not w.any():
+        return None
+    i = int(np.argmax(w != 0))
+    if w[i] == NO_EDGE:
+        return f"{what} edge {us[i]}-{vs[i]} missing"
+    return f"{what} edge {us[i]}-{vs[i]} does not tie the vote"
 
 
 def check_fractional_structure(

@@ -19,6 +19,9 @@ from itertools import chain
 import numpy as np
 
 
+NO_EDGE = -3  # `_edge_votes` at a pair that is not an edge
+
+
 class PreferenceError(ValueError):
     """A preference entry that breaks the instance rules.
 
@@ -55,17 +58,14 @@ def _first_defect(du: np.ndarray, dv: np.ndarray, n: int) -> PreferenceError:
     stop = int(np.argmax(bad)) if bad.any() else len(dv)
     # a repeat before the first bad entry comes first; ids there are valid
     d = du[:stop] * n + dv[:stop]
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    repeats = order[1:][ds[1:] == ds[:-1]]
-    if repeats.size:
-        i = int(repeats.min())
+    repeats = _later_repeats(d)
+    if repeats.any():
+        i = int(np.argmax(repeats))
         return PreferenceError("twice", int(du[i]), int(dv[i]), i)
     if stop < len(dv):
         kind = "self" if dv[stop] == du[stop] else "range"
         return PreferenceError(kind, int(du[stop]), int(dv[stop]), stop)
-    back = dv * n + du
-    listed = np.searchsorted(ds, back, side="right") > np.searchsorted(ds, back)
+    listed = np.isin(dv * n + du, d)
     i = int(np.argmin(listed))
     return PreferenceError("one-sided", int(du[i]), int(dv[i]), i)
 
@@ -107,6 +107,21 @@ def _csr(groups) -> tuple:
     off = np.zeros(len(groups) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)), out=off[1:])
     return off, _int_array(list(chain.from_iterable(groups)))
+
+
+def _later_repeats(a: np.ndarray) -> np.ndarray:
+    """True at each entry of a whose value also occurs at a lower index."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    later = np.zeros(len(a), dtype=bool)
+    later[order[1:][s[1:] == s[:-1]]] = True
+    return later
+
+
+def _groups(off: np.ndarray, values: np.ndarray, kind) -> list:
+    """The CSR groups values[off[k]:off[k + 1]] as Python ints, each made a kind."""
+    flat, bounds = values.tolist(), off.tolist()
+    return [kind(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -201,9 +216,7 @@ class RoommatesInstance(_Frozen):
 
     @cached_property
     def pref(self) -> tuple:
-        flat = self.dv.tolist()
-        bounds = self.off.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(_groups(self.off, self.dv, tuple))
 
     @cached_property
     def rank(self) -> tuple:
@@ -356,9 +369,7 @@ class Matching(_Frozen):
         out = (flat < 0) | (flat >= inst.n)
         again = np.zeros(len(flat), dtype=bool)  # a node seen in an earlier slot
         if out.any() or (flat.size and np.bincount(flat, minlength=inst.n).max() > 1):
-            order = np.argsort(flat, kind="stable")
-            srt = flat[order]
-            again[order[1:][srt[1:] == srt[:-1]]] = True
+            again = _later_repeats(flat)
         bad = out | again
         stop = int(np.argmax(bad)) if bad.any() else len(flat)  # the first bad slot
         has = inst.has_edges(arr[: stop // 2, 0], arr[: stop // 2, 1])
@@ -475,12 +486,34 @@ def _check_ids(inst: RoommatesInstance, m: Matching, ids, what: str = "node") ->
         raise ValueError(f"{what} {ids[np.argmax(out)]} is out of range")
 
 
+def _edge_votes(inst: RoommatesInstance, m: Matching, us, vs) -> np.ndarray:
+    """The weight of each pair (us[i], vs[i]) as int8: both ends' votes for the
+    pair against their partners, -2..2, or NO_EDGE where it is not an edge of
+    inst, an id outside inst included. Each pair costs a key lookup and each
+    end of an edge one more, for its partner's rank; `_weights` needs none.
+    Raises ValueError when an end of an edge has a partner that is not its neighbor.
+    """
+    arr = inst._arrays
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    idx = inst._edge_index(us, vs)
+    found = np.flatnonzero(idx >= 0)
+    ends = np.concatenate([us[found], vs[found]])
+    idx = np.tile(idx[found], 2)
+    new = np.where(arr["eu"][idx] == ends, arr["pu"][idx], arr["pv"][idx])  # rank of the pair
+    side = np.sign(_ranks(inst, ends, m.partner_array[ends]) - new)
+    votes = np.full(len(us), NO_EDGE, dtype=np.int8)
+    votes[found] = side[: len(found)] + side[len(found):]
+    return votes
+
+
 def edge_weight(inst: RoommatesInstance, m: Matching, u: int, v: int) -> int:
     """Combined vote of u and v for the edge uv against their partners."""
     _check_ids(inst, m, [u, v])
-    pa = m.partner_array
-    r = _ranks(inst, (u, u, v, v), (v, pa[u], u, pa[v])).tolist()
-    return (r[0] < r[1]) - (r[1] < r[0]) + (r[2] < r[3]) - (r[3] < r[2])
+    w = int(_edge_votes(inst, m, [u], [v])[0])
+    if w == NO_EDGE:
+        raise ValueError(f"{v} is not a neighbor of {u}")
+    return w
 
 
 def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
@@ -573,9 +606,7 @@ class HalfIntegralMatching(_Frozen):
 
     @cached_property
     def half_cycles(self) -> tuple:
-        flat = self.cycle_nodes.tolist()
-        bounds = self.cycle_off.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(_groups(self.cycle_off, self.cycle_nodes, tuple))
 
     def cycle_steps(self) -> tuple:
         """(us, vs): every cycle edge once, from each node to the next one around its cycle."""
@@ -614,10 +645,8 @@ def _canonical_cycles(off: np.ndarray, nodes: np.ndarray) -> tuple:
     """Cycles as CSR, each rotated to its least node with the smaller neighbor
     second, in lexicographic order; ValueError for the first cycle, as given,
     that is not odd of length >= 3 or repeats a node."""
-    flat, bounds = nodes.tolist(), off.tolist()
     cycles = []
-    for a, b in zip(bounds, bounds[1:]):
-        cyc = tuple(flat[a:b])
+    for cyc in _groups(off, nodes, tuple):
         if len(cyc) < 3 or len(cyc) % 2 == 0:
             raise ValueError(f"half cycle {cyc} is not odd of length >= 3")
         if len(set(cyc)) != len(cyc):
@@ -643,23 +672,23 @@ def fractional_value_times_two(
 ) -> int:
     """Twice the vote value of p against m, an exact integer.
 
-    Ones count twice and half-cycle edges once; each side of an edge
-    votes by comparing the edge's rank with its partner's.  Raises
-    ValueError when p uses a pair that is not an edge.
+    Ones count twice and half-cycle edges once, each by its edge weight.
+    Raises ValueError when p uses a pair that is not an edge.
     """
     us, vs = p.cycle_steps()
     ones = p.ones_array
-    k = len(ones) + len(us)
-    ends = _node_ids(np.concatenate([ones[:, 0], us, ones[:, 1], vs]))  # the voting side
-    others = _node_ids(np.concatenate([ones[:, 1], vs, ones[:, 0], us]))
+    a = _node_ids(np.concatenate([ones[:, 0], us]))
+    b = _node_ids(np.concatenate([ones[:, 1], vs]))
     _check_ids(inst, m, p.loop_array, "loop node")
-    pa = _partner_array(m)
-    new = _ranks(inst, ends, others)  # checks the nodes before they index m
-    side = np.sign(_ranks(inst, ends, pa[ends]) - new)
-    mult = np.concatenate([np.full(len(ones), 2), np.ones(len(us), dtype=np.int64)])
-    total = int((mult * (side[:k] + side[k:])).sum())
+    _check_ids(inst, m, np.concatenate([a, b]))  # the nodes index m below
+    w = _edge_votes(inst, m, a, b)
+    missing = w == NO_EDGE
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ValueError(f"{b[i]} is not a neighbor of {a[i]}")
+    total = 2 * int(w[: len(ones)].sum()) + int(w[len(ones):].sum())
     # leaving a matched node on its loop costs it one vote, counted twice
-    return total - 2 * int(np.count_nonzero(pa[p.loop_array] >= 0))
+    return total - 2 * int(np.count_nonzero(_partner_array(m)[p.loop_array] >= 0))
 
 
 def fractional_value(

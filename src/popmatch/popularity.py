@@ -39,11 +39,15 @@ from .engine import (
     reachable_set,  # unused here; kept bound so outside tracers can wrap it by name
 )
 from .model import (
+    NO_EDGE,
     Matching,
     RoommatesInstance,
     _csr,
+    _edge_votes,
     _Frozen,
+    _groups,
     _int_array,
+    _later_repeats,
     _lex_order,
     _node_ids,
     _partner_array,
@@ -110,9 +114,7 @@ class DualWitness(_Frozen):
 
     @cached_property
     def two_sets(self) -> tuple:
-        flat = self.set_nodes.tolist()
-        bounds = self.set_off.tolist()
-        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(_groups(self.set_off, self.set_nodes, frozenset))
 
 
 def _sorted_sets(off: np.ndarray, nodes: np.ndarray) -> tuple:
@@ -332,25 +334,25 @@ def check_blocking_structure(
         word, matched = "path", 1
     else:
         return f"unknown kind {s.kind!r}"
-    present = inst.has_edges(seq[:-1], seq[1:])  # present[i]: seq[i]-seq[i+1]
+    w = _edge_votes(inst, m, seq, seq[1:] + seq[:1])  # w[i]: seq[i]-seq[i+1], cyclically
     pa = m.partner_array
     for i in range(len(seq) - 1):
         a, b = seq[i], seq[i + 1]
         if i % 2 == matched:
             if pa[a] != b:
                 return f"{word} edge {a}-{b} should be matched"
-        elif not present[i]:
+        elif w[i] == NO_EDGE:
             return f"{word} edge {a}-{b} missing"
         elif pa[a] == b:
             return f"{word} edge {a}-{b} should be unmatched"
     if s.kind == CYCLE:
-        if not is_blocking_edge(inst, m, seq[-1], seq[0]):
+        if w[-1] != 2:
             return f"closing edge {seq[-1]}-{seq[0]} is not blocking"
         return None
-    if not is_blocking_edge(inst, m, seq[0], seq[1]):
+    if w[0] != 2:
         return f"first edge {seq[0]}-{seq[1]} is not blocking"
     if s.kind == PATH_TWO_BLOCKING:
-        if not is_blocking_edge(inst, m, seq[-2], seq[-1]):
+        if w[-2] != 2:
             return f"last edge {seq[-2]}-{seq[-1]} is not blocking"
     elif pa[seq[-1]] >= 0:
         return f"end node {seq[-1]} is matched"
@@ -459,10 +461,7 @@ def witness_violation(
     k = int(np.argmax(odd)) if odd.any() else len(sizes)
     invalid = (nodes < 0) | (nodes >= n)
     ids = _node_ids(nodes)
-    order = np.argsort(ids, kind="stable")
-    srt = ids[order]
-    bad = invalid.copy()
-    bad[order[1:][srt[1:] == srt[:-1]]] = True  # every occurrence after a node's first
+    bad = invalid | _later_repeats(ids)
     at = int(np.argmax(bad)) if bad.any() else len(nodes)
     if k < len(sizes) and off[k] <= at:
         return f"odd set #{k} has size {int(sizes[k])}"

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from popmatch.engine import _EVEN, _ODD
 from popmatch.formats import ParseError
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance, _weights
@@ -74,6 +75,11 @@ def gadget_cases(count, seed, gadgets):
         parts = [rng.choice(gadgets) for _ in range(rng.randint(1, 5))]
         parts += [partner_first_instance(rng, 6, 0.5) for _ in range(rng.randint(0, 2))]
         yield tiled(rng, parts)
+
+
+def label_sets(ge) -> tuple:
+    """(d, a, c) of a Gallai-Edmonds decomposition as frozensets, read off ge.label."""
+    return tuple(frozenset(np.flatnonzero(ge.label == k).tolist()) for k in (_EVEN, _ODD, 0))
 
 
 def random_edge_graph(rng: random.Random, n: int, p: float) -> list:

@@ -1,7 +1,7 @@
 """Certificates stay byte for byte what popmatch wrote before.
 
 A refactor of the search, the decomposition or the certificate builders
-must leave every emitted document unchanged.  The test hashes the JSON
+must leave every emitted document unchanged.  Each test hashes the JSON
 of both decisions over a fixed corpus, in order, and compares the
 digest with the one recorded when the test was written.  A change that
 is meant to alter certificates must record the new digest here and say
@@ -9,6 +9,9 @@ why.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 from conftest import (
     TRIANGLE_PENDANT,
@@ -19,11 +22,12 @@ from conftest import (
     TWO_TRIANGLES_PENDANTS_M,
 )
 from helpers import analysis_cases, gadget_cases
-from popmatch.formats import document_to_json, result_to_document
+from popmatch.formats import document_to_json, parse_instance, parse_matching, result_to_document
 from popmatch.fractional import is_fractional_popular
 from popmatch.popularity import is_popular
 
 DIGEST = "86ede32c4e2417cda39989e2904af4f9c3db4e8269eb3e366c2942f779e2c735"
+WORKLOAD_DIGEST = "59a7d4ebd29f2d8176d5f9b2fc9af73fa02ff5443a89ab97cf77747e8425abba"
 
 
 def test_certificates_are_byte_identical():
@@ -42,3 +46,34 @@ def test_certificates_are_byte_identical():
     # the corpus reaches every verdict, so every certificate kind is pinned
     assert verdicts == {"popular", "unpopular", "fractional-popular", "not-fractional-popular"}
     assert h.hexdigest() == DIGEST
+
+
+def _workloads_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload_cases():
+    """The benchmark's three workloads at a tenth of their size, seeds 1-3, parsed from text."""
+    w = _workloads_module()
+    for seed in (1, 2, 3):
+        sized = (w.dense_gnp(25_000, seed), w.dominant(1_000, 10_000, seed), w.gadgets(3_000, seed))
+        for inp in sized:
+            inst = parse_instance(w.instance_text(inp))
+            yield inst, parse_matching(w.matching_text(inp), inst)
+
+
+def test_workload_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    verdicts = set()
+    for inst, m in _workload_cases():
+        for decide in (is_popular, is_fractional_popular):
+            doc = result_to_document(decide(inst, m))
+            h.update(document_to_json(doc).encode())
+            verdicts.add(doc["verdict"])
+    assert verdicts == {"popular", "unpopular", "fractional-popular", "not-fractional-popular"}
+    assert h.hexdigest() == WORKLOAD_DIGEST

@@ -12,10 +12,13 @@ from popmatch.auxgraph import (
 )
 from popmatch.formats import parse_instance, serialize_instance
 from popmatch.model import (
+    NO_EDGE,
     HalfIntegralMatching,
     Matching,
     PairError,
     RoommatesInstance,
+    _edge_votes,
+    _weights,
     blocking_edges,
     check_matching,
     delta,
@@ -27,7 +30,16 @@ from popmatch.model import (
     vote,
 )
 
-from helpers import random_instance
+from conftest import (
+    TRIANGLE_PENDANT,
+    TRIANGLE_PENDANT_M,
+    TWO_TRIANGLES,
+    TWO_TRIANGLES_M,
+    TWO_TRIANGLES_PENDANTS,
+    TWO_TRIANGLES_PENDANTS_M,
+)
+from helpers import analysis_cases, gadget_cases, random_instance
+from test_index_arrays import N, _placed
 
 
 def test_instance_basics(two_triangles_pendants):
@@ -405,3 +417,46 @@ def test_rank_lookup_rejects_bad_nodes(triangle_pendant):
         vote(inst, 4, None, None)
     with pytest.raises(ValueError, match="3 is not a neighbor of 1"):
         edge_weight(inst, m, 1, 3)
+
+
+def _edge_vote_cases():
+    """The digest corpus, and a gadget on the top ids of an instance of N nodes."""
+    gadgets = [
+        (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M),
+        (TWO_TRIANGLES, TWO_TRIANGLES_M),
+        (TWO_TRIANGLES_PENDANTS, TWO_TRIANGLES_PENDANTS_M),
+    ]
+    yield from analysis_cases()
+    yield from gadget_cases(60, 13, gadgets)
+    top = N - TWO_TRIANGLES_PENDANTS.n
+    high = _placed(TWO_TRIANGLES_PENDANTS, top)
+    yield high, Matching.from_pairs(high, TWO_TRIANGLES_PENDANTS_M.pair_array() + top)
+
+
+def test_edge_votes_agree_with_the_weights():
+    for inst, m in _edge_vote_cases():
+        n = inst.n
+        eu, ev = inst._arrays["eu"], inst._arrays["ev"]
+        w = _weights(inst, m)
+        assert np.array_equal(_edge_votes(inst, m, eu, ev), w)
+        assert np.array_equal(_edge_votes(inst, m, ev, eu), w)
+        # every ordered pair of the nodes that have edges, and both ends of the id range
+        nodes = np.unique(np.concatenate([eu, ev, [0, n - 1]]))
+        k = len(nodes)
+        table = np.full((k, k), NO_EDGE, dtype=np.int8)
+        iu, iv = np.searchsorted(nodes, eu), np.searchsorted(nodes, ev)
+        table[iu, iv] = w
+        table[iv, iu] = w
+        us, vs = nodes[np.arange(k * k) // k], nodes[np.arange(k * k) % k]
+        assert np.array_equal(_edge_votes(inst, m, us, vs), table.ravel())
+        for bad in (-1, n, -(2**40), 2**40):
+            assert (_edge_votes(inst, m, [bad, 0, bad], [0, bad, bad]) == NO_EDGE).all()
+        # the row scans against the table, which reads _weights, not _edge_votes
+        exposed = m.partner_array < 0
+        for i, v in enumerate(nodes.tolist()):
+            row = inst.dv[inst.off[v]:inst.off[v + 1]]
+            weight = table[i, np.searchsorted(nodes, row)]
+            assert blocking_partners_of(inst, m, v) == sorted(row[weight == 2].tolist())
+            assert unmatched_zero_neighbors_of(inst, m, v) == sorted(
+                row[(weight == 0) & exposed[row]].tolist()
+            )

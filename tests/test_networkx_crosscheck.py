@@ -19,7 +19,7 @@ import random
 import networkx as nx
 import pytest
 
-from helpers import improved
+from helpers import improved, label_sets
 from popmatch.engine import Graph, gallai_edmonds, maximum_matching
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance
@@ -51,7 +51,7 @@ def test_engine_agrees_with_networkx(n, avg_degree, seed):
     assert nu == len(nx.max_weight_matching(nxg, maxcardinality=True))
 
     ge = gallai_edmonds(g, match)
-    d, a, c = ge.d, ge.a, ge.c
+    d, a, c = label_sets(ge)
     assert d | a | c == set(range(n)) and len(d) + len(a) + len(c) == n
     assert all(len(comp) % 2 == 1 for comp in ge.components)
     assert frozenset().union(*ge.components) == d

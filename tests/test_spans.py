@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import popmatch
 import popmatch.cli
 from popmatch.formats import serialize_instance, serialize_matching
@@ -33,19 +35,44 @@ def test_tracer_names_resolve():
     assert popmatch.popularity.build_aux is raw
 
 
-def test_traced_verdict_records_the_parse_spans(tmp_path, capsys, triangle_pendant):
-    inst, m = triangle_pendant
+@pytest.mark.parametrize(
+    "command, case, code, verdict, counts",
+    [
+        pytest.param(
+            "fractional", "triangle_pendant", 1, "not-fractional-popular", {}, id="fractional"
+        ),
+        # the witness and unpopular counters read w.alpha, w.two_sets and res.margin
+        pytest.param(
+            "witness",
+            "triangle_pendant",
+            0,
+            "popular",
+            {"popularity.odd_sets": 1, "popularity.alpha_nonzero": 4},
+            id="witness",
+        ),
+        pytest.param(
+            "check", "two_triangles_pendants", 1, "unpopular", {"popularity.margin": 2}, id="check"
+        ),
+    ],
+)
+def test_traced_verdict_records_the_parse_spans(
+    tmp_path, capsys, request, command, case, code, verdict, counts
+):
+    inst, m = request.getfixturevalue(case)
     ipath, mpath = tmp_path / "inst.txt", tmp_path / "match.txt"
     ipath.write_text(serialize_instance(inst))
     mpath.write_text(serialize_matching(m))
     tracer = _spans_module().Tracer(popmatch)
     tracer.begin("verdict")
     try:
-        code = popmatch.cli.main(["fractional", "-i", str(ipath), "-m", str(mpath), "--json"])
+        got = popmatch.cli.main([command, "-i", str(ipath), "-m", str(mpath), "--json"])
     finally:
         tracer.end()
-    assert code == 1, capsys.readouterr().err
-    assert json.loads(capsys.readouterr().out)["verdict"] == "not-fractional-popular"
+    assert got == code, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
     recorded = {span[0] for span in tracer.spans}
     assert {"formats.parse_instance", "model.instance", "formats.parse_matching"} <= recorded
-    assert tracer.metrics("verdict")["model.instance_s"] > 0
+    metrics = tracer.metrics("verdict")
+    assert metrics["model.instance_s"] > 0
+    for name, value in counts.items():
+        assert metrics[name] == value
