@@ -26,6 +26,7 @@ from .model import (
     _check_ids,
     _edge_votes,
     _partner_array,
+    _ranks,
     _weights,
     check_matching,
     index_dtype,
@@ -100,20 +101,19 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     matched = pa >= 0
     eu, ev = arr["eu"], arr["ev"]
 
-    bmask = w == 2
-    bu, bv = eu[bmask], ev[bmask]
-    bdeg = np.bincount(bu, minlength=n) + np.bincount(bv, minlength=n)
-    leaf = bdeg == 1
-    # the one blocking partner of each leaf
-    bpartner = np.full(n, -1, dtype=eu.dtype)
-    lu = leaf[bu]
-    lv = leaf[bv]
-    bpartner[bu[lu]] = bv[lu]
-    bpartner[bv[lv]] = bu[lv]
-    leafdeg = np.bincount(bu[lv], minlength=n) + np.bincount(bv[lu], minlength=n)
-    middle_mask = leafdeg >= 2
-    star_leaf = leaf & middle_mask[np.where(bpartner >= 0, bpartner, 0)] & (bpartner >= 0)
-    owner_mask = (bdeg > 0) & ~star_leaf
+    # each blocking edge once per direction: ends[i] blocks with other[i]
+    b = np.flatnonzero(w == 2)
+    ends = np.concatenate([eu[b], ev[b]])
+    other = np.roll(ends, len(b))
+    bdeg = np.bincount(ends, minlength=n)
+    at_leaf = np.flatnonzero(bdeg[ends] == 1)  # other[i] is the leaf's one blocking partner
+    middle_mask = np.bincount(other[at_leaf], minlength=n) >= 2
+    in_star = at_leaf[middle_mask[other[at_leaf]]]
+    leaf_star = np.full(n, -1, dtype=eu.dtype)
+    leaf_star[ends[in_star]] = other[in_star]
+    slv = np.flatnonzero(leaf_star >= 0)
+    owner_mask = bdeg > 0
+    owner_mask[slv] = False
 
     morder = np.flatnonzero(matched)
     owners = np.flatnonzero(owner_mask)
@@ -131,20 +131,14 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     star_of = np.full(n, -1, dtype=idx)
     star_of[middles] = np.arange(nm + nb, nm + nb + ns, dtype=idx)
 
-    zmask = w == 0
-    zu = orig_to_aux[eu[zmask]]
-    zv = orig_to_aux[ev[zmask]]
-    keep = zu != zv
-    zu, zv = zu[keep], zv[keep]
-
-    slv = np.flatnonzero(star_leaf)
-    leaf_star = np.full(n, -1, dtype=idx)
-    leaf_star[slv] = bpartner[slv]
-    slv_star = star_of[bpartner[slv]]
+    # a zero-weight edge never joins two unmatched nodes, so none is a loop at u;
     # edges at u repeat when several unmatched nodes share a neighbor
-    us = np.concatenate([zu, b_of[owners], slv_star])
-    vs = np.concatenate([zv, orig_to_aux[owners], orig_to_aux[slv]])
-    graph = Graph.from_edges(n_aux, np.column_stack((us, vs)))
+    z = np.flatnonzero(w == 0)
+    slv_star = star_of[leaf_star[slv]]
+    uv = np.empty((2, len(z) + nb + len(slv)), dtype=idx)  # the two ends of each edge
+    np.concatenate([orig_to_aux[eu[z]], b_of[owners], slv_star], out=uv[0])
+    np.concatenate([orig_to_aux[ev[z]], orig_to_aux[owners], orig_to_aux[slv]], out=uv[1])
+    graph = Graph.from_edges(n_aux, uv.T)
 
     aux_match = np.full(n_aux, -1, dtype=idx)
     aux_match[:nm] = orig_to_aux[pa[morder]]
@@ -159,7 +153,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         "matching_array": aux_match,
         "b_of_array": b_of,
         "star_of_array": star_of,
-        "leaf_star_array": leaf_star,
+        "leaf_star_array": leaf_star.astype(idx, copy=False),
         "leaf_off": leaf_off,
         "leaf_nodes": slv[np.argsort(slv_star, kind="stable")].astype(idx),
     }
@@ -183,6 +177,7 @@ def _neighbors(inst: RoommatesInstance, m: Matching, v: int) -> np.ndarray:
 def blocking_partners_of(inst: RoommatesInstance, m: Matching, v: int) -> list:
     """Ascending list of y with edge vy blocking, scanning only locally."""
     ys = _neighbors(inst, m, v)
+    ys = ys[:_ranks(inst, [v], m.partner_array[[v]])[0]]  # those v ranks above its partner
     return sorted(ys[_edge_votes(inst, m, np.full(len(ys), v), ys) == 2].tolist())
 
 

@@ -21,10 +21,11 @@ are frozenset views built on first use.
 
 Vertices are 0..n-1.  A graph holds its adjacency once, as
 `array.array` buffers that the search slices and numpy views for the
-vectorized checks.  Matchings are partner lists with -1 for exposed
-vertices; the array checks also take an integer partner array.  All
-traversals run in sorted adjacency order, so every result is
-deterministic.
+vectorized checks, split by shift and mask from one sort of the keys
+(src << s) | dst, int32 while they fit.  Matchings are partner lists
+with -1 for exposed vertices; the array checks also take an integer
+partner array.  All traversals run in sorted adjacency order, so every
+result is deterministic.
 """
 
 from __future__ import annotations
@@ -70,26 +71,32 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Graph from a (k, 2) int array or an iterable of pairs; a repeated edge counts once.
 
-        One sort of the directed keys src * n + dst of both directions puts
-        the adjacency in CSR order.
+        The ids are checked in the dtype they arrive in. One sort of the directed
+        keys (src << s) | dst, s = bit_length(n - 1), in index_dtype(n << s, 0),
+        puts the adjacency in CSR order: src is key >> s, dst the low s bits.
+        The int64 keys hold every n up to 2^31.
         """
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        e = e.reshape(-1, 2)
+        e = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges), dtype=np.int64)
+        e = (e if e.dtype.kind == "i" else e.astype(np.int64)).reshape(-1, 2)
         us, vs = e[:, 0], e[:, 1]
-        bad = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
-        if bad.any():
+        if e.size and (e.min() < 0 or e.max() >= n or (us == vs).any()):
+            bad = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
             u, v = e[int(np.argmax(bad))].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range")
-        key = np.concatenate([us * n + vs, vs * n + us])
+        s = max(n - 1, 0).bit_length()
+        key = np.array(e.T, dtype=index_dtype(n << s, 0), order="C")  # rows: u -> v, v -> u
+        key <<= s
+        key |= e.T[::-1]
+        key = key.ravel()
         key.sort()
         if key.size:
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         idx = index_dtype(n, len(key))
         off = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=off[1:])
-        key %= max(n, 1)
+        np.cumsum(np.bincount(key >> s, minlength=n), out=off[1:])
+        key &= (1 << s) - 1
         return cls(n, _buffer(off, idx), _buffer(key, idx))
 
     def neighbors(self, v: int) -> array:

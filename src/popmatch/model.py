@@ -523,11 +523,17 @@ def loop_weight(inst: RoommatesInstance, m: Matching, v: int) -> int:
 
 
 def _weights(inst: RoommatesInstance, m: Matching) -> np.ndarray:
-    """Edge weights aligned with the undirected arrays eu/ev of inst."""
+    """Edge weights aligned with the undirected arrays eu/ev of inst; ValueError
+    unless m fits inst, and check_matching's PairError if a pair of m is no edge."""
+    if m.n != inst.n:
+        raise ValueError("matching size does not fit the instance")
     arr = inst._arrays
     eu, ev, pu, pv = arr["eu"], arr["ev"], arr["pu"], arr["pv"]
     r = np.diff(arr["off"])  # partner rank; degree if exposed
-    hit = ev == _partner_array(m)[eu]  # the matched edges
+    pa = _partner_array(m)
+    hit = ev == pa[eu]  # the matched edges
+    if 2 * np.count_nonzero(hit) != np.count_nonzero(pa >= 0):
+        Matching.from_pairs(inst, m.pair_array())  # names the first pair that is no edge
     r[eu[hit]] = pu[hit]
     r[ev[hit]] = pv[hit]
     return (np.sign(r[eu] - pu) + np.sign(r[ev] - pv)).astype(np.int8)

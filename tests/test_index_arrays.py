@@ -268,6 +268,37 @@ def test_graph_views_its_neighbor_buffer():
     assert isinstance(res, Popular)
 
 
+def test_narrow_and_wide_keys_build_the_same_csr(monkeypatch):
+    # keys (src << s) | dst, s = bit_length(n - 1), are int32 up to n = 2^15
+    top = 2**15
+    assert index_dtype(top << 15, 0) is np.int32
+    assert index_dtype((top + 1) << 16, 0) is np.int64
+    for n in (top, top + 1):
+        pairs = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0), (n - 1, 0)]
+        pairs += [(1, n - 3), (n - 3, 1), (n - 3, n - 1), (0, 1), (n - 2, 0)]
+        rows = {}
+        for u, v in pairs:
+            rows.setdefault(u, set()).add(v)
+            rows.setdefault(v, set()).add(u)
+        off = np.cumsum([0] + [len(rows.get(v, ())) for v in range(n)]).tolist()
+        nbr = [w for v in sorted(rows) for w in sorted(rows[v])]
+        graphs = [Graph.from_edges(n, pairs), Graph.from_edges(n, np.array(pairs, dtype=np.int32))]
+        with monkeypatch.context() as patch:  # the wide keys at any n
+            patch.setattr(engine, "index_dtype", lambda n, entries: np.int64)
+            graphs.append(Graph.from_edges(n, pairs))
+        assert graphs[-1].nbr.itemsize == 8
+        for g in graphs:
+            assert (list(g.off), list(g.nbr)) == (off, nbr)
+
+
+def test_ids_beyond_int32_are_named_before_any_narrowing():
+    for edges in ([(0, 2**32 + 1)], np.array([(0, 2**32 + 1)])):
+        with pytest.raises(ValueError, match=r"^edge \(0, 4294967297\) out of range$"):
+            Graph.from_edges(3, edges)
+    with pytest.raises(ValueError, match=r"^edge \(2147483648, 1\) out of range$"):
+        Graph.from_edges(2**15, [(0, 1), (2**31, 1)])
+
+
 def test_arrays_fit_the_memory_budget():
     # a deterministic gate: bytes held, not time
     inst = parse_instance(serialize_instance(generate_instance(632, "gnp", 0.5, seed=1)))
@@ -283,11 +314,20 @@ def test_arrays_fit_the_memory_budget():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         g = Graph.from_edges(k, edges)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     # the CSR once, 4 bytes an entry: no list copy, no second numpy copy
-    assert g.edge_count() == aux.graph.edge_count() > 1000
-    assert held <= 4 * (k + 1 + 2 * g.edge_count()) + 4096
+    d = 2 * g.edge_count()  # directed keys, here also the rows of edges
+    assert g.edge_count() == aux.graph.edge_count() > 1000 and len(edges) == d
+    assert held <= 4 * (k + 1 + d) + 4096
+    # k < 2^15, so the keys are int32: 4 bytes each. The peak is while the
+    # offsets are counted: the keys, their src (key >> s) and bincount's
+    # 8-byte copy of it, 16 bytes a key, with 8-byte counts and 4-byte
+    # offsets per vertex. The input is checked without a copy. Int64 keys
+    # of both directions alone took 16 bytes a row, and their int64 copy of
+    # the input 16 more.
+    assert peak <= 16 * d + 12 * (k + 1) + 16384
 

@@ -220,6 +220,29 @@ def test_blocking_and_stars(two_triangles_pendants):
     assert aux.leaves(9).tolist() == [4, 5]
 
 
+def test_weights_refuse_a_pair_that_is_no_edge():
+    # 0-3 is no edge: every reader of _weights names the pair as check_matching does
+    inst = RoommatesInstance(((1, 2), (0, 2), (0, 1), ()))
+    m = Matching((3, None, None, 0))
+    for call in (check_matching, _weights, blocking_edges):
+        with pytest.raises(PairError, match=r"^pair \(0, 3\) is not an edge of the instance$"):
+            call(inst, m)
+    with pytest.raises(ValueError, match="^matching size does not fit the instance$"):
+        blocking_edges(inst, Matching((None,) * 3))
+
+
+def test_blocking_partners_at_the_ends_of_a_row():
+    # 0 is exposed, so its whole row counts; 3 ranks its partner 4 first, so
+    # none of its row can block, though 0 would gain from 3
+    inst = RoommatesInstance(((1, 3), (0, 2), (1,), (4, 0), (3,)))
+    m = Matching.from_pairs(inst, [(1, 2), (3, 4)])
+    assert blocking_edges(inst, m) == ((0, 1),)
+    assert edge_weight(inst, m, 0, 3) == 0
+    assert [blocking_partners_of(inst, m, v) for v in range(5)] == [[1], [0], [], [], []]
+    with pytest.raises(ValueError, match="^node 5 is out of range$"):
+        blocking_partners_of(inst, m, 5)
+
+
 def test_no_stars_without_shared_middle(two_triangles):
     inst, m = two_triangles
     assert blocking_edges(inst, m) == ((0, 2),)
