@@ -28,7 +28,7 @@ from .model import (
     _partner_array,
     _ranks,
     _weights,
-    check_matching,
+    check_matching,  # unused here; kept bound so outside tracers can wrap it by name
     index_dtype,
 )
 
@@ -54,8 +54,9 @@ class AuxGraph:
     there is none: `b_of_array` (its blocking node), `star_of_array`
     (the star of which it is the middle) and `leaf_star_array` (the
     middle of the star it is a leaf of).  `kind` holds int8 codes per
-    auxiliary node (KIND_ORIG, ...).  `star_of`, {middle: star node},
-    is a view built on first use.
+    auxiliary node (KIND_ORIG, ...).  `weights` holds `_weights(inst,
+    m)`, the int8 vote of every instance edge, for the decide's later
+    checks.  `star_of`, {middle: star node}, is a view built on first use.
     """
 
     graph: Graph
@@ -69,6 +70,7 @@ class AuxGraph:
     leaf_star_array: np.ndarray
     leaf_off: np.ndarray
     leaf_nodes: np.ndarray
+    weights: np.ndarray
     seeds: range = range(0)
 
     @cached_property
@@ -92,11 +94,11 @@ class AuxGraph:
 
 
 def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
-    """Construct the auxiliary graph of (inst, m)."""
-    check_matching(inst, m)
+    """Construct the auxiliary graph of (inst, m); the weight pass checks m
+    first and raises as `check_matching` would."""
+    w = _weights(inst, m)
     arr = inst._arrays
     n = inst.n
-    w = _weights(inst, m)
     pa = _partner_array(m)
     matched = pa >= 0
     eu, ev = arr["eu"], arr["ev"]
@@ -156,6 +158,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         "leaf_star_array": leaf_star.astype(idx, copy=False),
         "leaf_off": leaf_off,
         "leaf_nodes": slv[np.argsort(slv_star, kind="stable")].astype(idx),
+        "weights": w,
     }
     for a in arrays.values():
         a.flags.writeable = False

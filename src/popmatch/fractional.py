@@ -286,8 +286,12 @@ def structure_to_fractional_matching(
     drop[anchor] = True
     pairs = m.pair_array()
     kept = pairs[~(drop[pairs[:, 0]] | drop[pairs[:, 1]])]
+    # the new ones' nodes are off the kept pairs, so their lows alone place
+    # them; the ones then arrive in order and HalfIntegralMatching sorts nothing
+    new_ones = np.sort(new_ones, axis=1)
+    new_ones = new_ones[np.argsort(new_ones[:, 0])]
     return HalfIntegralMatching(
-        np.concatenate([kept, new_ones]),
+        np.insert(kept, np.searchsorted(kept[:, 0], new_ones[:, 0]), new_ones, axis=0),
         np.append(anchor, np.flatnonzero(pa < 0)),
         csr=(np.array([0, len(s.cycle)]), np.asarray(s.cycle, dtype=np.int64)),
     )

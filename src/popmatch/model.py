@@ -531,12 +531,13 @@ def _weights(inst: RoommatesInstance, m: Matching) -> np.ndarray:
     eu, ev, pu, pv = arr["eu"], arr["ev"], arr["pu"], arr["pv"]
     r = np.diff(arr["off"])  # partner rank; degree if exposed
     pa = _partner_array(m)
-    hit = ev == pa[eu]  # the matched edges
+    # np.take: a fancy index converts int32 indices to intp first, twice the cost
+    hit = ev == np.take(pa, eu)  # the matched edges
     if 2 * np.count_nonzero(hit) != np.count_nonzero(pa >= 0):
         Matching.from_pairs(inst, m.pair_array())  # names the first pair that is no edge
     r[eu[hit]] = pu[hit]
     r[ev[hit]] = pv[hit]
-    return (np.sign(r[eu] - pu) + np.sign(r[ev] - pv)).astype(np.int8)
+    return (np.sign(np.take(r, eu) - pu) + np.sign(np.take(r, ev) - pv)).astype(np.int8)
 
 
 def blocking_edges(inst: RoommatesInstance, m: Matching) -> tuple:
@@ -547,15 +548,32 @@ def blocking_edges(inst: RoommatesInstance, m: Matching) -> tuple:
     return tuple(zip(arr["eu"][idx].tolist(), arr["ev"][idx].tolist()))
 
 
+def _rival_votes(inst: RoommatesInstance, m: Matching, xs, ys) -> np.ndarray:
+    """Each node xs[i]'s vote for ys[i], -1 meaning unmatched, against its
+    partner in m, as int8. Only the entries where ys[i] is not that partner
+    are looked up; the others vote 0. m must be a matching of inst and
+    every id a node of it; ValueError names the first ys[i] that is not a
+    neighbor of xs[i].
+    """
+    pa = _partner_array(m)
+    votes = np.zeros(len(xs), dtype=np.int8)
+    moved = np.flatnonzero(np.take(pa, xs) != ys)
+    xs, ys = xs[moved], ys[moved]
+    r = _ranks(inst, np.tile(xs, 2), np.concatenate([ys, pa[xs]]))  # new, then old partner
+    votes[moved] = np.sign(r[len(xs):] - r[: len(xs)])
+    return votes
+
+
 def delta(inst: RoommatesInstance, m1: Matching, m2: Matching) -> int:
-    """Vote balance of moving from m1 to m2: positive means m2 wins."""
+    """Vote balance of moving from m1 to m2: positive means m2 wins.
+
+    Only the nodes whose partner changes are scored. m1 must be a matching
+    of inst: `check_matching` establishes it on the verify path, the
+    weight pass on the decide path. ValueError when a pair of m2 is no edge.
+    """
     if m1.n != inst.n or m2.n != inst.n:
         raise ValueError("matching size does not fit the instance")
-    old, new = _partner_array(m1), _partner_array(m2)
-    changed = np.flatnonzero(old != new)
-    # rank of the new partner, then of the old one, per changed node
-    r = _ranks(inst, np.repeat(changed, 2), np.stack([new[changed], old[changed]], axis=1).ravel())
-    return int(np.sign(r[1::2] - r[0::2]).sum())
+    return int(_rival_votes(inst, m1, np.arange(inst.n), m2.partner_array).sum())
 
 
 class HalfIntegralMatching(_Frozen):
@@ -585,12 +603,16 @@ class HalfIntegralMatching(_Frozen):
         pairs = _int_array(ones).reshape(-1, 2)
         low = np.minimum(pairs[:, 0], pairs[:, 1])
         high = np.maximum(pairs[:, 0], pairs[:, 1])
-        order = _lex_order(low, high)
+        # ones from m.pair_array() or a stored certificate arrive in order
+        a, b = low[:-1], low[1:]
+        if not ((a < b) | ((a == b) & (high[:-1] <= high[1:]))).all():
+            order = _lex_order(low, high)
+            low, high = low[order], high[order]
         cycle_off, cycle_nodes = _canonical_cycles(
             np.asarray(off, dtype=np.int64), _int_array(nodes)
         )
         self._take(
-            ones_array=np.column_stack((low[order], high[order])),
+            ones_array=np.column_stack((low, high)),
             loop_array=np.sort(_int_array(loop_ones)),
             cycle_off=cycle_off,
             cycle_nodes=cycle_nodes,
@@ -678,23 +700,23 @@ def fractional_value_times_two(
 ) -> int:
     """Twice the vote value of p against m, an exact integer.
 
-    Ones count twice and half-cycle edges once, each by its edge weight.
-    Raises ValueError when p uses a pair that is not an edge.
+    Ones and loops count twice and half-cycle edges once, each by both
+    ends' votes; only the nodes where p differs from m are scored. m must
+    be a matching of inst: `check_matching` establishes it on the verify
+    path, the weight pass on the decide path. Raises ValueError when p
+    uses a node outside inst or a pair that is not an edge.
     """
     us, vs = p.cycle_steps()
-    ones = p.ones_array
+    ones, loops = p.ones_array, p.loop_array
     a = _node_ids(np.concatenate([ones[:, 0], us]))
     b = _node_ids(np.concatenate([ones[:, 1], vs]))
-    _check_ids(inst, m, p.loop_array, "loop node")
+    _check_ids(inst, m, loops, "loop node")
     _check_ids(inst, m, np.concatenate([a, b]))  # the nodes index m below
-    w = _edge_votes(inst, m, a, b)
-    missing = w == NO_EDGE
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise ValueError(f"{b[i]} is not a neighbor of {a[i]}")
-    total = 2 * int(w[: len(ones)].sum()) + int(w[len(ones):].sum())
-    # leaving a matched node on its loop costs it one vote, counted twice
-    return total - 2 * int(np.count_nonzero(_partner_array(m)[p.loop_array] >= 0))
+    # each end of a one or cycle step votes for the other end, a loop node for being unmatched
+    xs = np.concatenate([a, b, loops])
+    votes = _rival_votes(inst, m, xs, np.concatenate([b, a, np.full(len(loops), -1)]))
+    k, s = len(ones), len(us)
+    return int(np.repeat([2, 1, 2, 1, 2], [k, s, k, s, len(loops)]) @ votes)
 
 
 def fractional_value(

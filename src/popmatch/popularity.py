@@ -206,7 +206,7 @@ def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:
 
 def _finish_popular(inst: RoommatesInstance, m: Matching, an: _Analysis) -> Popular:
     witness = build_dual_witness(inst, m, an.aux, an.ge, an.reach, an.big)
-    msg = witness_violation(inst, m, witness)
+    msg = witness_violation(inst, m, witness, an.aux.weights)
     if msg is not None:
         raise InternalError(f"constructed dual witness is invalid: {msg}")
     return Popular(witness=witness)
@@ -361,7 +361,8 @@ def check_blocking_structure(
 
 def _bad_nodes(inst: RoommatesInstance, seq) -> str | None:
     """The defect if some entry of seq is not a node id or repeats one."""
-    if any(not isinstance(v, int) or not 0 <= v < inst.n for v in seq):
+    n = inst.n
+    if any(not isinstance(v, int) or not 0 <= v < n for v in seq):
         return "node out of range"
     if len(set(seq)) != len(seq):
         return "repeated node"
@@ -443,9 +444,10 @@ def build_dual_witness(
 
 
 def witness_violation(
-    inst: RoommatesInstance, m: Matching, w: DualWitness
+    inst: RoommatesInstance, m: Matching, w: DualWitness, weights=None
 ) -> str | None:
-    """None if w is a feasible zero-value dual witness for m, else the defect."""
+    """None if w is a feasible zero-value dual witness for m, else the defect.
+    weights, if given, is `_weights(inst, m)`, which a decide already holds."""
     n = inst.n
     alpha = w.alpha_array
     if len(alpha) != n:
@@ -471,13 +473,15 @@ def witness_violation(
             k = int(np.searchsorted(off, at, side="right")) - 1
             return f"odd set #{k} contains invalid node {v!r}"
         return f"node {v} lies in two odd sets"
-    setid = np.full(n, -1, dtype=np.int64)
-    setid[ids] = np.repeat(np.arange(len(sizes)), sizes)
     arr = inst._arrays
     eu, ev = arr["eu"], arr["ev"]
-    wts = _weights(inst, m)
-    same = (setid[eu] >= 0) & (setid[eu] == setid[ev])
-    lhs = alpha[eu] + alpha[ev] + 2 * same
+    wts = _weights(inst, m) if weights is None else weights
+    lhs = np.take(alpha, eu) + np.take(alpha, ev)
+    if len(sizes):
+        setid = np.full(n, -1, dtype=np.int64)
+        setid[ids] = np.repeat(np.arange(len(sizes)), sizes)
+        su = np.take(setid, eu)
+        lhs += 2 * ((su >= 0) & (su == np.take(setid, ev)))
     bad = lhs < wts
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -16,6 +17,9 @@ from popmatch.formats import (
 from popmatch.fractional import is_fractional_popular
 from popmatch.model import Matching, RoommatesInstance
 from popmatch.popularity import is_popular
+
+from conftest import TWO_TRIANGLES, TWO_TRIANGLES_M
+from helpers import tiled
 
 
 def roundtrip(res):
@@ -320,6 +324,27 @@ def test_verify_rejects_tampered_fractional(two_triangles, two_triangles_pendant
     bad = copy.deepcopy(lifted)
     bad["margin"] = 1
     assert "wins by 2, not 1" in verify_certificate(inst1, m1, bad)
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda ones: ones, None),
+        (lambda ones: ones[:-1], "node 0 is covered 0/2 times, expected exactly 1"),
+        (lambda ones: ones + [[2, 0]], "node 0 is covered 4/2 times, expected exactly 1"),
+        (lambda ones: ones[1:] + [[15, 2]], "edge (2, 15) is not in the instance"),
+    ],
+    ids=["reordered", "dropped", "doubled", "swapped"],
+)
+def test_verify_reads_p_ones_in_any_order(edit, expected):
+    # the stored ones arrive in order and skip the sort; out of order they take it
+    inst, m = tiled(random.Random(3), [(TWO_TRIANGLES, TWO_TRIANGLES_M)] * 3)
+    doc = roundtrip(is_fractional_popular(inst, m))
+    ones = doc["p"]["ones"]
+    assert ones == sorted(ones) and ones[0] == [0, 2] and [15, 16] in ones
+    bad = copy.deepcopy(doc)
+    bad["p"]["ones"] = edit([[v, u] for u, v in reversed(ones)])
+    assert verify_certificate(inst, m, bad) == expected
 
 
 def _tampered(doc, path, value):

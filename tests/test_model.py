@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from popmatch.auxgraph import (
     blocking_partners_of,
@@ -279,6 +281,28 @@ def test_half_integral_canonical_forms():
         HalfIntegralMatching(ones=(), loop_ones=(), half_cycles=((0, 1, 0),))
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_half_integral_ones_in_any_order(rows, rnd):
+    # in-order ones skip the sort; every other order takes it, to the same state
+    canon = sorted((min(u, v), max(u, v)) for u, v in rows)
+    shuffled = list(canon)
+    rnd.shuffle(shuffled)
+    forms = [
+        canon,
+        np.array(canon, dtype=np.int64).reshape(-1, 2),
+        shuffled,
+        [(v, u) for u, v in canon],
+        rows,
+    ]
+    ps = [HalfIntegralMatching(ones=f, loop_ones=(), half_cycles=()) for f in forms]
+    for p in ps:
+        assert p.ones == tuple(canon)
+        assert p == ps[0] and hash(p) == hash(ps[0])
+
+
 def test_half_integral_coverage(triangle_pendant):
     inst, m = triangle_pendant
     p = HalfIntegralMatching(ones=(), loop_ones=(3,), half_cycles=((0, 1, 2),))
@@ -357,11 +381,76 @@ def test_fractional_value_matches_vote_loop():
 
 
 def test_fractional_value_rejects_non_edges(triangle_pendant):
+    # a pair of m is never looked up, but a one that is no edge still is
     inst, m = triangle_pendant
-    for ones in (((0, 3),), ((1, 1),), ((0, 4),), ((-1, 2),)):
-        p = HalfIntegralMatching(ones=ones, loop_ones=(), half_cycles=())
-        with pytest.raises(ValueError):
+    for ones, cycles, message in (
+        (((0, 3),), (), "3 is not a neighbor of 0"),
+        (((3, 0),), (), "3 is not a neighbor of 0"),
+        (((0, 1), (1, 3)), (), "3 is not a neighbor of 1"),
+        (((0, 1),), ((0, 1, 3),), "3 is not a neighbor of 1"),
+        (((1, 1),), (), "1 is not a neighbor of 1"),
+        (((0, 4),), (), "node 4 is out of range"),
+        (((-1, 2),), (), "node -1 is out of range"),
+    ):
+        p = HalfIntegralMatching(ones=ones, loop_ones=(), half_cycles=cycles)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fractional_value_times_two(inst, m, p)
+
+
+def _decide_shaped_rival(inst, m, rng, cycle):
+    """A rival shaped like the decide's: m minus a few pairs and a triangle's
+    partners, the triangle on half values if cycle, the freed nodes paired
+    anew along edges where they can be and parked on loops otherwise."""
+    pa = m.partner_array
+    body = set()
+    triangles = [
+        (u, v, w)
+        for u, v in sorted(inst.edges)
+        for w in inst.pref[v]
+        if w > v and (u, w) in inst.edges
+    ]
+    half = ()
+    if cycle and triangles:
+        half = (rng.choice(triangles),)
+        body.update(half[0])
+    pairs = list(m.pairs())
+    for u, v in rng.sample(pairs, min(len(pairs), rng.randint(0, 2))):
+        body.update((u, v))
+    body.update(int(pa[v]) for v in list(body) if pa[v] >= 0)
+    cyc = set(half[0]) if half else set()
+    ones = [(u, v) for u, v in pairs if u not in body and v not in body]
+    free = sorted((body | set(np.flatnonzero(pa < 0).tolist())) - cyc)
+    rng.shuffle(free)
+    taken = set()
+    for u in free:
+        for v in free:
+            if u not in taken and v not in taken and (min(u, v), max(u, v)) in inst.edges:
+                ones.append((u, v))
+                taken.update((u, v))
+    loops = [v for v in free if v not in taken]
+    return HalfIntegralMatching(ones=ones, loop_ones=loops, half_cycles=half)
+
+
+def test_rival_scorer_matches_the_references():
+    rng = random.Random(33)
+    seen_loops = {True: 0, False: 0}
+    seen_cycles = 0
+    for _ in range(300):
+        inst = random_instance(rng, rng.randint(3, 12), 0.5)
+        m = _shuffled_maximal(inst, rng)
+        for cycle in (False, True):
+            p = _decide_shaped_rival(inst, m, rng, cycle)
+            p.validate(inst)
+            for v in p.loop_ones:
+                seen_loops[bool(m.partner_array[v] >= 0)] += 1
+            assert fractional_value_times_two(inst, m, p) == _value_times_two_by_votes(inst, m, p)
+            seen_cycles += bool(p.half_cycles)
+            if not p.half_cycles:
+                m2 = Matching.from_pairs(inst, p.ones)
+                two = fractional_value_times_two(inst, m, half_from_matching(inst, m2))
+                assert 2 * delta(inst, m, m2) == two
+    # loops at matched and at exposed nodes, and half cycles, all occur
+    assert seen_loops[True] and seen_loops[False] and seen_cycles
 
 
 # Reference votes over the inst.rank dicts, the lookup that _ranks replaced.

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR
-from popmatch.model import Matching, RoommatesInstance, delta
+from popmatch import auxgraph, model, popularity
+from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
+from popmatch.fractional import is_fractional_popular
+from popmatch.model import Matching, PairError, RoommatesInstance, blocking_edges, delta
 from popmatch.oracle import brute_popular, enumerate_matchings
 from popmatch.popularity import (
     CYCLE,
@@ -25,7 +27,7 @@ from popmatch.popularity import (
     witness_violation,
 )
 
-from helpers import partner_first_instance, random_instance, tiled
+from helpers import analysis_cases, partner_first_instance, random_instance, tiled
 
 
 def test_unpopular_two_triangles_pendants(two_triangles_pendants):
@@ -218,3 +220,39 @@ def test_agrees_with_brute_on_small_instances():
             else:
                 assert check_blocking_structure(inst, m, res.structure) is None
                 assert delta(inst, m, res.better) == res.margin >= 1
+
+
+def test_one_weight_pass_per_popular_decide(monkeypatch):
+    calls = []
+    for module in (auxgraph, popularity):
+        raw = module._weights
+        monkeypatch.setattr(module, "_weights", lambda *a, raw=raw: calls.append(a) or raw(*a))
+    popular = 0
+    for inst, m in analysis_cases():
+        calls.clear()
+        if is_popular(inst, m).popular:
+            popular += 1
+            assert len(calls) == 1
+    assert popular
+
+
+def test_build_aux_leaves_the_matching_check_to_the_weight_pass(monkeypatch, two_triangles):
+    # still bound, so outside tracers can wrap it by name
+    assert auxgraph.check_matching is model.check_matching
+
+    def refuse(*args):
+        raise AssertionError("build_aux called check_matching")
+
+    monkeypatch.setattr(auxgraph, "check_matching", refuse)
+    inst, m = two_triangles
+    assert np.array_equal(build_aux(inst, m).weights, model._weights(inst, m))
+
+
+def test_decides_name_a_pair_that_is_no_edge():
+    inst = RoommatesInstance(((1, 2), (0, 2), (0, 1), ()))
+    m = Matching((3, None, None, 0))  # 0-3 is no edge
+    for call in (is_popular, is_fractional_popular, blocking_edges):
+        with pytest.raises(PairError, match=r"^pair \(0, 3\) is not an edge of the instance$"):
+            call(inst, m)
+        with pytest.raises(ValueError, match="^matching size does not fit the instance$"):
+            call(inst, Matching((None,) * 3))
