@@ -20,7 +20,7 @@ from .formats import (
     document_to_json,
     parse_instance,
     parse_matching,
-    result_to_document,
+    result_to_document,  # unused here; kept bound so outside tracers can wrap it by name
     serialize_instance,
 )
 from .fractional import CycleThroughStar, is_fractional_popular
@@ -76,7 +76,7 @@ def _cmd_check(args, full: bool) -> int:
     inst, m = _load(args)
     res = is_popular(inst, m)
     if args.json:
-        sys.stdout.write(document_to_json(result_to_document(res)))
+        sys.stdout.write(document_to_json(res))
         return 0 if res.popular else 1
     if res.popular:
         print("popular")
@@ -100,7 +100,7 @@ def _cmd_fractional(args) -> int:
     inst, m = _load(args)
     res = is_fractional_popular(inst, m)
     if args.json:
-        sys.stdout.write(document_to_json(result_to_document(res)))
+        sys.stdout.write(document_to_json(res))
         return 0 if res.popular else 1
     if res.popular:
         print("fractional-popular")

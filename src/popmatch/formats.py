@@ -293,12 +293,77 @@ def serialize_matching(m: Matching) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _witness_doc(w: DualWitness) -> dict:
-    alpha = w.alpha_array.tolist()
-    return {
-        "alpha": dict(zip(map(str, range(len(alpha))), alpha)),
-        "two_sets": _groups(w.set_off, w.set_nodes, list),
-    }
+def _digits(col: np.ndarray) -> np.ndarray:
+    """(len(col), w) uint8 block holding each int of col as decimal text, zero bytes as padding.
+
+    An object column holds a value beyond int64, which only outside input
+    does; it is written with str per entry, as json writes an int.
+    """
+    if col.dtype == object:
+        s = np.array([str(v) for v in col.tolist()], dtype="S")  # zero-padded on the right
+        return s.view(np.uint8).reshape(len(s), s.itemsize)
+    col = col.astype(np.int64, copy=False)
+    mag = np.abs(col).view(np.uint64)  # exact for int64's least value too
+    w = len(str(int(mag.max(initial=0))))
+    out = np.zeros((len(col), w + 1), dtype=np.uint8)  # column 0 only ever holds a `-`
+    size = np.ones(len(col), dtype=np.int64)  # digits per entry
+    out[:, w] = mag % 10 + ord("0")
+    for j in range(w - 1, 0, -1):
+        mag //= 10
+        live = mag > 0
+        size += live
+        out[:, j] = np.where(live, mag % 10 + ord("0"), 0)
+    neg = np.flatnonzero(col < 0)
+    out[neg, w - size[neg]] = ord("-")
+    return out if neg.size else out[:, 1:]
+
+
+def _rows(*parts) -> str:
+    """ASCII text of rows laid end to end, row i being each part's i-th entry in turn.
+
+    A bytes part is the same in every row, a 1-D int array gives each row
+    its entry as decimal text, and a 2-D uint8 array its row of bytes up to
+    zero padding.
+    """
+    n = next(len(p) for p in parts if not isinstance(p, bytes))
+    blocks = [
+        np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (n, len(p)))
+        if isinstance(p, bytes)
+        else p if p.ndim == 2 else _digits(p)
+        for p in parts
+    ]
+    buf = np.concatenate(blocks, axis=1)
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+class _Json(str):
+    """JSON text already written, which `_dumps` places as it is."""
+
+
+def _alpha_json(alpha: np.ndarray) -> _Json:
+    """alpha as a JSON object from node id to value, keys in JSON's string order."""
+    k = np.arange(len(alpha))
+    w = len(str(max(len(alpha) - 1, 0)))  # digits of the widest key
+    size = 1 + np.searchsorted(10 ** np.arange(1, w), k, side="right")
+    # a key padded with zeros to w digits sorts as its string does, and the
+    # stable sort puts a shorter key first on a tie: "1" < "10" < "100" < "11" < "2"
+    order = np.argsort(k * 10 ** (w - size), kind="stable")
+    return _Json("{" + _rows(b'"', order, b'": ', alpha[order], b", ")[:-2] + "}")
+
+
+def _groups_json(off: np.ndarray, values: np.ndarray) -> _Json:
+    """The CSR groups values[off[k]:off[k + 1]] as a JSON list of lists."""
+    if not len(values) or (off[1:] == off[:-1]).any():  # no group, or an empty one
+        return _Json(json.dumps(_groups(off, values, list)))
+    sep = np.empty((len(values), 4), dtype=np.uint8)
+    sep[:] = np.frombuffer(b", \0\0", dtype=np.uint8)
+    sep[off[1:] - 1] = np.frombuffer(b"], [", dtype=np.uint8)
+    return _Json("[[" + _rows(values, sep)[:-4] + "]]")
+
+
+def _pairs_json(pairs: np.ndarray) -> _Json:
+    """A (k, 2) array as a JSON list of pairs."""
+    return _groups_json(np.arange(0, pairs.size + 1, 2), pairs.ravel())
 
 
 def _structure_doc(s: BlockingStructure) -> dict:
@@ -312,26 +377,35 @@ def _structure_doc(s: BlockingStructure) -> dict:
     return {"kind": s.kind, "nodes": list(seq), "blocking_edges": blocking}
 
 
-def result_to_document(res) -> dict:
-    """JSON-ready certificate document for any verdict object."""
-    if isinstance(res, Popular):
-        return {"verdict": "popular", "witness": _witness_doc(res.witness)}
-    if isinstance(res, Unpopular):
+def _unpopular_doc(u: Unpopular) -> dict:
+    return {
+        "blocking_structure": _structure_doc(u.structure),
+        "better_matching": _pairs_json(u.better.pair_array()),
+        "margin": u.margin,
+    }
+
+
+def _document(res) -> dict:
+    """The certificate of a verdict object, its big parts already JSON text."""
+    if isinstance(res, (Popular, FractionalPopular)):
+        w = res.witness
         return {
-            "verdict": "unpopular",
-            "blocking_structure": _structure_doc(res.structure),
-            "better_matching": res.better.pair_array().tolist(),
-            "margin": res.margin,
+            "verdict": "popular" if isinstance(res, Popular) else "fractional-popular",
+            "witness": {
+                "alpha": _alpha_json(w.alpha_array),
+                "two_sets": _groups_json(w.set_off, w.set_nodes),
+            },
         }
-    if isinstance(res, FractionalPopular):
-        return {"verdict": "fractional-popular", "witness": _witness_doc(res.witness)}
+    if isinstance(res, Unpopular):
+        return {"verdict": "unpopular", **_unpopular_doc(res)}
     if isinstance(res, NotFractionalPopular):
+        p = res.p
         doc = {
             "verdict": "not-fractional-popular",
             "p": {
-                "ones": res.p.ones_array.tolist(),
-                "loop_ones": res.p.loop_array.tolist(),
-                "half_cycles": _groups(res.p.cycle_off, res.p.cycle_nodes, list),
+                "ones": _pairs_json(p.ones_array),
+                "loop_ones": p.loop_array.tolist(),
+                "half_cycles": _groups_json(p.cycle_off, p.cycle_nodes),
             },
             "value_times_two": res.value_times_two,
         }
@@ -350,16 +424,35 @@ def result_to_document(res) -> dict:
                 "blocking_edge": list(s.blocking_edge),
             }
         if res.from_unpopular is not None:
-            doc["blocking_structure"] = _structure_doc(res.from_unpopular.structure)
-            doc["better_matching"] = res.from_unpopular.better.pair_array().tolist()
-            doc["margin"] = res.from_unpopular.margin
+            doc.update(_unpopular_doc(res.from_unpopular))
         return doc
     raise TypeError(f"not a verdict object: {type(res).__name__}")
 
 
-def document_to_json(doc: dict) -> str:
-    # no indent: an indent sends json to its pure-Python encoder
-    return json.dumps(doc, sort_keys=True) + "\n"
+def _dumps(v) -> str:
+    """v as `json.dumps(v, sort_keys=True)` writes it, with _Json text placed as it is."""
+    if isinstance(v, _Json):
+        return v
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v[k])}" for k in sorted(v)) + "}"
+    return json.dumps(v, sort_keys=True)
+
+
+def document_to_json(doc) -> str:
+    """The certificate as one line of JSON with sorted keys.
+
+    Given a verdict object, the text is written straight from its arrays;
+    given a document dict, it is `json.dumps` of the dict.
+    """
+    if isinstance(doc, dict):
+        # no indent: an indent sends json to its pure-Python encoder
+        return json.dumps(doc, sort_keys=True) + "\n"
+    return _dumps(_document(doc)) + "\n"
+
+
+def result_to_document(res) -> dict:
+    """The certificate document of a verdict object: its JSON text, read back."""
+    return json.loads(_dumps(_document(res)))
 
 
 _NOT_OBJECT = "certificate must be a JSON object"
@@ -476,7 +569,7 @@ def _verify_unpopular_parts(inst, m, doc) -> str | None:
     return None
 
 
-def _half_from(doc, inst: RoommatesInstance) -> HalfIntegralMatching | str:
+def _half_from(doc, inst: RoommatesInstance, m: Matching) -> HalfIntegralMatching | str:
     if not isinstance(doc, dict):
         return "p is not an object"
     ones_doc = doc.get("ones")
@@ -497,7 +590,7 @@ def _half_from(doc, inst: RoommatesInstance) -> HalfIntegralMatching | str:
             _int_array(loops),
             csr=_csr(cycles_doc),
         )
-        p.validate(inst)
+        p.validate(inst, m)
     except (ValueError, IndexError) as exc:
         return str(exc)
     return p
@@ -522,7 +615,7 @@ def _frac_structure_from(sdoc) -> CycleThroughStar | PathPlusCycle | str:
 
 
 def _verify_not_fractional(inst, m, doc) -> str | None:
-    p = _half_from(doc.get("p"), inst)
+    p = _half_from(doc.get("p"), inst, m)
     if isinstance(p, str):
         return p
     vt2 = doc.get("value_times_two")

@@ -116,7 +116,7 @@ def is_fractional_popular(
         raise InternalError(f"constructed fractional structure is invalid: {msg}")
     p = structure_to_fractional_matching(inst, m, s)
     try:
-        p.validate(inst)
+        p.validate(inst, m)
     except ValueError as exc:
         raise InternalError(f"constructed half-integral matching is invalid: {exc}")
     vt2 = fractional_value_times_two(inst, m, p)

@@ -643,12 +643,24 @@ class HalfIntegralMatching(_Frozen):
         nxt[off[1:] - 1] = off[:-1]  # every cycle has three nodes or more
         return nodes, nodes[nxt]
 
-    def validate(self, inst: RoommatesInstance) -> None:
-        """Raise ValueError unless this is a perfect half-integral matching."""
+    def validate(self, inst: RoommatesInstance, m: Matching | None = None) -> None:
+        """Raise ValueError unless this is a perfect half-integral matching.
+
+        m, if given, is a matching of inst, checked already (by the weight
+        pass on the decide path, by `check_matching` on the verify path);
+        the ones that are pairs of m are then not looked up again.
+        """
         ones = self.ones_array
-        has = inst.has_edges(_node_ids(ones[:, 0]), _node_ids(ones[:, 1]))
+        us, vs = _node_ids(ones[:, 0]), _node_ids(ones[:, 1])
+        look = np.arange(len(ones))
+        if m is not None:
+            pa = m.partner_array
+            known = (us >= 0) & (us < len(pa)) & (vs >= 0)
+            known[known] = pa[us[known]] == vs[known]
+            look = np.flatnonzero(~known)
+        has = inst.has_edges(us[look], vs[look])
         if not has.all():
-            u, v = ones[np.argmin(has)].tolist()
+            u, v = ones[look[np.argmin(has)]].tolist()
             raise ValueError(f"edge ({u}, {v}) is not in the instance")
         loops = self.loop_array
         out = (loops < 0) | (loops >= inst.n)

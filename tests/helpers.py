@@ -8,9 +8,15 @@ import numpy as np
 
 from popmatch.engine import _EVEN, _ODD
 from popmatch.formats import ParseError
+from popmatch.fractional import (
+    CycleThroughStar,
+    FractionalPopular,
+    NotFractionalPopular,
+    PathPlusCycle,
+)
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance, _weights
-from popmatch.popularity import Unpopular, is_popular
+from popmatch.popularity import Popular, Unpopular, is_popular
 
 
 def random_instance(rng: random.Random, n: int, p: float) -> RoommatesInstance:
@@ -414,3 +420,71 @@ def reference_aux(inst, m) -> dict:
         "leaf_star": leaf_star,
         "edges": sorted(e for e in edges if e[0] != e[1]),
     }
+
+
+def _reference_groups(off, values) -> list:
+    flat, bounds = values.tolist(), off.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference_unpopular(u) -> dict:
+    seq = u.structure.nodes
+    if u.structure.kind == "cycle":
+        blocking = [[seq[-1], seq[0]]]
+    elif u.structure.kind == "path-two-blocking":
+        blocking = [[seq[0], seq[1]], [seq[-2], seq[-1]]]
+    else:
+        blocking = [[seq[0], seq[1]]]
+    return {
+        "blocking_structure": {
+            "kind": u.structure.kind,
+            "nodes": list(seq),
+            "blocking_edges": blocking,
+        },
+        "better_matching": u.better.pair_array().tolist(),
+        "margin": u.margin,
+    }
+
+
+def reference_document(res) -> dict:
+    """The certificate document of a verdict object, built as a dict of Python
+    values: the dict form that formats' array writer replaced."""
+    if isinstance(res, (Popular, FractionalPopular)):
+        w = res.witness
+        alpha = w.alpha_array.tolist()
+        return {
+            "verdict": "popular" if isinstance(res, Popular) else "fractional-popular",
+            "witness": {
+                "alpha": {str(v): a for v, a in enumerate(alpha)},
+                "two_sets": _reference_groups(w.set_off, w.set_nodes),
+            },
+        }
+    if isinstance(res, Unpopular):
+        return {"verdict": "unpopular", **_reference_unpopular(res)}
+    assert isinstance(res, NotFractionalPopular)
+    doc = {
+        "verdict": "not-fractional-popular",
+        "p": {
+            "ones": res.p.ones_array.tolist(),
+            "loop_ones": res.p.loop_array.tolist(),
+            "half_cycles": _reference_groups(res.p.cycle_off, res.p.cycle_nodes),
+        },
+        "value_times_two": res.value_times_two,
+    }
+    s = res.structure
+    if isinstance(s, CycleThroughStar):
+        doc["fractional_structure"] = {
+            "kind": "cycle-through-star",
+            "cycle": list(s.cycle),
+            "middle": s.middle,
+        }
+    elif isinstance(s, PathPlusCycle):
+        doc["fractional_structure"] = {
+            "kind": "path-plus-cycle",
+            "path": list(s.path),
+            "cycle": list(s.cycle),
+            "blocking_edge": list(s.blocking_edge),
+        }
+    if res.from_unpopular is not None:
+        doc.update(_reference_unpopular(res.from_unpopular))
+    return doc

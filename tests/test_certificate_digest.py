@@ -5,11 +5,14 @@ must leave every emitted document unchanged.  Each test hashes the JSON
 of both decisions over a fixed corpus, in order, and compares the
 digest with the one recorded when the test was written.  A change that
 is meant to alter certificates must record the new digest here and say
-why.
+why.  The corpora are hashed twice: as the text of the document dict,
+and as the text the CLI prints, which the writer makes straight from
+the verdict's arrays.
 """
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -30,15 +33,30 @@ DIGEST = "86ede32c4e2417cda39989e2904af4f9c3db4e8269eb3e366c2942f779e2c735"
 WORKLOAD_DIGEST = "59a7d4ebd29f2d8176d5f9b2fc9af73fa02ff5443a89ab97cf77747e8425abba"
 
 
-def test_certificates_are_byte_identical():
+def _corpus() -> list:
     gadgets = [
         (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M),
         (TWO_TRIANGLES, TWO_TRIANGLES_M),
         (TWO_TRIANGLES_PENDANTS, TWO_TRIANGLES_PENDANTS_M),
     ]
+    return list(analysis_cases()) + list(gadget_cases(60, 13, gadgets))
+
+
+def _printed_digest(cases) -> str:
+    """Digest of the text the CLI prints for both decisions over cases."""
+    h = hashlib.sha256()
+    for inst, m in cases:
+        for decide in (is_popular, is_fractional_popular):
+            text = document_to_json(decide(inst, m))
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+            h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_certificates_are_byte_identical():
     h = hashlib.sha256()
     verdicts = set()
-    for inst, m in list(analysis_cases()) + list(gadget_cases(60, 13, gadgets)):
+    for inst, m in _corpus():
         for decide in (is_popular, is_fractional_popular):
             doc = result_to_document(decide(inst, m))
             h.update(document_to_json(doc).encode())
@@ -46,6 +64,10 @@ def test_certificates_are_byte_identical():
     # the corpus reaches every verdict, so every certificate kind is pinned
     assert verdicts == {"popular", "unpopular", "fractional-popular", "not-fractional-popular"}
     assert h.hexdigest() == DIGEST
+
+
+def test_printed_certificates_are_byte_identical():
+    assert _printed_digest(_corpus()) == DIGEST
 
 
 def _workloads_module():
@@ -77,3 +99,7 @@ def test_workload_certificates_are_byte_identical():
             verdicts.add(doc["verdict"])
     assert verdicts == {"popular", "unpopular", "fractional-popular", "not-fractional-popular"}
     assert h.hexdigest() == WORKLOAD_DIGEST
+
+
+def test_printed_workload_certificates_are_byte_identical():
+    assert _printed_digest(_workload_cases()) == WORKLOAD_DIGEST

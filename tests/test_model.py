@@ -454,6 +454,52 @@ def test_rival_scorer_matches_the_references():
 
 
 # Reference votes over the inst.rank dicts, the lookup that _ranks replaced.
+def _validate_message(p, inst, *m):
+    try:
+        p.validate(inst, *m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_skips_only_the_pairs_of_the_matching(monkeypatch):
+    """Given the checked matching, validate looks up only the ones that are
+    not its pairs, and says what it says without it."""
+    looked = []
+    edge_index = RoommatesInstance._edge_index
+    monkeypatch.setattr(
+        RoommatesInstance,
+        "_edge_index",
+        lambda self, us, vs: looked.append(len(us)) or edge_index(self, us, vs),
+    )
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        inst = random_instance(rng, rng.randint(3, 10), 0.5)
+        m = _shuffled_maximal(inst, rng)
+        p = _decide_shaped_rival(inst, m, rng, rng.random() < 0.5)
+        ones = list(p.ones)
+        fresh = sum(m.partner_array[u] != v for u, v in ones)
+        looked.clear()
+        assert _validate_message(p, inst, m) is None
+        assert sum(looked) == fresh + 3 * len(p.half_cycles)  # cycle steps are looked up
+        # a one that names no node, or that is no edge, at an unmatched node too
+        u = rng.randrange(inst.n)
+        bad = rng.choice([(u, 2**70), (u, -1), (u, inst.n), (u, u + 1 + rng.randrange(2))])
+        q = HalfIntegralMatching(
+            ones=ones + [bad], loop_ones=p.loop_ones, half_cycles=p.half_cycles
+        )
+        want = _validate_message(q, inst)
+        seen.add(want.split(" ")[0] if want else None)
+        assert _validate_message(q, inst, m) == want
+    assert seen == {"edge", "node"}
+    # an id beyond int64 reads as -1, which is also an unmatched node's partner
+    inst = RoommatesInstance(((1,), (0,)))
+    q = HalfIntegralMatching(ones=((0, 2**70),), loop_ones=(1,), half_cycles=())
+    want = f"edge (0, {2**70}) is not in the instance"
+    assert _validate_message(q, inst, Matching.empty(2)) == _validate_message(q, inst) == want
+
+
 def _ref_rank(inst, u, v):
     if v is None:
         return len(inst.pref[u])
