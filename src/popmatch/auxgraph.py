@@ -50,13 +50,12 @@ class AuxGraph:
     `payload_array`, the original node it stands for (a star's middle,
     -1 for the exposed node); `matching_array`, its partner or -1; and
     the star leaves in CSR form, `leaf_nodes[leaf_off[i]:leaf_off[i + 1]]`
-    ascending, empty unless i is a star.  Per original node, -1 where
-    there is none: `b_of_array` (its blocking node), `star_of_array`
-    (the star of which it is the middle) and `leaf_star_array` (the
-    middle of the star it is a leaf of).  `kind` holds int8 codes per
-    auxiliary node (KIND_ORIG, ...).  `weights` holds `_weights(inst,
-    m)`, the int8 vote of every instance edge, for the decide's later
-    checks.  `star_of`, {middle: star node}, is a view built on first use.
+    ascending, empty unless i is a star.  Per original node:
+    `star_of_array`, the star of which it is the middle, -1 where there
+    is none.  `kind` holds int8 codes per auxiliary node (KIND_ORIG,
+    ...).  `weights` holds `_weights(inst, m)`, the int8 vote of every
+    instance edge, for the decide's later checks.  `star_of`, {middle:
+    star node}, is a view built on first use.
     """
 
     graph: Graph
@@ -65,9 +64,7 @@ class AuxGraph:
     matching_array: np.ndarray
     n_matched: int
     u_id: int
-    b_of_array: np.ndarray
     star_of_array: np.ndarray
-    leaf_star_array: np.ndarray
     leaf_off: np.ndarray
     leaf_nodes: np.ndarray
     weights: np.ndarray
@@ -128,8 +125,6 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
 
     orig_to_aux = np.full(n, u_id, dtype=idx)
     orig_to_aux[morder] = np.arange(nm, dtype=idx)
-    b_of = np.full(n, -1, dtype=idx)
-    b_of[owners] = np.arange(nm, nm + nb, dtype=idx)
     star_of = np.full(n, -1, dtype=idx)
     star_of[middles] = np.arange(nm + nb, nm + nb + ns, dtype=idx)
 
@@ -138,7 +133,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     z = np.flatnonzero(w == 0)
     slv_star = star_of[leaf_star[slv]]
     uv = np.empty((2, len(z) + nb + len(slv)), dtype=idx)  # the two ends of each edge
-    np.concatenate([orig_to_aux[eu[z]], b_of[owners], slv_star], out=uv[0])
+    np.concatenate([orig_to_aux[eu[z]], np.arange(nm, nm + nb), slv_star], out=uv[0])
     np.concatenate([orig_to_aux[ev[z]], orig_to_aux[owners], orig_to_aux[slv]], out=uv[1])
     graph = Graph.from_edges(n_aux, uv.T)
 
@@ -153,9 +148,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
             [morder, owners, middles, np.full(int(have_u), -1)]
         ).astype(idx),
         "matching_array": aux_match,
-        "b_of_array": b_of,
         "star_of_array": star_of,
-        "leaf_star_array": leaf_star.astype(idx, copy=False),
         "leaf_off": leaf_off,
         "leaf_nodes": slv[np.argsort(slv_star, kind="stable")].astype(idx),
         "weights": w,

@@ -603,11 +603,11 @@ def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, component, ro
 
     The component must be factor-critical with the matching covering
     everything but root inside it, and `reach` a search that closed it
-    as one outermost blossom based at root.  Tracing an even neighbor of
-    root up the forest then stays inside the blossom and ends at root,
-    so the trace plus the edge back to root is the cycle.  The returned
-    vertex list starts at root; consecutive pairs after root are matched
-    edges and the two edges at root are non-matching.
+    as one outermost blossom based at root.  Tracing root's first even
+    neighbor inside it up the forest then stays inside the blossom and
+    ends at root, so the trace plus the edge back to root is the cycle.
+    The returned vertex list starts at root; consecutive pairs after root
+    are matched edges and the two edges at root are non-matching.
     """
     inside = set(component)
     if root not in inside:
@@ -617,19 +617,13 @@ def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, component, ro
             raise ValueError(f"vertex {v} is not matched inside the component")
     if match[root] in inside:
         raise ValueError("root is matched inside the component")
-    for a in g.neighbors(root):
-        if a not in inside or reach.label[a] != _EVEN:
-            continue
-        seq = _trace_even(match, reach.p, a, stop=root)
-        if seq[-1] != root or not inside.issuperset(seq):
-            continue
-        cycle = [root] + seq[-2::-1]
-        try:
-            _check_alternating(g, match, cycle, "odd cycle", closed=True)
-        except EngineError:
-            continue
-        return cycle
-    raise EngineError("no valid odd cycle through the component root")
+    a = next((a for a in g.neighbors(root) if a in inside and reach.label[a] == _EVEN), root)
+    seq = _trace_even(match, reach.p, a, stop=root)
+    if a == root or seq[-1] != root or not inside.issuperset(seq):
+        raise EngineError("no valid odd cycle through the component root")
+    cycle = [root] + seq[-2::-1]
+    _check_alternating(g, match, cycle, "odd cycle", closed=True)
+    return cycle
 
 
 def check_reach_properties(

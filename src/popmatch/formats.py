@@ -490,12 +490,11 @@ def _witness_from(doc, n: int) -> DualWitness | str:
     if keys and _NODE_KEYS.fullmatch(joined):
         idx = np.fromstring(joined, dtype=np.int64, sep=" ")
     if idx.size != len(keys) or (keys and idx.max() >= n):
-        for key in keys:
-            if not _CANONICAL_INT.fullmatch(key):
-                return f"alpha key {key!r} is not a canonical node id"
-            if not 0 <= int(key) < n:
-                return f"alpha key {key!r} is out of range"
-        return "alpha keys are not node ids"
+        # keys that pass both checks below also pass the joined regex
+        key = next(k for k in keys if not (_CANONICAL_INT.fullmatch(k) and 0 <= int(k) < n))
+        if not _CANONICAL_INT.fullmatch(key):
+            return f"alpha key {key!r} is not a canonical node id"
+        return f"alpha key {key!r} is out of range"
     if not set(map(type, vals)) <= {int}:
         return "alpha values must be integers"
     if not set(vals) <= {-1, 0, 1}:

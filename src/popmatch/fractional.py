@@ -19,8 +19,6 @@ import numpy as np
 from .auxgraph import (
     KIND_ORIG,
     KIND_STAR,
-    AuxGraph,
-    blocking_partners_of,
     is_blocking_edge,
 )
 from .engine import (
@@ -46,6 +44,7 @@ from .popularity import (
     _bad_nodes,
     _finish_popular,
     _finish_unpopular,
+    _star_middle_or_lowest_partner,
 )
 
 
@@ -130,7 +129,11 @@ def is_fractional_popular(
 def extract_fractional_structure(
     inst: RoommatesInstance, m: Matching, an, k: int
 ) -> CycleThroughStar | PathPlusCycle:
-    """Defeating structure from the reached big piece k, rooted at a star or an original node."""
+    """Defeating structure from the reached big piece k, rooted at a star or an original node.
+
+    A path into an original root takes its seed's blocking partner, which
+    the search order set out in `_analyze` keeps off the path.
+    """
     aux = an.aux
     g = aux.graph
     match = an.match
@@ -157,32 +160,10 @@ def extract_fractional_structure(
     p0 = even_path_from_roots(g, match, an.reach, root)
     if p0 is None:
         raise InternalError("cycle root unreachable outside its component")
-
-    while True:
-        seed = p0[0]
-        if (aux.kind[p0[1:]] != KIND_ORIG).any():
-            raise InternalError("alternating path passes a non-original node")
-        vs = pay[p0[1:]].tolist()
-        if aux.kind[seed] == KIND_STAR:
-            cand = [int(pay[seed])]
-        else:
-            cand = blocking_partners_of(inst, m, vs[0])
-        x = next((c for c in cand if c not in vs), None)
-        if x is not None:
-            break
-        # every candidate lies on the path; restart behind the nearest one
-        pos = min(vs.index(c) for c in cand) + 1
-        if pos % 2 == 0:
-            raise InternalError("blocking partner meets the path at an even position")
-        vi = vs[pos - 1]
-        if aux.leaf_star_array[vi] >= 0:
-            seed2 = int(aux.star_of_array[aux.leaf_star_array[vi]])
-        elif aux.b_of_array[vi] >= 0:
-            seed2 = int(aux.b_of_array[vi])
-        else:
-            raise InternalError(f"node {vi} has no blocking attachment")
-        p0 = [seed2] + p0[pos:]
-
+    if (aux.kind[p0[1:]] != KIND_ORIG).any():
+        raise InternalError("alternating path passes a non-original node")
+    vs = pay[p0[1:]].tolist()
+    x = _star_middle_or_lowest_partner(inst, m, aux, p0[0], vs[0])
     return PathPlusCycle(path=(x, *vs), cycle=cycle, blocking_edge=(x, vs[0]))
 
 

@@ -10,6 +10,7 @@ positive answer comes with a dual witness that certifies optimality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,6 +175,16 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     exposed node; every augmenting path has a seed at one end, so this
     order finds one whenever one exists, and the final labels are the
     Gallai-Edmonds labels.
+
+    The extractors rest on the order within phase one: every seed is
+    queued before any vertex is scanned.  A b-node has exactly one
+    neighbor, so it is never a blossom base.  So each matched node z
+    that has a b-node b_z is either labeled odd under b_z for good, or
+    the seed stage stops on an augmenting path with at most two
+    interior nodes.  A trace therefore meets z only next to b_z, and a
+    star leaf lies only in its star's tree.  Also, if the seed stage
+    ends without augmenting, no unmatched node has a blocking edge: its
+    b-node or star would have met u.
     """
     aux = build_aux(inst, m)
     g = aux.graph
@@ -240,7 +251,12 @@ def _star_middle_or_lowest_partner(
 def extract_blocking_structure(
     inst: RoommatesInstance, m: Matching, aux: AuxGraph, path: tuple[int, ...]
 ) -> BlockingStructure:
-    """Turn an augmenting path of the auxiliary graph into a blocking structure."""
+    """Turn an augmenting path of the auxiliary graph into a blocking structure.
+
+    The blocking partner chosen at a seed end never lies on the path, so
+    each kind takes the path whole: the search order set out in
+    `_analyze` keeps it off.
+    """
     if len(path) < 2:
         raise InternalError("augmenting path too short")
     if aux.kind[path[-1]] == KIND_U:
@@ -262,16 +278,7 @@ def extract_blocking_structure(
             return BlockingStructure(PATH_TO_UNMATCHED, (y, o))
         x = unmatched_zero_neighbors_of(inst, m, vs[0])[0]
         y = _star_middle_or_lowest_partner(inst, m, aux, end, vs[-1])
-        if y == x:
-            return BlockingStructure(PATH_TO_UNMATCHED, (vs[-1], x))
-        if y in vs:
-            i = vs.index(y) + 1
-            if i % 2 == 1:
-                return BlockingStructure(CYCLE, tuple(vs[i - 1 :]))
-            nodes = (vs[-1],) + tuple(reversed(vs[:i])) + (x,)
-            return BlockingStructure(PATH_TO_UNMATCHED, nodes)
-        nodes = (y,) + tuple(reversed(vs)) + (x,)
-        return BlockingStructure(PATH_TO_UNMATCHED, nodes)
+        return BlockingStructure(PATH_TO_UNMATCHED, (y, *reversed(vs), x))
 
     vs = pay[list(path[1:-1])].tolist()
     if len(vs) < 2:
@@ -291,27 +298,7 @@ def extract_blocking_structure(
             if aux.kind[path[0]] == KIND_STAR or not alts1:
                 raise InternalError("both path endpoints are pinned to one blocking partner")
             z1 = alts1[0]
-    in1 = vs.index(z1) + 1 if z1 in vs else 0
-    in2 = vs.index(z2) + 1 if z2 in vs else 0
-    if in1 == 0 and in2 == 0:
-        return BlockingStructure(PATH_TWO_BLOCKING, (z1,) + tuple(vs) + (z2,))
-    if in1 and in1 % 2 == 0:
-        return BlockingStructure(CYCLE, tuple(vs[:in1]))
-    if in2 and in2 % 2 == 1:
-        return BlockingStructure(CYCLE, tuple(vs[in2 - 1 :]))
-    if in1 and in2 == 0:
-        nodes = (vs[0],) + tuple(vs[in1 - 1 :]) + (z2,)
-        return BlockingStructure(PATH_TWO_BLOCKING, nodes)
-    if in2 and in1 == 0:
-        nodes = (z1,) + tuple(vs[:in2]) + (vs[-1],)
-        return BlockingStructure(PATH_TWO_BLOCKING, nodes)
-    # both partners lie inside the path, z1 at odd position j, z2 at even l
-    j, l = in1, in2
-    if j < l:
-        nodes = (vs[0],) + tuple(vs[j - 1 : l]) + (vs[-1],)
-    else:
-        nodes = (vs[j - 1],) + tuple(vs[:l]) + (vs[-1],)
-    return BlockingStructure(PATH_TWO_BLOCKING, nodes)
+    return BlockingStructure(PATH_TWO_BLOCKING, (z1, *vs, z2))
 
 
 def check_blocking_structure(
@@ -360,11 +347,16 @@ def check_blocking_structure(
 
 
 def _bad_nodes(inst: RoommatesInstance, seq) -> str | None:
-    """The defect if some entry of seq is not a node id or repeats one."""
-    n = inst.n
-    if any(not isinstance(v, int) or not 0 <= v < n for v in seq):
+    """The defect if some entry of seq is not a node id or repeats one.
+    Ids are read with `operator.index`, as `Matching` reads them, so
+    numpy integers count."""
+    try:
+        ids = [operator.index(v) for v in seq]
+    except TypeError:
         return "node out of range"
-    if len(set(seq)) != len(seq):
+    if any(not 0 <= v < inst.n for v in ids):
+        return "node out of range"
+    if len(set(ids)) != len(ids):
         return "repeated node"
     return None
 

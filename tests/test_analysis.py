@@ -8,14 +8,17 @@ the brute-force oracle cap.  The odd cycle of every reached piece is read
 off the same forest and re-checked here on its own.
 """
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
-from helpers import analysis_cases, gadget_cases
-from popmatch.auxgraph import KIND_ORIG, KIND_STAR
+from helpers import analysis_cases, gadget_cases, random_instance
+from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR
 from popmatch.engine import (
+    _ODD,
     EngineError,
     Graph,
     ReachSet,
@@ -27,6 +30,7 @@ from popmatch.engine import (
     odd_cycle_through_root,
     reachable_set,
 )
+from popmatch.oracle import enumerate_matchings
 from popmatch.popularity import _analyze
 
 
@@ -109,6 +113,27 @@ def test_forest_cycle_on_every_reached_piece():
             assert match[root] not in (cyc[1], cyc[-1])
             pieces[an.aux.kind[root]] += 1
     assert sum(pieces.values()) >= 300 and min(pieces.values()) >= 100
+
+
+def test_seed_stage_labels_each_owner_under_its_own_b_node():
+    # the search order the extractors rest on (see `_analyze`): on a
+    # popular matching every owner of a b-node is matched, odd, and the
+    # child of its own b-node, so a trace meets it only next to that seed
+    rng = random.Random(18)
+    owners = 0
+    for _ in range(400):
+        inst = random_instance(rng, rng.randint(5, 8), rng.choice([0.3, 0.5]))
+        for m in enumerate_matchings(inst):
+            an = _analyze(inst, m)
+            if an.aug_path is not None:
+                continue
+            pay = an.aux.payload_array
+            for b in np.flatnonzero(an.aux.kind == KIND_BLOCK).tolist():
+                z = int(np.searchsorted(pay[:an.aux.n_matched], pay[b]))
+                assert pay[z] == pay[b], "owner is unmatched"
+                assert (an.reach.label[z], an.reach.p[z]) == (_ODD, b)
+                owners += 1
+    assert owners >= 230, owners
 
 
 def test_seed_phase_stops_at_the_hub():

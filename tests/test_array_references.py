@@ -21,7 +21,7 @@ from helpers import (
     reference_half_canonical,
     reference_witness_violation,
 )
-from popmatch.auxgraph import KIND_STAR, build_aux
+from popmatch.auxgraph import KIND_BLOCK, KIND_STAR, build_aux
 from popmatch.fractional import NotFractionalPopular, is_fractional_popular
 from popmatch.model import HalfIntegralMatching, Matching
 from popmatch.popularity import DualWitness, Popular, is_popular, witness_violation
@@ -66,10 +66,10 @@ def _aux_maps(aux, n) -> dict:
         "matching": tuple(aux.matching_array.tolist()),
         "seeds": aux.seeds,
         "u_id": aux.u_id,
-        "b_of": _index_map(aux.b_of_array),
+        "b_of": {int(pay[b]): b for b in np.flatnonzero(aux.kind == KIND_BLOCK).tolist()},
         "star_of": _index_map(aux.star_of_array),
         "star_leaves": {int(pay[s]): tuple(aux.leaves(s).tolist()) for s in stars},
-        "leaf_star": _index_map(aux.leaf_star_array),
+        "leaf_star": {x: int(pay[s]) for s in stars for x in aux.leaves(s).tolist()},
         "edges": sorted(aux.graph.edges()),
     }
 

@@ -27,11 +27,9 @@ def test_aux_ids_and_seeds(two_triangles_pendants):
     assert np.flatnonzero(m.partner_array < 0).tolist() == [6, 7]  # both fold into u
     assert aux.u_id == 10
     assert aux.seeds == range(6, 10)
-    assert aux.b_of_array.tolist() == [6, -1, 7, 8, -1, -1, -1, -1]
     assert aux.star_of == {3: 9}
     assert aux.star_of_array.tolist() == [-1, -1, -1, 9, -1, -1, -1, -1]
     assert aux.leaves(9).tolist() == [4, 5]
-    assert aux.leaf_star_array.tolist() == [-1, -1, -1, -1, 3, 3, -1, -1]
 
 
 def test_aux_graph_frozen(two_triangles_pendants):

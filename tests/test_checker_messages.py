@@ -8,6 +8,7 @@ from popmatch.model import (
     HalfIntegralMatching,
     Matching,
     RoommatesInstance,
+    delta,
     edge_weight,
     fractional_value,
     fractional_value_times_two,
@@ -41,6 +42,8 @@ def test_blocking_structure_messages(two_triangles_pendants, kind, nodes, expect
 # middle 0 matched to 5, blocking edges 0-1 and 0-4 around the pairs 12 and 34
 STAR_NO_TIE_EDGE = RoommatesInstance(((1, 4, 5), (0, 2), (1,), (4,), (0, 3), (0,)))
 STAR_LOSING_EDGE = RoommatesInstance(((1, 4, 5), (0, 2), (1, 3), (4, 2), (0, 3), (0,)))
+# 0 ranks its partner 5 above 4, so only 0-1 blocks
+STAR_ONE_BLOCKING = RoommatesInstance(((1, 5, 4), (0, 2), (1, 3), (2, 4), (0, 3), (0,)))
 STAR_PAIRS = [(0, 5), (1, 2), (3, 4)]
 
 
@@ -49,6 +52,7 @@ STAR_PAIRS = [(0, 5), (1, 2), (3, 4)]
     [
         (STAR_NO_TIE_EDGE, "cycle edge 2-3 missing"),
         (STAR_LOSING_EDGE, "cycle edge 2-3 does not tie the vote"),
+        (STAR_ONE_BLOCKING, "edge 0-4 is not blocking"),
     ],
 )
 def test_star_cycle_messages(inst, expected):
@@ -121,6 +125,10 @@ def test_path_plus_cycle_messages(inst, pairs, s, expected):
             "matching size does not fit the instance",
         ),
         (lambda inst, m: loop_weight(inst, m, -1), "node -1 is out of range"),
+        (
+            lambda inst, m: delta(inst, m, Matching.empty(3)),
+            "matching size does not fit the instance",
+        ),
     ],
 )
 def test_vote_helpers_check_ids_first(call, expected):

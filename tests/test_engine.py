@@ -11,6 +11,7 @@ from popmatch.engine import (
     EngineError,
     Graph,
     ReachSet,
+    _run_search,
     _validate_matching,
     augment,
     check_reach_properties,
@@ -349,6 +350,22 @@ def test_maximum_matching_matches_brute():
         assert sum(x != -1 for x in match) == 2 * size
         sub = _greedy_on_shuffled(g, rng)
         assert is_maximum(g, sub) == (sum(x != -1 for x in sub) == 2 * size)
+
+
+def test_gallai_edmonds_flattens_nested_blossoms():
+    # the search merges blossoms into a later one whose base is not theirs,
+    # so the union-find keeps chains that the decomposition must flatten
+    g = Graph.from_edges(9, [
+        (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 4), (2, 8),
+        (3, 7), (4, 7), (4, 8), (5, 7), (6, 8), (7, 8),
+    ])
+    match = maximum_matching(g)
+    forest = _run_search(g, match, [v for v in range(g.n) if match[v] == -1])
+    assert any(forest.dsu[forest.dsu[v]] != forest.dsu[v] for v in range(g.n))
+    ge = gallai_edmonds(g, match, forest)
+    brute = brute_gallai_edmonds(g)
+    assert label_sets(ge) == (brute.d, brute.a, brute.c)
+    assert ge.components == brute.components == (frozenset(range(9)),)
 
 
 def test_gallai_edmonds_matches_brute():

@@ -246,6 +246,9 @@ def test_verify_rejects_tampered_popular(triangle_pendant):
     assert "no two-valued sets" in verify_certificate(inst, m, bad)
 
     assert verify_certificate(inst, Matching.empty(inst.n), doc) is not None
+    assert verify_certificate(inst, Matching.empty(inst.n + 1), doc) == (
+        "matching size does not fit the instance"
+    )
 
 
 def test_verify_rejects_tampered_unpopular(two_triangles_pendants):
@@ -286,6 +289,13 @@ def test_verify_rejects_tampered_unpopular(two_triangles_pendants):
     del bad["blocking_structure"]
     assert "missing blocking_structure" in verify_certificate(inst, m, bad)
 
+    for path, value, expected in (
+        (("better_matching",), {"0": 2}, "better_matching is not a list"),
+        (("blocking_structure", "nodes"), "6320", "blocking_structure needs kind and nodes"),
+        (("blocking_structure", "kind"), None, "blocking_structure needs kind and nodes"),
+    ):
+        assert verify_certificate(inst, m, _tampered(doc, path, value)) == expected
+
 
 def test_verify_rejects_tampered_fractional(two_triangles, two_triangles_pendants):
     inst, m = two_triangles
@@ -324,6 +334,23 @@ def test_verify_rejects_tampered_fractional(two_triangles, two_triangles_pendant
     bad = copy.deepcopy(lifted)
     bad["margin"] = 1
     assert "wins by 2, not 1" in verify_certificate(inst1, m1, bad)
+
+    # two disjoint copies of the gadget: the verdict's switch lies in the first
+    pref = TWO_TRIANGLES.pref + tuple(tuple(v + 6 for v in row) for row in TWO_TRIANGLES.pref)
+    inst2 = RoommatesInstance(pref)
+    m2 = Matching.from_pairs(inst2, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
+    doc = roundtrip(is_fractional_popular(inst2, m2))
+    assert doc["fractional_structure"]["path"] == [0, 2, 3]
+    bad = copy.deepcopy(doc)
+    bad["p"] = {  # the same switch made in the second copy instead
+        "ones": [[0, 1], [2, 3], [4, 5], [6, 8]], "loop_ones": [7], "half_cycles": [[9, 10, 11]]
+    }
+    assert verify_certificate(inst2, m2, bad) == "p does not encode the declared structure"
+    bad["p"] = {  # and in both copies
+        "ones": [[0, 2], [6, 8]], "loop_ones": [1, 7], "half_cycles": [[3, 4, 5], [9, 10, 11]]
+    }
+    bad["value_times_two"] = 4
+    assert verify_certificate(inst2, m2, bad) == "a structure certificate must score 2, not 4"
 
 
 @pytest.mark.parametrize(
@@ -373,6 +400,7 @@ def _tampered(doc, path, value):
         (("witness", "two_sets", 0, 2), "2", "witness contains a non-node entry"),
         (("witness", "two_sets", 0, 2), True, "witness contains a non-node entry"),
         (("witness", "two_sets", 0), "012", "witness contains a non-node entry"),
+        (("verdict",), "maybe", "unknown verdict 'maybe'"),
     ],
 )
 def test_verifier_rejects_loose_witness_documents(triangle_pendant, path, value, expected):
@@ -412,6 +440,12 @@ def test_verifier_rejects_non_integer_scores(two_triangles_pendants, value):
         (("p", "ones", 0, 1), 2**63, "edge (0, 9223372036854775808) is not in the instance"),
         (("p", "loop_ones", 0), -(2**64), "loop node -18446744073709551616 is out of range"),
         (("p",), [], "p is not an object"),
+        (("fractional_structure",), [], "fractional_structure is not an object"),
+        (
+            ("fractional_structure", "kind"),
+            "cycle-through-star",
+            "cycle-through-star needs cycle and middle",
+        ),
     ],
 )
 def test_verifier_rejects_loose_half_integral_documents(two_triangles, path, value, expected):

@@ -245,10 +245,7 @@ def test_instance_holds_the_seven_read_only_arrays(two_triangles_pendants):
     assert arr["keys"].dtype == np.int64
     assert {arr[k].dtype for k in arr if k != "keys"} == {np.dtype(np.int32)}
     aux = build_aux(inst, m)
-    maps = (
-        "payload_array", "matching_array", "b_of_array", "star_of_array",
-        "leaf_star_array", "leaf_off", "leaf_nodes",
-    )
+    maps = ("payload_array", "matching_array", "star_of_array", "leaf_off", "leaf_nodes")
     assert {getattr(aux, k).dtype for k in maps} == {np.dtype(np.int32)}
 
 

@@ -6,7 +6,12 @@ import pytest
 
 from popmatch import auxgraph, model, popularity
 from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
-from popmatch.fractional import is_fractional_popular
+from popmatch.fractional import (
+    CycleThroughStar,
+    PathPlusCycle,
+    check_fractional_structure,
+    is_fractional_popular,
+)
 from popmatch.model import Matching, PairError, RoommatesInstance, blocking_edges, delta
 from popmatch.oracle import brute_popular, enumerate_matchings
 from popmatch.popularity import (
@@ -170,6 +175,27 @@ def test_check_blocking_cycle_rejections(swap_square):
     assert msg == "closing edge 3-0 is not blocking"
     msg = check_blocking_structure(inst, m, BlockingStructure(CYCLE, (0, 3, 2, 1)))
     assert "should be matched" in msg
+
+
+def test_structure_checks_read_numpy_node_ids(
+    two_triangles_pendants, swap_square, two_triangles, triangle_pendant
+):
+    # a verdict's own structure, its nodes as numpy integers, checks out as it did
+    for inst, m in (two_triangles_pendants, swap_square):
+        s = is_popular(inst, m).structure
+        nodes = tuple(map(np.int64, s.nodes))
+        assert check_blocking_structure(inst, m, BlockingStructure(s.kind, nodes)) is None
+    inst, m = two_triangles_pendants
+    s = BlockingStructure(PATH_TWO_BLOCKING, (4.0, 3, 2, 0))
+    assert check_blocking_structure(inst, m, s) == "node out of range"
+    for inst, m in (two_triangles, triangle_pendant):
+        s = is_fractional_popular(inst, m).structure
+        if isinstance(s, PathPlusCycle):
+            seqs = (s.path, s.cycle, s.blocking_edge)
+            s = PathPlusCycle(*(tuple(map(np.int64, seq)) for seq in seqs))
+        else:
+            s = CycleThroughStar(tuple(map(np.int64, s.cycle)), np.int64(s.middle))
+        assert check_fractional_structure(inst, m, s) is None
 
 
 def test_more_popular_matching_cycle(swap_square):
