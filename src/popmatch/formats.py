@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -33,6 +34,7 @@ from .model import (
     _csr,
     _groups,
     _int_array,
+    _weights,
     check_matching,
     delta,
     fractional_value_times_two,
@@ -141,11 +143,17 @@ class _Tokens:
         starts, ends = self.offsets
         return self.data[starts[k] : ends[k]]
 
-    def exact(self, k: int) -> int:
-        """Token k as a Python int, beyond int64 too."""
+    def exact(self, k: int) -> int | str:
+        """Token k as a Python int, beyond int64 too; past Python's
+        int-string limit, which `int` refuses, its canonical decimal text."""
         if k < len(self.values) and self.values[k] != _INT64_MAX:
             return int(self.values[k])
-        return int(self._raw(k))
+        neg, digits = _sign_digits(self._raw(k))
+        # Pythons before 3.10.7 have no limit
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and len(digits) > limit:
+            return "-" * neg + digits.decode("ascii")
+        return -int(digits or b"0") if neg else int(digits or b"0")
 
     def lineno(self, k: int) -> int:
         """1-based line number of token k."""
@@ -163,6 +171,12 @@ class _Tokens:
         except UnicodeDecodeError:  # bytes that are not UTF-8 show as escapes
             tok = self._raw(k).decode("utf-8", "surrogateescape")
         return ParseError(f"line {line}, column {col}: expected an integer, got {tok!r}")
+
+
+def _sign_digits(tok: bytes) -> tuple:
+    """(negative, digits) of a -?[0-9]+ token, its digits without leading zeros."""
+    neg = tok.startswith(b"-")
+    return neg, tok[neg:].lstrip(b"0")
 
 
 def _tokenize(text: str | bytes) -> _Tokens:
@@ -195,8 +209,10 @@ def _tokenize(text: str | bytes) -> _Tokens:
         # reads as one value; the count spares fromstring growing its buffer
         values = np.fromstring(source, dtype=np.int64, count=good, sep=" ")
         for k in np.flatnonzero(ends[:good] - starts[:good] > 18).tolist():
-            v = int(data[starts[k] : ends[k]])
-            values[k] = v if -_INT64_MAX <= v <= _INT64_MAX else _INT64_MAX
+            # int() reads only up to 19 digits: more lie beyond int64
+            neg, digits = _sign_digits(data[starts[k] : ends[k]])
+            v = int(digits or b"0") if len(digits) < 20 else _INT64_MAX + 1
+            values[k] = (-v if neg else v) if v <= _INT64_MAX else _INT64_MAX
     # tokens before each line end, differenced into a count per line
     before = np.append(np.searchsorted(starts, newlines), len(starts))[:lines]
     per_line = np.diff(before, prepend=0)
@@ -221,9 +237,11 @@ def parse_instance(text: str | bytes) -> RoommatesInstance:
         raise ParseError(f"line {head}: expected only the node count")
     if t.bad == 0:
         raise t.not_integer(0)
-    n = t.exact(0)
+    n = shown = t.exact(0)
+    if isinstance(n, str):  # past the int-string limit: no text holds that many rows
+        n = -1 if n.startswith("-") else _INT64_MAX
     if n < 0:
-        raise ParseError(f"line {head}: negative node count {n}")
+        raise ParseError(f"line {head}: negative node count {shown}")
     if t.bad > 0:
         raise t.not_integer(t.bad)
     rows = head + np.flatnonzero(~t.comment_only[head:])
@@ -232,7 +250,7 @@ def parse_instance(text: str | bytes) -> RoommatesInstance:
         filled = np.flatnonzero(t.per_line[rows])
         found = max(n, int(filled[-1]) + 1 if filled.size else 0)
     if found != n:
-        raise ParseError(f"expected {n} preference lines, found {found}")
+        raise ParseError(f"expected {shown} preference lines, found {found}")
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(t.per_line[rows[:n]], out=off[1:])
     try:
@@ -461,7 +479,7 @@ _NOT_OBJECT = "certificate must be a JSON object"
 def parse_certificate(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an int past the int-string limit, deep nesting
         raise ParseError(f"bad certificate JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(_NOT_OBJECT)
@@ -470,8 +488,32 @@ def parse_certificate(text: str) -> dict:
     return doc
 
 
-_NODE_KEYS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _node_keys(keys: list, n: int) -> np.ndarray | None:
+    """The ids of alpha keys that are all canonical node ids below n, else None.
+
+    The joined keys must be ASCII digits and exactly len(keys) - 1 spaces,
+    with no key empty and none but "0" starting with a `0`. A key past
+    int64 reads as int64 max, which no n passes.
+    """
+    joined = " ".join(keys)
+    if not joined.isascii():
+        return None
+    pad = np.full(len(joined) + 2, ord(" "), dtype=np.uint8)  # a space at each end
+    pad[1:-1] = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+    space = pad == ord(" ")
+    spaces = np.count_nonzero(space)
+    if (
+        spaces != len(keys) + 1  # one between each two keys, and the padding
+        or np.count_nonzero(pad - np.uint8(ord("0")) < 10) + spaces != pad.size
+        or (space[1:] & space[:-1]).any()  # an empty key
+        or (space[:-2] & (pad[1:-1] == ord("0")) & ~space[2:]).any()  # a leading zero
+    ):
+        return None
+    idx = np.fromstring(joined, dtype=np.int64, sep=" ")
+    return idx if idx.max() < n else None
 
 
 def _witness_from(doc, n: int) -> DualWitness | str:
@@ -482,22 +524,21 @@ def _witness_from(doc, n: int) -> DualWitness | str:
     if not isinstance(alpha_doc, dict) or not isinstance(sets_doc, list):
         return "witness needs alpha and two_sets"
     keys = list(alpha_doc)
-    vals = list(alpha_doc.values())
-    # keys are canonical decimal node ids: one regex pass over all of them,
-    # and a value count that catches a key holding a space
-    joined = " ".join(keys)
-    idx = np.zeros(0, dtype=np.int64)
-    if keys and _NODE_KEYS.fullmatch(joined):
-        idx = np.fromstring(joined, dtype=np.int64, sep=" ")
-    if idx.size != len(keys) or (keys and idx.max() >= n):
-        # keys that pass both checks below also pass the joined regex
-        key = next(k for k in keys if not (_CANONICAL_INT.fullmatch(k) and 0 <= int(k) < n))
+    idx = _node_keys(keys, n) if keys else np.zeros(0, dtype=np.int64)
+    if idx is None:  # name the first key that is not a canonical id below n
+        # a key of 20 digits or more is past any n; int() may refuse it
+        key = next(
+            k for k in keys
+            if not (_CANONICAL_INT.fullmatch(k) and len(k) < 20 and 0 <= int(k) < n)
+        )
         if not _CANONICAL_INT.fullmatch(key):
             return f"alpha key {key!r} is not a canonical node id"
         return f"alpha key {key!r} is out of range"
+    vals = list(alpha_doc.values())
     if not set(map(type, vals)) <= {int}:
         return "alpha values must be integers"
-    if not set(vals) <= {-1, 0, 1}:
+    vals = _int_array(vals)
+    if vals.size and (vals.min() < -1 or vals.max() > 1):
         return "alpha value outside {-1, 0, 1}"
     alpha = np.zeros(n, dtype=np.int64)
     alpha[idx] = vals
@@ -530,11 +571,11 @@ def _matching_from(doc, inst: RoommatesInstance) -> Matching | str:
         return str(exc)
 
 
-def _verify_popular(inst, m, doc, fractional: bool) -> str | None:
+def _verify_popular(inst, m, doc, weights: np.ndarray, fractional: bool) -> str | None:
     w = _witness_from(doc.get("witness"), inst.n)
     if isinstance(w, str):
         return w
-    msg = witness_violation(inst, m, w)
+    msg = witness_violation(inst, m, w, weights)
     if msg is not None:
         return msg
     if fractional and len(w.set_off) > 1:
@@ -641,18 +682,21 @@ def _verify_not_fractional(inst, m, doc) -> str | None:
 
 
 def verify_certificate(inst: RoommatesInstance, m: Matching, doc: dict) -> str | None:
-    """None if the document certifies its verdict for (inst, m), else the defect."""
+    """None if the document certifies its verdict for (inst, m), else the defect.
+
+    M is checked first: for a popular verdict by the weight pass that the
+    witness check reads, which raises check_matching's errors.
+    """
+    verdict = doc.get("verdict") if isinstance(doc, dict) else None
+    popular = verdict in ("popular", "fractional-popular")
     try:
-        check_matching(inst, m)
+        weights = _weights(inst, m) if popular else check_matching(inst, m)
     except ValueError as exc:
         return str(exc)
     if not isinstance(doc, dict):
         return _NOT_OBJECT
-    verdict = doc.get("verdict")
-    if verdict == "popular":
-        return _verify_popular(inst, m, doc, fractional=False)
-    if verdict == "fractional-popular":
-        return _verify_popular(inst, m, doc, fractional=True)
+    if popular:
+        return _verify_popular(inst, m, doc, weights, fractional=verdict == "fractional-popular")
     if verdict == "unpopular":
         return _verify_unpopular_parts(inst, m, doc)
     if verdict == "not-fractional-popular":

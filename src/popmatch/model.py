@@ -532,12 +532,19 @@ def _weights(inst: RoommatesInstance, m: Matching) -> np.ndarray:
     r = np.diff(arr["off"])  # partner rank; degree if exposed
     pa = _partner_array(m)
     # np.take: a fancy index converts int32 indices to intp first, twice the cost
-    hit = ev == np.take(pa, eu)  # the matched edges
-    if 2 * np.count_nonzero(hit) != np.count_nonzero(pa >= 0):
+    hit = np.flatnonzero(ev == np.take(pa, eu))  # the matched edges
+    if 2 * hit.size != np.count_nonzero(pa >= 0):
         Matching.from_pairs(inst, m.pair_array())  # names the first pair that is no edge
-    r[eu[hit]] = pu[hit]
-    r[ev[hit]] = pv[hit]
-    return (np.sign(np.take(r, eu) - pu) + np.sign(np.take(r, ev) - pv)).astype(np.int8)
+    r[np.take(eu, hit)] = np.take(pu, hit)
+    r[np.take(ev, hit)] = np.take(pv, hit)
+    # each end's vote, +1 when it ranks the edge above its partner: the
+    # comparisons viewed as int8 and summed in place
+    a = np.take(r, eu)
+    w = (a > pu).view(np.int8) - (a < pu).view(np.int8)
+    a = np.take(r, ev)
+    w += (a > pv).view(np.int8)
+    w -= (a < pv).view(np.int8)
+    return w
 
 
 def blocking_edges(inst: RoommatesInstance, m: Matching) -> tuple:

@@ -439,7 +439,7 @@ def witness_violation(
     inst: RoommatesInstance, m: Matching, w: DualWitness, weights=None
 ) -> str | None:
     """None if w is a feasible zero-value dual witness for m, else the defect.
-    weights, if given, is `_weights(inst, m)`, which a decide already holds."""
+    weights, if given, is `_weights(inst, m)`, which a decide and the verifier already hold."""
     n = inst.n
     alpha = w.alpha_array
     if len(alpha) != n:

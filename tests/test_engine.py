@@ -11,7 +11,9 @@ from popmatch.engine import (
     EngineError,
     Graph,
     ReachSet,
+    _check_alternating,
     _run_search,
+    _trace_even,
     _validate_matching,
     augment,
     check_reach_properties,
@@ -257,6 +259,41 @@ def test_even_path_crosses_blossom():
     reach = reachable_set(FLOWER, list(FLOWER_M), [0])
     assert even_path_from_roots(FLOWER, list(FLOWER_M), reach, 3) == [0, 1, 2, 4, 3]
     assert even_path_from_roots(FLOWER, list(FLOWER_M), reach, 1) is None
+
+
+# a path 0 - 1=2 - 3=4 with the chord 1-3 (= matched); 0 is exposed
+CHORD = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+CHORD_M = [-1, 2, 1, 4, 3]
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ([0, 1, 2, 1], "walk revisits a vertex"),
+        ([0, 2], "walk uses a missing edge"),
+        ([1, 2, 3], "walk misplaces a matched edge"),  # the first step must not be matched
+        ([0, 1, 3], "walk skips a matched edge"),  # 1-3 is an edge, but 1 is matched to 2
+    ],
+)
+def test_alternating_check_rejects_hand_built_walks(seq, message):
+    _check_alternating(CHORD, CHORD_M, [0, 1, 2, 3, 4], "walk")
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        _check_alternating(CHORD, CHORD_M, seq, "walk")
+
+
+def test_trace_through_a_parent_cycle_does_not_terminate():
+    # from 1 the trace steps 1 -> 2 -> p[2] = 3 -> 4 -> p[4] = 1 and round again
+    p = [-1, -1, 3, -1, 1]
+    with pytest.raises(EngineError, match="^trace does not terminate$"):
+        _trace_even(CHORD_M, p, 1)
+
+
+def test_even_path_trace_must_start_at_a_root():
+    # 4's parent is unset, so the trace from 3 ends at no exposed vertex
+    label = np.array([_EVEN, _ODD, _EVEN, _EVEN, _ODD], dtype=np.int8)
+    reach = ReachSet(label=label, p=[-1, 0, -1, -1, -1])
+    with pytest.raises(EngineError, match="^even-path trace does not start at a root$"):
+        even_path_from_roots(CHORD, CHORD_M, reach, 3)
 
 
 def test_shortest_alt_path_plain():

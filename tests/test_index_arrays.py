@@ -37,6 +37,7 @@ from popmatch.model import (
     _ranks,
     _weights,
     blocking_edges,
+    edge_weight,
     index_dtype,
 )
 from popmatch.popularity import Popular, Unpopular, is_popular
@@ -235,6 +236,21 @@ def test_int64_index_arrays_decide_alike(monkeypatch):
     for inst, m in cases[::5]:
         for decide in (is_popular, is_fractional_popular):
             assert verify_certificate(inst, m, result_to_document(decide(inst, m))) is None
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_weights_match_the_per_edge_weight(monkeypatch, dtype):
+    cases = analysis_cases()
+    if dtype is np.int64:
+        monkeypatch.setattr(model, "index_dtype", lambda n, entries: np.int64)
+        cases = analysis_cases.__wrapped__()  # built afresh, under the patch
+    for inst, m in cases:
+        arr = inst._arrays
+        assert arr["eu"].dtype == dtype
+        w = _weights(inst, m)
+        assert w.dtype == np.int8
+        pairs = zip(arr["eu"].tolist(), arr["ev"].tolist())
+        assert w.tolist() == [edge_weight(inst, m, u, v) for u, v in pairs]
 
 
 def test_instance_holds_the_seven_read_only_arrays(two_triangles_pendants):

@@ -6,6 +6,7 @@ when a message needs them. Every field the parsers read must equal the
 reference's, from text and from its UTF-8 bytes alike.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_tokenize
-from popmatch.formats import _tokenize, parse_instance, serialize_instance
+from popmatch.formats import (
+    ParseError,
+    _tokenize,
+    parse_instance,
+    parse_matching,
+    serialize_instance,
+)
 from popmatch.generator import generate_instance
 from test_grammar import ALPHABET
 
@@ -78,6 +85,44 @@ def test_fixed_texts_match_the_reference(text):
 @settings(max_examples=400, deadline=None)
 def test_random_texts_match_the_reference(text):
     assert_same_tokens(text)
+
+
+# int() refuses a decimal string longer than the limit (0: no limit); a
+# token that long must still read as beyond int64 and show its digits
+LIMIT = sys.get_int_max_str_digits() or 4300
+ZEROS = "0" * (LIMIT + 1)
+BIG = "1" * (LIMIT + 700)
+
+
+def test_tokens_past_the_int_string_limit():
+    t = _tokenize(f"{ZEROS}7 -{ZEROS}{BIG} {BIG} -{ZEROS}\n")
+    assert t.values.tolist() == [7, np.iinfo(np.int64).max, np.iinfo(np.int64).max, 0]
+    assert [str(t.exact(k)) for k in range(t.count)] == ["7", "-" + BIG, BIG, "0"]
+    assert parse_instance(f"2\n{ZEROS}1\n0\n").pref == ((1,), (0,))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"2\n1 {BIG}\n0\n", f"line 2: node 0 lists {BIG}, out of range"),
+        (f"{BIG}\n0\n", f"expected {BIG} preference lines, found 1"),
+        (f"{ZEROS}{BIG}\n0\n", f"expected {BIG} preference lines, found 1"),
+        (f"-{ZEROS}{BIG}\n", f"line 1: negative node count -{BIG}"),
+    ],
+    ids=["entry", "count", "padded-count", "negative-count"],
+)
+def test_instance_names_a_token_past_the_int_string_limit(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == expected
+
+
+def test_matching_names_a_token_past_the_int_string_limit(triangle_pendant):
+    inst, _ = triangle_pendant
+    for token in (BIG, ZEROS + BIG):
+        with pytest.raises(ParseError) as err:
+            parse_matching(f"0 1\n2 {token}\n", inst)
+        assert str(err.value) == f"line 2: node {BIG} is out of range"
 
 
 def test_parse_peak_memory():
