@@ -141,12 +141,13 @@ class _Forest:
     """State left behind by one alternating-forest search.
 
     dsu is the blossom union-find: after the search, the vertices
-    sharing a representative form one outermost blossom.
+    sharing a representative form one outermost blossom.  No vertex
+    records its tree: `_lca` tells two trees apart by climbing both to
+    their exposed roots.
     """
 
     label: list
     p: list
-    root: list
     aug: tuple | None
     dsu: list
 
@@ -158,19 +159,19 @@ def _find(dsu, x):
     return x
 
 
-def _lca(match, p, dsu, visit, stamp, a, b):
-    # climb from the blossom bases a and b alternately, one base step at a time
+def _lca(match, p, dsu, a, b):
+    """The first base shared by the climbs from blossom bases a and b, one base
+    step at a time in turn, marked in a local set; -1 when both climbs reach
+    their exposed roots first, so a and b lie in different trees."""
+    seen = set()
     while a != -1 or b != -1:
         if a != -1:
-            if visit[a] == stamp:
+            if a in seen:
                 return a
-            visit[a] = stamp
-            if match[a] == -1:
-                a = -1
-            else:
-                a = _find(dsu, p[match[a]])
+            seen.add(a)
+            a = -1 if match[a] == -1 else _find(dsu, p[match[a]])
         a, b = b, a
-    raise EngineError("no common blossom base for an in-tree edge")
+    return -1
 
 
 def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
@@ -197,7 +198,9 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
 
     The search returns as soon as it finds an augmenting path: two trees
     meet, or an even vertex sees an exposed vertex outside the forest.
-    The meeting edge is reported in the forest's `aug`.
+    The meeting edge is reported in the forest's `aug`.  An edge between
+    even vertices of different blossoms closes a blossom when `_lca`
+    finds a common base, and joins two trees when it returns -1.
 
     Given an exhausted `forest`, the search continues it in place with
     the extra roots.  Scanning some exposed vertices after the others
@@ -210,14 +213,11 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
     if forest is None:
         label = [0] * n
         p = [-1] * n
-        root = [-1] * n
         dsu = list(range(n))
     elif forest.aug is not None:
         raise EngineError("cannot continue a search that found an augmenting path")
     else:
-        label, p, root, dsu = forest.label, forest.p, forest.root, forest.dsu
-    visit = [-1] * n
-    stamp = 0
+        label, p, dsu = forest.label, forest.p, forest.dsu
     queue: list[int] = []
     for r in roots:
         if match[r] != -1:
@@ -225,12 +225,10 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
         if label[r] != 0:
             raise ValueError(f"duplicate root {r}")
         label[r] = _EVEN
-        root[r] = r
         queue.append(r)
 
     for v in queue:  # the loop also visits vertices appended while it runs
         mv = match[v]
-        rv = root[v]
         for w in nbr[off[v]:off[v + 1]]:
             if w == mv:
                 continue
@@ -248,10 +246,9 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
                     bw = dsu[bw]
                 if bv == bw:
                     continue
-                if rv != root[w]:
-                    return _Forest(label, p, root, (v, w), dsu)
-                stamp += 1
-                ca = _lca(match, p, dsu, visit, stamp, bv, bw)
+                ca = _lca(match, p, dsu, bv, bw)
+                if ca == -1:
+                    return _Forest(label, p, (v, w), dsu)
                 pending: list[int] = []
                 _mark_path(match, p, dsu, label, queue, pending, v, ca, w)
                 _mark_path(match, p, dsu, label, queue, pending, w, ca, v)
@@ -260,16 +257,14 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
             else:
                 mw = match[w]
                 if mw == -1:  # w is exposed yet was not given as a root
-                    return _Forest(label, p, root, (v, w), dsu)
+                    return _Forest(label, p, (v, w), dsu)
                 if label[mw] != 0:
                     raise EngineError("partner of a fresh odd vertex is labeled")
                 label[w] = _ODD
                 p[w] = v
-                root[w] = rv
                 label[mw] = _EVEN
-                root[mw] = rv
                 queue.append(mw)
-    return _Forest(label, p, root, None, dsu)
+    return _Forest(label, p, None, dsu)
 
 
 def _trace_even(match, p, x, stop=-1):

@@ -449,20 +449,22 @@ def _ranks(inst: RoommatesInstance, us, vs) -> np.ndarray:
 
     vs[i] None or -1 means unmatched, which ranks below every neighbor:
     its position is us[i]'s degree.  Raises ValueError when some us[i] is
-    out of range or (us[i], vs[i]) is not an edge.
+    out of range or (us[i], vs[i]) is not an edge; either names the id as
+    given, one beyond int64 included.
     """
     arr = inst._arrays
-    us = np.asarray(us, dtype=np.int64)
+    us = _int_array(us)
     if not isinstance(vs, np.ndarray):
         vs = [-1 if v is None else v for v in vs]
-    vs = np.asarray(vs, dtype=np.int64)
+    vs = _int_array(vs)
     outside = (us < 0) | (us >= inst.n)
     if outside.any():
         raise ValueError(f"node {us[np.argmax(outside)]} is out of range")
+    us = _node_ids(us)
     pos = arr["off"][us + 1] - arr["off"][us]
     listed = np.flatnonzero(vs != -1)
     xs, ys = us[listed], vs[listed]
-    idx = inst._edge_index(xs, ys)
+    idx = inst._edge_index(xs, _node_ids(ys))
     if (idx < 0).any():
         i = int(np.argmax(idx < 0))
         raise ValueError(f"{ys[i]} is not a neighbor of {xs[i]}")
@@ -494,8 +496,7 @@ def _edge_votes(inst: RoommatesInstance, m: Matching, us, vs) -> np.ndarray:
     Raises ValueError when an end of an edge has a partner that is not its neighbor.
     """
     arr = inst._arrays
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
+    us, vs = _node_ids(_int_array(us)), _node_ids(_int_array(vs))
     idx = inst._edge_index(us, vs)
     found = np.flatnonzero(idx >= 0)
     ends = np.concatenate([us[found], vs[found]])
@@ -727,10 +728,11 @@ def fractional_value_times_two(
     """
     us, vs = p.cycle_steps()
     ones, loops = p.ones_array, p.loop_array
-    a = _node_ids(np.concatenate([ones[:, 0], us]))
-    b = _node_ids(np.concatenate([ones[:, 1], vs]))
+    a = np.concatenate([ones[:, 0], us])
+    b = np.concatenate([ones[:, 1], vs])
     _check_ids(inst, m, loops, "loop node")
     _check_ids(inst, m, np.concatenate([a, b]))  # the nodes index m below
+    a, b = _node_ids(a), _node_ids(b)
     # each end of a one or cycle step votes for the other end, a loop node for being unmatched
     xs = np.concatenate([a, b, loops])
     votes = _rival_votes(inst, m, xs, np.concatenate([b, a, np.full(len(loops), -1)]))

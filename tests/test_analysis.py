@@ -158,7 +158,7 @@ def test_continued_search_matches_one_search():
     assert ge.components == gallai_edmonds(g, match).components
     with pytest.raises(ValueError, match="duplicate root"):
         _run_search(g, match, [0], forest=both)
-    met = _Forest(label=[0] * 8, p=[-1] * 8, root=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
+    met = _Forest(label=[0] * 8, p=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
     with pytest.raises(EngineError, match="cannot continue"):
         _run_search(g, match, [7], forest=met)
 
@@ -185,7 +185,7 @@ NO_EDGE = Graph.from_edges(2, [])
     ],
 )
 def test_gallai_edmonds_rejects_corrupted_forests(g, match, label, dsu, message):
-    forest = _Forest(label=label, p=[-1] * g.n, root=[-1] * g.n, aug=None, dsu=dsu)
+    forest = _Forest(label=label, p=[-1] * g.n, aug=None, dsu=dsu)
     with pytest.raises(EngineError, match=message):
         gallai_edmonds(g, match, forest)
 

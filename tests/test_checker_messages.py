@@ -86,6 +86,18 @@ FEED = PathPlusCycle(path=(0, 1, 2, 3, 4), cycle=(4, 5, 6), blocking_edge=(0, 1)
             PathPlusCycle(path=(0, 1, 2, 3, 4), cycle=(4, 5), blocking_edge=(0, 1)),
             "cycle length 2 is not odd and >= 3",
         ),
+        (
+            PATH,
+            PATH_PAIRS + [(0, 7)],
+            PathPlusCycle(path=(0, 1, 2, 3, 8), cycle=(8, 5, 6), blocking_edge=(0, 1)),
+            "node out of range",
+        ),
+        (
+            PATH,
+            PATH_PAIRS + [(0, 7)],
+            PathPlusCycle(path=(0, 1, 2, 3, 4), cycle=(4, 5, 5), blocking_edge=(0, 1)),
+            "repeated node",
+        ),
     ],
 )
 def test_path_plus_cycle_messages(inst, pairs, s, expected):
@@ -117,6 +129,19 @@ def test_path_plus_cycle_messages(inst, pairs, s, expected):
                 inst, Matching.empty(5), HalfIntegralMatching([], [0, 1, 2, 3], [])
             ),
             "matching size does not fit the instance",
+        ),
+        # an id beyond int64 is named as p holds it
+        (
+            lambda inst, m: fractional_value_times_two(
+                inst, m, HalfIntegralMatching([(0, 2**70)], [1, 2, 3], [])
+            ),
+            f"node {2**70} is out of range",
+        ),
+        (
+            lambda inst, m: fractional_value_times_two(
+                inst, m, HalfIntegralMatching([], [3], [(0, 1, 2**70)])
+            ),
+            f"node {2**70} is out of range",
         ),
         (lambda inst, m: edge_weight(inst, m, 99, 0), "node 99 is out of range"),
         (lambda inst, m: edge_weight(inst, m, 0, -1), "node -1 is out of range"),

@@ -12,6 +12,8 @@ from popmatch.engine import (
     Graph,
     ReachSet,
     _check_alternating,
+    _find,
+    _lca,
     _run_search,
     _trace_even,
     _validate_matching,
@@ -253,6 +255,8 @@ def test_reachable_set_flower():
     reach = reachable_set(FLOWER, list(FLOWER_M), [0])
     assert reach.members == frozenset({0, 1, 2, 3, 4})
     assert reach.label.tolist() == [_EVEN, _ODD, _EVEN, _EVEN, _EVEN]
+    with pytest.raises(ValueError, match="^root 1 is not exposed$"):
+        reachable_set(FLOWER, list(FLOWER_M), [1])
 
 
 def test_even_path_crosses_blossom():
@@ -337,6 +341,22 @@ def test_odd_cycle_argument_errors():
         odd_cycle_through_root(g, [-1, 2, 1], reach, {1, 2}, 0)
     with pytest.raises(ValueError, match="not matched inside"):
         odd_cycle_through_root(g, [-1, 2, 1], reach, {0, 1}, 0)
+    with pytest.raises(ValueError, match="^root is matched inside the component$"):
+        odd_cycle_through_root(g, [-1, 2, 1], reach, {1, 2}, 1)
+
+
+def test_trees_meet_through_a_blossom_base():
+    # root 0 closes the triangle 0 1=2 into a blossom based at 0, then its
+    # vertex 1 sees 5, even in the tree of root 3 (3 - 4=5): the climbs from
+    # the bases 0 and 5 reach both roots without meeting
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (1, 5)])
+    match = [-1, 2, 1, -1, 5, 4]
+    forest = _run_search(g, match, [0, 3])
+    assert forest.aug == (1, 5)
+    assert [_find(forest.dsu, v) for v in range(6)] == [0, 0, 0, 3, 4, 5]
+    assert _lca(match, forest.p, forest.dsu, 0, 5) == -1
+    assert _lca(match, forest.p, forest.dsu, 5, 0) == -1
+    assert find_augmenting_path(g, match) == [0, 2, 1, 5, 4, 3]
 
 
 def test_check_reach_properties():

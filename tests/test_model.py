@@ -575,6 +575,13 @@ def test_rank_lookup_rejects_bad_nodes(triangle_pendant):
         vote(inst, 4, None, None)
     with pytest.raises(ValueError, match="3 is not a neighbor of 1"):
         edge_weight(inst, m, 1, 3)
+    # an id beyond int64 is named as given, and blocks nothing, like -1
+    with pytest.raises(ValueError, match=f"^node {2**70} is out of range$"):
+        vote(inst, 2**70, 0, 1)
+    with pytest.raises(ValueError, match=f"^{2**70} is not a neighbor of 0$"):
+        vote(inst, 0, 2**70, 1)
+    assert not is_blocking_edge(inst, m, 2**70, 0)
+    assert not is_blocking_edge(inst, m, -1, 0)
 
 
 def _edge_vote_cases():
@@ -607,7 +614,7 @@ def test_edge_votes_agree_with_the_weights():
         table[iv, iu] = w
         us, vs = nodes[np.arange(k * k) // k], nodes[np.arange(k * k) % k]
         assert np.array_equal(_edge_votes(inst, m, us, vs), table.ravel())
-        for bad in (-1, n, -(2**40), 2**40):
+        for bad in (-1, n, -(2**40), 2**40, 2**70):
             assert (_edge_votes(inst, m, [bad, 0, bad], [0, bad, bad]) == NO_EDGE).all()
         # the row scans against the table, which reads _weights, not _edge_votes
         exposed = m.partner_array < 0
