@@ -6,8 +6,8 @@ same forest from more roots.  Everything else here is a thin layer
 over that search: augmenting paths, maximality tests, the
 Gallai-Edmonds decomposition, alternating reachability, and recovery
 of odd alternating cycles inside factor-critical components.  Every path
-and cycle handed out is a trace of a forest's parent pointers, checked
-by one routine.  A
+and cycle handed out is a trace of a forest's parent pointers; a
+popularity test checks the certificate built from it, not the trace.  A
 popularity test runs the search once: first from the roots whose
 reachability it needs, then from the remaining exposed vertices, so
 one forest yields both the reachable set and the decomposition.
@@ -15,9 +15,9 @@ one forest yields both the reachable set and the decomposition.
 After an exhausted search the components of the even subgraph are
 the outermost blossoms, so the decomposition reads them off the
 search's union-find instead of traversing the graph again.
-`GallaiEdmonds` and `ReachSet` hold numpy label arrays and a piece
-index per vertex; `GallaiEdmonds.components` and `ReachSet.members`
-are frozenset views built on first use.
+`GallaiEdmonds` and `ReachSet` hold numpy label arrays, and
+`GallaiEdmonds` a piece index per vertex; `GallaiEdmonds.components`
+is a frozenset view built on first use.
 
 Vertices are 0..n-1.  A graph holds its adjacency once, as
 `array.array` buffers that the search slices and numpy views for the
@@ -282,32 +282,12 @@ def _trace_even(match, p, x, stop=-1):
     return seq
 
 
-def _check_alternating(g, match, seq, what, closed=False):
-    """Raise EngineError unless seq is a simple alternating walk in g.
-
-    Steps alternate non-matching and matching, the first non-matching;
-    closed adds the step from the last vertex back to the first.
-    """
-    if len(set(seq)) != len(seq):
-        raise EngineError(f"{what} revisits a vertex")
-    ends = seq[1:] + seq[:1] if closed else seq[1:]
-    for i, (a, b) in enumerate(zip(seq, ends)):
-        if not g.has_edge(a, b):
-            raise EngineError(f"{what} uses a missing edge")
-        if i % 2 == 0:
-            if match[a] == b:
-                raise EngineError(f"{what} misplaces a matched edge")
-        elif match[a] != b:
-            raise EngineError(f"{what} skips a matched edge")
-
-
-def _augmenting_path(g, match, forest: _Forest) -> list:
-    """The checked augmenting path through the edge where `forest` met an exposed end."""
+def _augmenting_path(match, forest: _Forest) -> list:
+    """The augmenting path through the edge where `forest` met an exposed end."""
     v, w = forest.aug
     path = _trace_even(match, forest.p, v)[::-1] + _trace_even(match, forest.p, w)
     if match[path[0]] != -1 or match[path[-1]] != -1:
         raise EngineError("augmenting path end is not exposed")
-    _check_alternating(g, match, path, "augmenting path")
     return path
 
 
@@ -350,7 +330,7 @@ def find_augmenting_path(g: Graph, match: list) -> list | None:
     forest = _run_search(g, match, roots)
     if forest.aug is None:
         return None
-    return _augmenting_path(g, match, forest)
+    return _augmenting_path(match, forest)
 
 
 def augment(match: list, path: list) -> None:
@@ -465,12 +445,6 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     piece = np.full(n, -1, dtype=np.int64)
     piece[dv] = least[bd]
 
-    dst = g.dst
-    cross = np.flatnonzero(g.per_edge(d) & d[dst] & (g.per_edge(piece) != piece[dst]))
-    if cross.size:
-        i = cross[0]
-        src = g.edge_arrays()[0]
-        raise EngineError(f"edge {src[i]}-{dst[i]} joins two d-components")
     exits = np.flatnonzero(d & ((ma < 0) | (piece[ma] != piece)))
     if (np.bincount(piece[exits], minlength=k) != 1).any():
         raise EngineError("component misses a unique root")
@@ -495,10 +469,6 @@ class ReachSet:
 
     label: np.ndarray
     p: list
-
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(np.flatnonzero(np.asarray(self.label) != 0).tolist())
 
 
 def reachable_set(g: Graph, match: list, roots) -> ReachSet:
@@ -526,7 +496,6 @@ def even_path_from_roots(g: Graph, match: list, reach: ReachSet, target: int) ->
     path = _trace_even(match, reach.p, target)[::-1]
     if match[path[0]] != -1:
         raise EngineError("even-path trace does not start at a root")
-    _check_alternating(g, match, path, "even-path trace")
     return path
 
 
@@ -616,9 +585,7 @@ def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, component, ro
     seq = _trace_even(match, reach.p, a, stop=root)
     if a == root or seq[-1] != root or not inside.issuperset(seq):
         raise EngineError("no valid odd cycle through the component root")
-    cycle = [root] + seq[-2::-1]
-    _check_alternating(g, match, cycle, "odd cycle", closed=True)
-    return cycle
+    return [root] + seq[-2::-1]
 
 
 def check_reach_properties(
@@ -630,6 +597,7 @@ def check_reach_properties(
     contains d-components either fully or not at all, and no edge
     leaves its d-part.  A forbidden vertex (>= 0) must not be reached.
     Violations raise EngineError since they can only come from bugs.
+    A decide does not run this; the tests hold its forests to it.
     """
     members = np.asarray(reach.label) != 0
     if forbidden >= 0 and members[forbidden]:

@@ -234,8 +234,8 @@ class RoommatesInstance(_Frozen):
     def _edge_index(self, us, vs) -> np.ndarray:
         """Index of each (us[i], vs[i]) in the undirected edge arrays, -1 if no edge."""
         n = self.n
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us = _node_ids(_int_array(us))
+        vs = _node_ids(_int_array(vs))
         ok = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
         key = np.where(ok, np.minimum(us, vs) * n + np.maximum(us, vs), -1)
         keys = self._arrays["keys"]

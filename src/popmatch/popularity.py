@@ -34,8 +34,7 @@ from .engine import (
     ReachSet,
     _augmenting_path,
     _run_search,
-    _validate_matching,
-    check_reach_properties,
+    check_reach_properties,  # unused here; kept bound so outside tracers can wrap it by name
     gallai_edmonds,
     reachable_set,  # unused here; kept bound so outside tracers can wrap it by name
 )
@@ -193,17 +192,15 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     forest = _run_search(g, match, aux.seeds)
     reach = None
     if forest.aug is None:
-        _validate_matching(g, ma)
         reach_label = np.array(forest.label, dtype=np.int8)
         if aux.u_id >= 0:
             forest = _run_search(g, match, [aux.u_id], forest=forest)
         # phase two labels only u's tree, so p stays valid for the seeds' forest
         reach = ReachSet(label=reach_label, p=forest.p)
     if forest.aug is not None:
-        path = tuple(_augmenting_path(g, match, forest))
+        path = tuple(_augmenting_path(match, forest))
         return _Analysis(aux, match, path, None, None, None)
     ge = gallai_edmonds(g, ma, forest)
-    check_reach_properties(g, ma, reach, ge, forbidden=aux.u_id)
     return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(aux, ge, reach))
 
 
@@ -354,7 +351,8 @@ def _bad_nodes(inst: RoommatesInstance, seq) -> str | None:
         ids = [operator.index(v) for v in seq]
     except TypeError:
         return "node out of range"
-    if any(not 0 <= v < inst.n for v in ids):
+    n = inst.n
+    if any(not 0 <= v < n for v in ids):
         return "node out of range"
     if len(set(ids)) != len(ids):
         return "repeated node"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from popmatch.engine import _EVEN, _ODD
+from popmatch.engine import _EVEN, _ODD, EngineError
 from popmatch.formats import ParseError
 from popmatch.fractional import (
     CycleThroughStar,
@@ -274,6 +274,39 @@ def reference_validate_matching(g, match) -> None:
             raise ValueError(f"matching entry {v} -> {w} is not an involution")
         if not g.has_edge(v, w):
             raise ValueError(f"matched pair ({v}, {w}) is not an edge")
+
+
+def _check_alternating(g, match, seq, what, closed=False):
+    """Raise EngineError unless seq is a simple alternating walk in g.
+
+    Steps alternate non-matching and matching, the first non-matching;
+    closed adds the step from the last vertex back to the first.
+    """
+    if len(set(seq)) != len(seq):
+        raise EngineError(f"{what} revisits a vertex")
+    ends = seq[1:] + seq[:1] if closed else seq[1:]
+    for i, (a, b) in enumerate(zip(seq, ends)):
+        if not g.has_edge(a, b):
+            raise EngineError(f"{what} uses a missing edge")
+        if i % 2 == 0:
+            if match[a] == b:
+                raise EngineError(f"{what} misplaces a matched edge")
+        elif match[a] != b:
+            raise EngineError(f"{what} skips a matched edge")
+
+
+def check_pieces_closed(g, ge) -> None:
+    """Raise EngineError if an edge of g joins two pieces of ge's d part.
+
+    The pieces are the components of the subgraph induced on d, so no
+    such edge exists.
+    """
+    d = ge.label == _EVEN
+    src, dst = g.edge_arrays()
+    cross = np.flatnonzero(d[src] & d[dst] & (ge.piece[src] != ge.piece[dst]))
+    if cross.size:
+        i = cross[0]
+        raise EngineError(f"edge {src[i]}-{dst[i]} joins two d-components")
 
 
 def improved(inst, m, steps=60):

@@ -177,7 +177,7 @@ NO_EDGE = Graph.from_edges(2, [])
         # exposed 0 left unlabeled
         (PATH3, [-1, 2, 1], [0, 0, 0], [0, 1, 2], "0 is unreachable yet not matched"),
         # the triangle's blossom left uncontracted
-        (TRIANGLE, [-1, 2, 1], [1, 1, 1], [0, 1, 2], "edge 0-1 joins two d-components"),
+        (TRIANGLE, [-1, 2, 1], [1, 1, 1], [0, 1, 2], "component root is matched outside a"),
         # a piece whose vertices are all matched inside it
         (EDGE, [1, 0], [1, 1], [0, 0], "misses a unique root"),
         # two single pieces matched to each other

@@ -498,6 +498,7 @@ def test_validate_skips_only_the_pairs_of_the_matching(monkeypatch):
     q = HalfIntegralMatching(ones=((0, 2**70),), loop_ones=(1,), half_cycles=())
     want = f"edge (0, {2**70}) is not in the instance"
     assert _validate_message(q, inst, Matching.empty(2)) == _validate_message(q, inst) == want
+    assert inst.has_edges([2**70, 1], [0, 0]).tolist() == [False, True]
 
 
 def _ref_rank(inst, u, v):
