@@ -23,7 +23,7 @@ class BenchRow:
     nodes: int
     edges: int
     median_seconds: float
-    ns_per_edge: float
+    ns_per_edge: float | None  # None for a draw without edges
 
 
 def _shape(target_edges: int) -> tuple[int, float]:
@@ -59,18 +59,19 @@ def run_bench(sizes, seed: int = 0, reps: int = 3) -> list[BenchRow]:
                 nodes=n,
                 edges=edges,
                 median_seconds=med,
-                ns_per_edge=med / edges * 1e9,
+                ns_per_edge=med / edges * 1e9 if edges else None,
             )
         )
     return rows
 
 
 def format_table(rows: list[BenchRow]) -> str:
+    """One line per row; the ratio is to the ns/edge of the first row with edges."""
     lines = [f"{'edges':>9}  {'nodes':>7}  {'median s':>9}  {'ns/edge':>8}  {'ratio':>6}"]
-    base = rows[0].ns_per_edge if rows else 1.0
+    base = next((r.ns_per_edge for r in rows if r.edges), None)
     for r in rows:
-        lines.append(
-            f"{r.edges:>9}  {r.nodes:>7}  {r.median_seconds:>9.4f}  "
-            f"{r.ns_per_edge:>8.1f}  {r.ns_per_edge / base:>6.2f}"
-        )
+        per = ratio = "-"
+        if r.edges:
+            per, ratio = f"{r.ns_per_edge:.1f}", f"{r.ns_per_edge / base:.2f}"
+        lines.append(f"{r.edges:>9}  {r.nodes:>7}  {r.median_seconds:>9.4f}  {per:>8}  {ratio:>6}")
     return "\n".join(lines)

@@ -14,7 +14,8 @@ one forest yields both the reachable set and the decomposition.
 
 After an exhausted search the components of the even subgraph are
 the outermost blossoms, so the decomposition reads them off the
-search's union-find instead of traversing the graph again.
+search's union-find instead of traversing the graph again.  The
+search's labels are a `bytearray`, which numpy reads in place.
 `GallaiEdmonds` and `ReachSet` hold numpy label arrays, and
 `GallaiEdmonds` a piece index per vertex; `GallaiEdmonds.components`
 is a frozenset view built on first use.
@@ -140,13 +141,14 @@ def _buffer(values: np.ndarray, dtype) -> array:
 class _Forest:
     """State left behind by one alternating-forest search.
 
-    dsu is the blossom union-find: after the search, the vertices
-    sharing a representative form one outermost blossom.  No vertex
-    records its tree: `_lca` tells two trees apart by climbing both to
-    their exposed roots.
+    label is a `bytearray` of 0, _EVEN or _ODD per vertex, so numpy
+    reads it with `np.frombuffer`.  dsu is the blossom union-find:
+    after the search, the vertices sharing a representative form one
+    outermost blossom.  No vertex records its tree: `_lca` tells two
+    trees apart by climbing both to their exposed roots.
     """
 
-    label: list
+    label: bytearray
     p: list
     aug: tuple | None
     dsu: list
@@ -193,7 +195,9 @@ def _mark_path(match, p, dsu, label, queue, pending, v, ca, child):
         bv = _find(dsu, v)
 
 
-def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> _Forest:
+def _run_search(
+    g: Graph, match: list, roots, forest: _Forest | None = None, queued=()
+) -> _Forest:
     """Grow alternating trees from `roots` until exhaustion.
 
     The search returns as soon as it finds an augmenting path: two trees
@@ -202,16 +206,19 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
     even vertices of different blossoms closes a blossom when `_lca`
     finds a common base, and joins two trees when it returns -1.
 
-    Given an exhausted `forest`, the search continues it in place with
-    the extra roots.  Scanning some exposed vertices after the others
-    is a legal order of Edmonds' search, so the final labels are those
-    of one search from all the roots.
+    Given a `forest`, the search continues it in place with the extra
+    roots.  Scanning some exposed vertices after the others is a legal
+    order of Edmonds' search, so after an exhausted forest the final
+    labels are those of one search from all the roots.  `queued` lists
+    the forest's even vertices still to be scanned, in queue order; they
+    are scanned after the roots, so a search whose first steps were
+    taken elsewhere goes on as if it had taken them itself.
     """
     n = g.n
     off = g.off
     nbr = g.nbr
     if forest is None:
-        label = [0] * n
+        label = bytearray(n)
         p = [-1] * n
         dsu = list(range(n))
     elif forest.aug is not None:
@@ -226,6 +233,7 @@ def _run_search(g: Graph, match: list, roots, forest: _Forest | None = None) -> 
             raise ValueError(f"duplicate root {r}")
         label[r] = _EVEN
         queue.append(r)
+    queue += queued
 
     for v in queue:  # the loop also visits vertices appended while it runs
         mv = match[v]
@@ -412,7 +420,7 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
     if forest.aug is not None:
         raise ValueError("matching is not maximum")
     n = g.n
-    label = np.array(forest.label, dtype=np.int8)
+    label = np.frombuffer(forest.label, dtype=np.int8)
     ma = np.asarray(match, dtype=np.int64)
     d = label == _EVEN
     a = label == _ODD
@@ -481,10 +489,10 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     forest = _run_search(g, match, sorted(roots))
     if forest.aug is not None:
         raise ValueError("matching is not maximum")
-    return ReachSet(label=np.array(forest.label, dtype=np.int8), p=forest.p)
+    return ReachSet(label=np.frombuffer(forest.label, dtype=np.int8), p=forest.p)
 
 
-def even_path_from_roots(g: Graph, match: list, reach: ReachSet, target: int) -> list | None:
+def even_path_from_roots(match: list, reach: ReachSet, target: int) -> list | None:
     """Recover a simple alternating path root .. target of even length.
 
     Returns None when target is not even-reachable in the given

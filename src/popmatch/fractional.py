@@ -157,7 +157,7 @@ def extract_fractional_structure(
 
     # the seeds' forest enters the component only through its root, so
     # the path it recorded to the root stays off the rest of the component
-    p0 = even_path_from_roots(g, match, an.reach, root)
+    p0 = even_path_from_roots(match, an.reach, root)
     if p0 is None:
         raise InternalError("cycle root unreachable outside its component")
     if (aux.kind[p0[1:]] != KIND_ORIG).any():

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
 from helpers import analysis_cases, gadget_cases, random_instance
-from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR
+from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
 from popmatch.engine import (
     _ODD,
     EngineError,
@@ -31,7 +31,7 @@ from popmatch.engine import (
     reachable_set,
 )
 from popmatch.oracle import enumerate_matchings
-from popmatch.popularity import _analyze
+from popmatch.popularity import _analyze, _seed_stage
 
 
 def test_one_search_equals_the_two_it_replaces():
@@ -136,6 +136,35 @@ def test_seed_stage_labels_each_owner_under_its_own_b_node():
     assert owners >= 230, owners
 
 
+def test_seed_stage_state_continues_as_one_search():
+    # `_analyze` hands `_seed_stage`'s state to `_run_search`; the two must
+    # end exactly where one search from every seed ends, and stop at the
+    # seed where that search augments
+    gadgets = [(TRIANGLE_PENDANT, TRIANGLE_PENDANT_M), (TWO_TRIANGLES, TWO_TRIANGLES_M)]
+    rng = random.Random(22)
+    small = [random_instance(rng, rng.randint(5, 8), rng.choice([0.3, 0.5])) for _ in range(40)]
+    cases = [*analysis_cases(), *gadget_cases(120, 11, gadgets)]
+    cases += [(inst, m) for inst in small for m in enumerate_matchings(inst)]
+    fired = dict.fromkeys(("odd", "blossom", "hub", "earlier seed", "no seeds"), 0)
+    for inst, m in cases:
+        aux = build_aux(inst, m)
+        g, ma = aux.graph, aux.matching_array
+        match = ma.tolist()
+        whole = _run_search(g, match, aux.seeds)
+        rest, state, queued = _seed_stage(g, ma, aux.seeds)
+        fired["odd"] += state.label.count(_ODD)
+        fired["blossom"] += sum(v != d for v, d in enumerate(state.dsu)) // 2
+        fired["no seeds"] += not aux.seeds
+        if rest:
+            assert whole.aug is not None and whole.aug[0] == rest[0]
+            fired["hub" if whole.aug[1] == aux.u_id else "earlier seed"] += 1
+        forest = _run_search(g, match, rest, state, queued)
+        assert forest.label == whole.label and forest.p == whole.p
+        assert forest.dsu == whole.dsu and forest.aug == whole.aug
+    floors = {"odd": 1800, "blossom": 150, "hub": 1200, "earlier seed": 120, "no seeds": 60}
+    assert all(fired[k] >= floor for k, floor in floors.items()), fired
+
+
 def test_seed_phase_stops_at_the_hub():
     # 0 - 1 = 2 - 3 with only 0 as a root: 3 is exposed outside the forest
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -158,7 +187,7 @@ def test_continued_search_matches_one_search():
     assert ge.components == gallai_edmonds(g, match).components
     with pytest.raises(ValueError, match="duplicate root"):
         _run_search(g, match, [0], forest=both)
-    met = _Forest(label=[0] * 8, p=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
+    met = _Forest(label=bytearray(8), p=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
     with pytest.raises(EngineError, match="cannot continue"):
         _run_search(g, match, [7], forest=met)
 
@@ -185,7 +214,7 @@ NO_EDGE = Graph.from_edges(2, [])
     ],
 )
 def test_gallai_edmonds_rejects_corrupted_forests(g, match, label, dsu, message):
-    forest = _Forest(label=label, p=[-1] * g.n, aug=None, dsu=dsu)
+    forest = _Forest(label=bytearray(label), p=[-1] * g.n, aug=None, dsu=dsu)
     with pytest.raises(EngineError, match=message):
         gallai_edmonds(g, match, forest)
 

@@ -176,6 +176,14 @@ def test_bench_table(capsys):
     assert lines[1].split()[-1] == "1.00"
 
 
+def test_bench_row_without_edges(capsys):
+    # G(4, 1/6) drawn with seed 0 has no edges; the ratio base is the next row
+    assert main(["bench", "--sizes", "1,30", "--seed", "0", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[0] == "0" and lines[1].split()[-2:] == ["-", "-"]
+    assert lines[2].split()[-1] == "1.00"
+
+
 def test_bench_bad_sizes(capsys):
     assert main(["bench", "--sizes", ","]) == 2
     assert "no sizes given" in capsys.readouterr().err

@@ -265,8 +265,8 @@ def test_reachable_set_flower():
 
 def test_even_path_crosses_blossom():
     reach = reachable_set(FLOWER, list(FLOWER_M), [0])
-    assert even_path_from_roots(FLOWER, list(FLOWER_M), reach, 3) == [0, 1, 2, 4, 3]
-    assert even_path_from_roots(FLOWER, list(FLOWER_M), reach, 1) is None
+    assert even_path_from_roots(list(FLOWER_M), reach, 3) == [0, 1, 2, 4, 3]
+    assert even_path_from_roots(list(FLOWER_M), reach, 1) is None
 
 
 # a path 0 - 1=2 - 3=4 with the chord 1-3 (= matched); 0 is exposed
@@ -301,7 +301,7 @@ def test_even_path_trace_must_start_at_a_root():
     label = np.array([_EVEN, _ODD, _EVEN, _EVEN, _ODD], dtype=np.int8)
     reach = ReachSet(label=label, p=[-1, 0, -1, -1, -1])
     with pytest.raises(EngineError, match="^even-path trace does not start at a root$"):
-        even_path_from_roots(CHORD, CHORD_M, reach, 3)
+        even_path_from_roots(CHORD_M, reach, 3)
 
 
 def test_shortest_alt_path_plain():
