@@ -9,7 +9,10 @@ its leaves; all M-unmatched nodes collapse into a single exposed node;
 finally the blocking edges themselves are deleted.  M is popular in the
 instance exactly when M is a maximum matching of this graph.
 
-`AuxGraph` holds every map between the two graphs as a read-only array.
+`AuxGraph` holds, as read-only arrays, what the decide reads per
+auxiliary node: its kind, the original node it stands for and its
+partner.  What else a certificate needs, a star's leaves or a node's
+blocking partners, the decide reads from the instance.
 """
 
 from __future__ import annotations
@@ -38,24 +41,20 @@ KIND_ORIG, KIND_BLOCK, KIND_STAR, KIND_U = range(4)
 
 @dataclass(frozen=True, eq=False)
 class AuxGraph:
-    """The derived graph plus every mapping needed to walk back out of it.
+    """The derived graph plus the maps that lead back out of it.
 
     Node ids: matched original nodes first in ascending order (ids
     below n_matched), then one node per blocking-edge owner, one per
     star, and the collapsed exposed node last when M leaves anything
     unmatched.
 
-    The maps are read-only arrays of index_dtype(n_aux, 0), int32
-    unless ids reach 2^31.  Per auxiliary node:
-    `payload_array`, the original node it stands for (a star's middle,
-    -1 for the exposed node); `matching_array`, its partner or -1; and
-    the star leaves in CSR form, `leaf_nodes[leaf_off[i]:leaf_off[i + 1]]`
-    ascending, empty unless i is a star.  Per original node:
-    `star_of_array`, the star of which it is the middle, -1 where there
-    is none.  `kind` holds int8 codes per auxiliary node (KIND_ORIG,
-    ...).  `weights` holds `_weights(inst, m)`, the int8 vote of every
-    instance edge, for the decide's later checks.  `star_of`, {middle:
-    star node}, is a view built on first use.
+    Per auxiliary node, `kind` holds int8 codes (KIND_ORIG, ...), and
+    two read-only arrays of index_dtype(n_aux, 0), int32 unless ids
+    reach 2^31, hold `payload_array`, the original node it stands for
+    (a star's middle, -1 for the exposed node), and `matching_array`,
+    its partner or -1.  `weights` holds `_weights(inst, m)`, the int8
+    vote of every instance edge, for the decide's later checks.
+    `star_of`, {middle: star node}, is a view built on first use.
     """
 
     graph: Graph
@@ -64,30 +63,13 @@ class AuxGraph:
     matching_array: np.ndarray
     n_matched: int
     u_id: int
-    star_of_array: np.ndarray
-    leaf_off: np.ndarray
-    leaf_nodes: np.ndarray
     weights: np.ndarray
     seeds: range = range(0)
 
     @cached_property
     def star_of(self) -> dict:
-        keys = np.flatnonzero(self.star_of_array >= 0)
-        return dict(zip(keys.tolist(), self.star_of_array[keys].tolist()))
-
-    def leaves(self, s: int) -> np.ndarray:
-        """The leaves of star node s, ascending."""
-        return self.leaf_nodes[self.leaf_off[s]:self.leaf_off[s + 1]]
-
-    def label_of(self, i: int) -> str:
-        k = self.kind[i]
-        if k == KIND_ORIG:
-            return str(self.payload_array[i])
-        if k == KIND_BLOCK:
-            return f"b_{self.payload_array[i]}"
-        if k == KIND_STAR:
-            return f"bS_{self.payload_array[i]}"
-        return "u"
+        stars = np.flatnonzero(self.kind == KIND_STAR)
+        return dict(zip(self.payload_array[stars].tolist(), stars.tolist()))
 
 
 def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
@@ -139,18 +121,12 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
 
     aux_match = np.full(n_aux, -1, dtype=idx)
     aux_match[:nm] = orig_to_aux[pa[morder]]
-
-    leaf_off = np.zeros(n_aux + 1, dtype=idx)
-    np.cumsum(np.bincount(slv_star, minlength=n_aux), out=leaf_off[1:])
     arrays = {
         "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
         "payload_array": np.concatenate(
             [morder, owners, middles, np.full(int(have_u), -1)]
         ).astype(idx),
         "matching_array": aux_match,
-        "star_of_array": star_of,
-        "leaf_off": leaf_off,
-        "leaf_nodes": slv[np.argsort(slv_star, kind="stable")].astype(idx),
         "weights": w,
     }
     for a in arrays.values():

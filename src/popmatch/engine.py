@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _groups, index_dtype
+from .model import _groups, _int_array, index_dtype
 
 
 class EngineError(RuntimeError):
@@ -77,8 +77,9 @@ class Graph:
         puts the adjacency in CSR order: src is key >> s, dst the low s bits.
         The int64 keys hold every n up to 2^31.
         """
-        e = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges), dtype=np.int64)
-        e = (e if e.dtype.kind == "i" else e.astype(np.int64)).reshape(-1, 2)
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind == "i"):
+            edges = _int_array(list(edges))  # ValueError names an entry that is no int
+        e = edges.reshape(-1, 2)
         us, vs = e[:, 0], e[:, 1]
         if e.size and (e.min() < 0 or e.max() >= n or (us == vs).any()):
             bad = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxgraph import (
-    KIND_ORIG,
-    KIND_STAR,
-    is_blocking_edge,
-)
+from .auxgraph import KIND_STAR
 from .engine import (
     even_path_from_roots,
     odd_cycle_through_root,
@@ -144,24 +140,15 @@ def extract_fractional_structure(
 
     if aux.kind[root] == KIND_STAR:
         mid = int(pay[root])
-        if (aux.kind[cyc[1:]] != KIND_ORIG).any():
-            raise InternalError("star cycle passes a non-original node")
-        rest = pay[cyc[1:]].tolist()
-        if mid in rest:
-            raise InternalError("star middle collides with its own cycle")
-        return CycleThroughStar(cycle=(mid, *rest), middle=mid)
+        return CycleThroughStar(cycle=(mid, *pay[cyc[1:]].tolist()), middle=mid)
 
-    if (aux.kind[comp] != KIND_ORIG).any():
-        raise InternalError("matched-root component contains a non-original node")
     cycle = tuple(pay[cyc].tolist())
 
     # the seeds' forest enters the component only through its root, so
     # the path it recorded to the root stays off the rest of the component
     p0 = even_path_from_roots(match, an.reach, root)
-    if p0 is None:
+    if p0 is None or len(p0) < 2:
         raise InternalError("cycle root unreachable outside its component")
-    if (aux.kind[p0[1:]] != KIND_ORIG).any():
-        raise InternalError("alternating path passes a non-original node")
     vs = pay[p0[1:]].tolist()
     x = _star_middle_or_lowest_partner(inst, m, aux, p0[0], vs[0])
     return PathPlusCycle(path=(x, *vs), cycle=cycle, blocking_edge=(x, vs[0]))
@@ -175,18 +162,20 @@ def _unpartnered(pa: np.ndarray, seq, what: str) -> str | None:
     return None
 
 
-def _untied(inst: RoommatesInstance, m: Matching, seq, steps, what: str) -> str | None:
+def _untied(seq, w: np.ndarray, steps, what: str) -> str | None:
     """The defect unless, for each i in steps, seq[i] and the next node
-    (cyclically) are joined by an edge that ties the vote."""
-    us = [seq[i] for i in steps]
-    vs = [seq[(i + 1) % len(seq)] for i in steps]
-    w = _edge_votes(inst, m, us, vs)
-    if not w.any():
+    (cyclically) are joined by an edge that ties the vote; w[i] is that
+    pair's `_edge_votes` entry."""
+    steps = list(steps)
+    ws = w[steps]
+    if not ws.any():
         return None
-    i = int(np.argmax(w != 0))
-    if w[i] == NO_EDGE:
-        return f"{what} edge {us[i]}-{vs[i]} missing"
-    return f"{what} edge {us[i]}-{vs[i]} does not tie the vote"
+    k = int(np.argmax(ws != 0))
+    i = steps[k]
+    a, b = seq[i], seq[(i + 1) % len(seq)]
+    if ws[k] == NO_EDGE:
+        return f"{what} edge {a}-{b} missing"
+    return f"{what} edge {a}-{b} does not tie the vote"
 
 
 def check_fractional_structure(
@@ -206,11 +195,12 @@ def check_fractional_structure(
         msg = _unpartnered(pa, cyc, "cycle")
         if msg:
             return msg
-        if not is_blocking_edge(inst, m, cyc[0], cyc[1]):
+        w = _edge_votes(inst, m, cyc, cyc[1:] + cyc[:1])  # w[i]: cyc[i]-cyc[i + 1], cyclically
+        if w[0] != 2:
             return f"edge {cyc[0]}-{cyc[1]} is not blocking"
-        if not is_blocking_edge(inst, m, cyc[0], cyc[-1]):
+        if w[-1] != 2:
             return f"edge {cyc[0]}-{cyc[-1]} is not blocking"
-        msg = _untied(inst, m, cyc, range(2, len(cyc) - 1, 2), "cycle")
+        msg = _untied(cyc, w, range(2, len(cyc) - 1, 2), "cycle")
         if msg:
             return msg
         # the partner check leaves the middle's partner off the cycle
@@ -232,13 +222,15 @@ def check_fractional_structure(
         return "path and cycle share more than the root"
     if tuple(sorted(s.blocking_edge)) != tuple(sorted(path[:2])):
         return "declared blocking edge differs from the first path edge"
-    if not is_blocking_edge(inst, m, path[0], path[1]):
+    wp = _edge_votes(inst, m, path, path[1:] + path[:1])
+    wc = _edge_votes(inst, m, cyc, cyc[1:] + cyc[:1])
+    if wp[0] != 2:
         return f"edge {path[0]}-{path[1]} is not blocking"
     msg = (
         _unpartnered(pa, path, "path")
-        or _untied(inst, m, path, range(2, len(path) - 1, 2), "path")
+        or _untied(path, wp, range(2, len(path) - 1, 2), "path")
         or _unpartnered(pa, cyc, "cycle")
-        or _untied(inst, m, cyc, [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)], "cycle")
+        or _untied(cyc, wc, [0, len(cyc) - 1, *range(2, len(cyc) - 1, 2)], "cycle")
     )
     if msg:
         return msg

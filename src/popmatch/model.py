@@ -86,12 +86,25 @@ def _int_array(values) -> np.ndarray:
     """values as an int64 array; an object array of Python ints if one does not fit.
 
     Only outside input holds such a value. Kept exact, it still sorts and
-    compares, and messages can name it.
+    compares, and messages can name it. An entry must be what
+    `operator.index` reads as an int, as in `Matching`; ValueError names
+    the first that is not, so a float or a digit string is never cast.
     """
+    a = np.asarray(values)
+    if a.dtype.kind == "i" or not a.size or (a.dtype.kind == "u" and a.max() < 2**63):
+        return a.astype(np.int64, copy=False)
+    # bools, floats, strings, Python ints beyond int64 or mixed types: entry by entry
+    a = np.asarray(values, dtype=object)
+    ints = []
+    for v in a.ravel().tolist():
+        try:
+            ints.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"{v!r} is not an integer") from None
     try:
-        return np.asarray(values, dtype=np.int64)
+        return np.array(ints, dtype=np.int64).reshape(a.shape)
     except OverflowError:
-        return np.asarray(values, dtype=object)
+        return np.array(ints, dtype=object).reshape(a.shape)
 
 
 def _node_ids(a: np.ndarray) -> np.ndarray:
@@ -181,19 +194,16 @@ class RoommatesInstance(_Frozen):
             raise TypeError("RoommatesInstance takes either pref or csr")
         if csr is None:
             rows = tuple(tuple(p) for p in pref)
-            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-            off = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(counts, out=off[1:])
-            dv = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(off[-1]))
+            off, dv = _csr(rows)
             self.__dict__["pref"] = rows  # the view's slot, already built
         else:
-            off, dv = (np.asarray(a, dtype=np.int64) for a in csr)
+            off, dv = (_int_array(a) for a in csr)
             if (
                 off.ndim != 1 or dv.ndim != 1 or not off.size or off[0] != 0
                 or off[-1] != dv.size or (np.diff(off) < 0).any()
             ):
                 raise ValueError("csr needs offsets from 0 to len(dv), non-decreasing")
-        self.__dict__["_arrays"] = _validated(off, dv)
+        self.__dict__["_arrays"] = _validated(off, _node_ids(dv))
 
     def __repr__(self):
         return f"RoommatesInstance(pref={self.pref!r})"
@@ -482,7 +492,7 @@ def _check_ids(inst: RoommatesInstance, m: Matching, ids, what: str = "node") ->
     """Raise ValueError unless m fits inst and every id is a node of it."""
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
-    ids = np.asarray(ids)
+    ids = _int_array(ids)
     out = (ids < 0) | (ids >= inst.n)
     if out.any():
         raise ValueError(f"{what} {ids[np.argmax(out)]} is out of range")

@@ -18,7 +18,6 @@ import numpy as np
 
 from .auxgraph import (
     KIND_BLOCK,
-    KIND_ORIG,
     KIND_STAR,
     KIND_U,
     AuxGraph,
@@ -222,7 +221,7 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
         path = tuple(_augmenting_path(match, forest))
         return _Analysis(aux, match, path, None, None, None)
     ge = gallai_edmonds(g, ma, forest)
-    return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(aux, ge, reach))
+    return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(ge, reach))
 
 
 def _seed_stage(g: Graph, ma: np.ndarray, seeds: range) -> tuple:
@@ -330,9 +329,10 @@ def extract_blocking_structure(
                 o = int(pay[end])
                 y = blocking_partners_of(inst, m, o)[0]
             else:
-                leaves = aux.leaves(end)
-                o = int(leaves[m.partner_array[leaves] < 0].min())
+                # b-nodes scan first and none met u: each unmatched blocking partner is a leaf
                 y = int(pay[end])
+                ys = blocking_partners_of(inst, m, y)
+                o = next((x for x in ys if m.partner_array[x] < 0), -1)  # -1 fails the check
             return BlockingStructure(PATH_TO_UNMATCHED, (y, o))
         x = unmatched_zero_neighbors_of(inst, m, vs[0])[0]
         y = _star_middle_or_lowest_partner(inst, m, aux, end, vs[-1])
@@ -439,20 +439,10 @@ def more_popular_matching(
     return Matching._of(partner)
 
 
-def _reached_big_pieces(aux: AuxGraph, ge: GallaiEdmonds, reach: ReachSet) -> np.ndarray:
-    """Ascending ids of the reached pieces of size >= 3, each rooted at an
-    original or a star node."""
+def _reached_big_pieces(ge: GallaiEdmonds, reach: ReachSet) -> np.ndarray:
+    """Ascending ids of the reached pieces of size >= 3."""
     big = np.flatnonzero(ge.sizes >= 3)
-    roots = ge.roots[big]
-    reached = reach.label[roots] != 0
-    big, roots = big[reached], roots[reached]
-    kinds = aux.kind[roots]
-    stray = (kinds != KIND_ORIG) & (kinds != KIND_STAR)
-    if stray.any():
-        r = int(roots[np.argmax(stray)])
-        size = int(ge.sizes[ge.piece[r]])
-        raise InternalError(f"reached component of size {size} rooted at {aux.label_of(r)}")
-    return big
+    return big[reach.label[ge.roots[big]] != 0]
 
 
 def build_dual_witness(
@@ -473,9 +463,6 @@ def build_dual_witness(
     pay = aux.payload_array
     reached = reach.label != 0
     reached[aux.n_matched:] = False  # original nodes only
-    cmatched = np.flatnonzero(reached & (ge.label == 0))
-    if cmatched.size:
-        raise InternalError(f"reached node {cmatched[0]} in the perfectly matched part")
     alpha = np.zeros(inst.n, dtype=np.int64)
     alpha[pay[reached & (ge.label == _EVEN)]] = -1
     alpha[pay[reached & (ge.label == _ODD)]] = 1
@@ -486,12 +473,7 @@ def build_dual_witness(
     verts = np.flatnonzero(chosen[ge.piece])
     off = np.zeros(len(big) + 1, dtype=np.int64)
     np.cumsum(ge.sizes[big], out=off[1:])
-    w = DualWitness(alpha, csr=(off, pay[verts[np.argsort(ge.piece[verts], kind="stable")]]))
-    again = w.set_nodes[1:] == w.set_nodes[:-1]
-    again[w.set_off[1:-1] - 1] = False  # neighbors in two different sets
-    if again.any() or (np.diff(w.set_off) % 2 == 0).any():
-        raise InternalError("odd set construction collided")
-    return w
+    return DualWitness(alpha, csr=(off, pay[verts[np.argsort(ge.piece[verts], kind="stable")]]))
 
 
 def witness_violation(

@@ -403,8 +403,8 @@ def reference_aux(inst, m) -> dict:
     """build_aux's tuples and dicts from per-edge loops over rank dicts.
 
     Returns the id layout (kind, payload, orig_to_aux, matching, seeds,
-    u_id), the maps (b_of, star_of, star_leaves, leaf_star) and the
-    sorted edge list of the auxiliary graph.
+    u_id), the maps (b_of, star_of) and the sorted edge list of the
+    auxiliary graph; a star's leaves show only as its edges.
     """
     n, partner, rank = inst.n, m.partner, inst.rank
 
@@ -449,8 +449,6 @@ def reference_aux(inst, m) -> dict:
         "u_id": u_id,
         "b_of": b_of,
         "star_of": star_of,
-        "star_leaves": {z: tuple(sorted(leaves[z])) for z in middles},
-        "leaf_star": leaf_star,
         "edges": sorted(e for e in edges if e[0] != e[1]),
     }
 

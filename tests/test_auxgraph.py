@@ -28,8 +28,6 @@ def test_aux_ids_and_seeds(two_triangles_pendants):
     assert aux.u_id == 10
     assert aux.seeds == range(6, 10)
     assert aux.star_of == {3: 9}
-    assert aux.star_of_array.tolist() == [-1, -1, -1, 9, -1, -1, -1, -1]
-    assert aux.leaves(9).tolist() == [4, 5]
 
 
 def test_aux_graph_frozen(two_triangles_pendants):
@@ -52,12 +50,11 @@ def test_aux_graph_frozen(two_triangles_pendants):
 
 
 def test_aux_labels(two_triangles_pendants):
+    # kind and payload name a node: original 0, b-node b_0, star bS_3, u
     inst, m = two_triangles_pendants
     aux = build_aux(inst, m)
-    assert aux.label_of(0) == "0"
-    assert aux.label_of(6) == "b_0"
-    assert aux.label_of(9) == "bS_3"
-    assert aux.label_of(10) == "u"
+    got = [(int(aux.kind[i]), int(aux.payload_array[i])) for i in (0, 6, 9, 10)]
+    assert got == [(KIND_ORIG, 0), (KIND_BLOCK, 0), (KIND_STAR, 3), (KIND_U, -1)]
 
 
 def test_aux_without_unmatched(swap_square):

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -118,6 +119,33 @@ def test_oracle_agreement(tmp_path, capsys, triangle_pendant, two_triangles_pend
     assert rows[1]["agree"] is True
 
 
+@pytest.mark.parametrize(
+    "name, field, row",
+    [
+        ("brute_popular", "best_delta", 0),
+        ("brute_fractional_popular", "best_value_times_two", 1),
+    ],
+)
+def test_oracle_disagreement_exits_three(
+    tmp_path, capsys, monkeypatch, triangle_pendant, name, field, row
+):
+    brute = getattr(popmatch.cli, name)
+
+    def flipped(inst, m):  # the oracle's verdict turned over: 1 - v flips v <= 0
+        ref = brute(inst, m)
+        return replace(ref, **{field: 1 - getattr(ref, field)})
+
+    monkeypatch.setattr(popmatch.cli, name, flipped)
+    ipath, mpath = write_pair(tmp_path, *triangle_pendant)
+    assert main(["oracle", "-i", ipath, "-m", mpath]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[row].endswith(" - oracle DISAGREE")
+    assert out[1 - row].endswith(" - oracle agree")
+    assert main(["oracle", "-i", ipath, "-m", mpath, "--json"]) == 3
+    rows = json.loads(capsys.readouterr().out)["oracle"]
+    assert [r["agree"] for r in rows] == [row != 0, row != 1]
+
+
 def test_oracle_skips_fractional_beyond_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("POPMATCH_ORACLE_LIMIT", raising=False)
     ipath = tmp_path / "i.txt"
@@ -187,6 +215,18 @@ def test_bench_row_without_edges(capsys):
 def test_bench_bad_sizes(capsys):
     assert main(["bench", "--sizes", ","]) == 2
     assert "no sizes given" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sizes", "0"], "bad size 0"),
+        (["--sizes", "30", "--reps", "0"], "need at least one repetition, got 0"),
+    ],
+)
+def test_bench_bad_size_or_reps_exit_two(capsys, args, message):
+    assert main(["bench", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_exit_two(tmp_path, capsys):

@@ -231,7 +231,7 @@ def test_int64_index_arrays_decide_alike(monkeypatch):
     assert dtypes == {np.dtype(np.int64)}
     aux = build_aux(*cases[0])
     assert aux.graph.off.itemsize == aux.graph.dst.itemsize == 8
-    assert aux.payload_array.dtype == aux.leaf_nodes.dtype == np.int64
+    assert aux.payload_array.dtype == aux.matching_array.dtype == np.int64
     test_certificate_digest.test_certificates_are_byte_identical()
     for inst, m in cases[::5]:
         for decide in (is_popular, is_fractional_popular):
@@ -261,8 +261,7 @@ def test_instance_holds_the_seven_read_only_arrays(two_triangles_pendants):
     assert arr["keys"].dtype == np.int64
     assert {arr[k].dtype for k in arr if k != "keys"} == {np.dtype(np.int32)}
     aux = build_aux(inst, m)
-    maps = ("payload_array", "matching_array", "star_of_array", "leaf_off", "leaf_nodes")
-    assert {getattr(aux, k).dtype for k in maps} == {np.dtype(np.int32)}
+    assert aux.payload_array.dtype == aux.matching_array.dtype == np.int32
 
 
 def test_graph_views_its_neighbor_buffer():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from popmatch.auxgraph import (
     is_blocking_edge,
     unmatched_zero_neighbors_of,
 )
+from popmatch.engine import Graph
 from popmatch.formats import parse_instance, serialize_instance
 from popmatch.model import (
     NO_EDGE,
@@ -31,6 +33,7 @@ from popmatch.model import (
     loop_weight,
     vote,
 )
+from popmatch.popularity import DualWitness
 
 from conftest import (
     TRIANGLE_PENDANT,
@@ -189,6 +192,39 @@ def test_matching_takes_numpy_integers():
     assert Matching((True, 0)).partner == (1, 0)
 
 
+TRIANGLE = RoommatesInstance(((1, 2), (0, 2), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: Matching.from_pairs(TRIANGLE, [(0, 1.7)]), "1.7"),
+        (lambda: Matching.from_pairs(TRIANGLE, np.array([[0.0, 1.0]])), "0.0"),
+        (lambda: vote(TRIANGLE, 0, 2.9, 1), "2.9"),
+        (lambda: vote(TRIANGLE, "0", 2, 1), "'0'"),
+        (lambda: edge_weight(TRIANGLE, Matching.empty(3), 0, 1.5), "1.5"),
+        (lambda: blocking_partners_of(TRIANGLE, Matching.empty(3), 1.0), "1.0"),
+        (lambda: DualWitness([0.5, -0.7, 1], [[0, 1, 2]]), "0.5"),
+        (lambda: DualWitness([0, 0, 1], [[0, 1.2, 2]]), "1.2"),
+        (lambda: Graph.from_edges(3, [(0, 1.5)]), "1.5"),
+        (lambda: Graph.from_edges(3, [("0", "1")]), "'0'"),
+        (lambda: RoommatesInstance(((1.7,), (0,))), "1.7"),
+        (lambda: RoommatesInstance((("1",), (0,))), "'1'"),
+        (lambda: RoommatesInstance(csr=([0, 1, 2], [1.0, 0])), "1.0"),
+        (lambda: RoommatesInstance(csr=([0, 1, 2], ["1", "0"])), "'1'"),
+    ],
+    ids=[
+        "from_pairs", "from_pairs-array", "vote", "vote-str", "edge_weight",
+        "blocking_partners_of", "witness-alpha", "witness-set", "from_edges",
+        "from_edges-str", "pref", "pref-str", "csr", "csr-str",
+    ],
+)
+def test_node_ids_must_be_integers(build, bad):
+    # what operator.index refuses is refused, never truncated or parsed
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not an integer$"):
+        build()
+
+
 def test_votes_and_weights(two_triangles_pendants):
     inst, m = two_triangles_pendants
     # node 3 ranks 4 above 2, and None is worse than anyone
@@ -219,7 +255,7 @@ def test_blocking_and_stars(two_triangles_pendants):
     assert blocking_edges(inst, m) == ((0, 2), (3, 4), (3, 5))
     aux = build_aux(inst, m)
     assert aux.star_of == {3: 9}
-    assert aux.leaves(9).tolist() == [4, 5]
+    assert sorted(aux.graph.neighbors(9)) == [4, 5]  # the leaves, both matched
 
 
 def test_weights_refuse_a_pair_that_is_no_edge():

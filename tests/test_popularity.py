@@ -24,6 +24,7 @@ from popmatch.popularity import (
     Popular,
     Unpopular,
     _analyze,
+    _finish_popular,
     _reached_big_pieces,
     build_dual_witness,
     check_blocking_structure,
@@ -77,27 +78,28 @@ def test_dual_witness_odd_sets_match_a_piece_loop(triangle_pendant, two_triangle
         inst, m = tiled(rng, gadgets + others)
         an = _analyze(inst, m)
         assert an.aug_path is None
-        assert np.array_equal(an.big, _reached_big_pieces(an.aux, an.ge, an.reach))
+        assert np.array_equal(an.big, _reached_big_pieces(an.ge, an.reach))
         w = build_dual_witness(inst, m, an.aux, an.ge, an.reach, an.big)
         assert list(w.two_sets) == _reference_two_sets(an)
         assert len(w.two_sets) >= len(gadgets)
 
 
 def test_dual_witness_rejects_bad_pieces(triangle_pendant):
+    # the witness check is the only check: a piece's kind is not read, and
+    # two vertices of one piece on one node fail as a set collision
     inst, m = triangle_pendant
     an = _analyze(inst, m)
     comp = np.flatnonzero(an.ge.piece == an.ge.piece[an.ge.roots[0]])
     assert len(comp) == 3
     kind = an.aux.kind.copy()
     kind[an.ge.roots[0]] = KIND_BLOCK
-    aux = replace(an.aux, kind=kind)
-    with pytest.raises(InternalError, match="^reached component of size 3 rooted at b_"):
-        _reached_big_pieces(aux, an.ge, an.reach)
+    res = _finish_popular(inst, m, replace(an, aux=replace(an.aux, kind=kind)))
+    assert res == _finish_popular(inst, m, an)
     pay = an.aux.payload_array.copy()
     pay[comp[1]] = pay[comp[0]]
-    aux = replace(an.aux, payload_array=pay)
-    with pytest.raises(InternalError, match="^odd set construction collided$"):
-        build_dual_witness(inst, m, aux, an.ge, an.reach, an.big)
+    msg = "^constructed dual witness is invalid: node 0 lies in two odd sets$"
+    with pytest.raises(InternalError, match=msg):
+        _finish_popular(inst, m, replace(an, aux=replace(an.aux, payload_array=pay)))
 
 
 def test_popular_two_triangles(two_triangles):
