@@ -6,7 +6,7 @@ stays popular against half-integral competition, returning a
 machine-checkable certificate either way.
 """
 
-from .engine import EngineError, GallaiEdmonds, Graph, gallai_edmonds, is_maximum, maximum_matching
+from .engine import EngineError, GallaiEdmonds, Graph, gallai_edmonds
 from .formats import (
     ParseError,
     document_to_json,
@@ -99,10 +99,8 @@ __all__ = [
     "greedy_matching",
     "half_from_matching",
     "is_fractional_popular",
-    "is_maximum",
     "is_popular",
     "loop_weight",
-    "maximum_matching",
     "more_popular_matching",
     "parse_certificate",
     "parse_instance",

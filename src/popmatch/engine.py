@@ -3,9 +3,9 @@
 One search routine grows alternating forests from a set of exposed
 roots, contracting odd cycles on the fly, and can later continue the
 same forest from more roots.  Everything else here is a thin layer
-over that search: augmenting paths, maximality tests, the
-Gallai-Edmonds decomposition, alternating reachability, and recovery
-of odd alternating cycles inside factor-critical components.  Every path
+over that search: augmenting paths, the Gallai-Edmonds decomposition,
+alternating reachability, and recovery of odd alternating cycles
+inside factor-critical components.  Every path
 and cycle handed out is a trace of a forest's parent pointers; a
 popularity test checks the certificate built from it, not the trace.  A
 popularity test runs the search once: first from the roots whose
@@ -328,48 +328,6 @@ def _validate_matching(g, match):
         raise ValueError(f"matching entry {bad} -> {match[bad]} is not an involution")
     if missing >= 0:
         raise ValueError(f"matched pair ({missing}, {match[missing]}) is not an edge")
-
-
-def find_augmenting_path(g: Graph, match: list) -> list | None:
-    """Return an augmenting path as a vertex list, or None if maximum."""
-    _validate_matching(g, match)
-    roots = [v for v in range(g.n) if match[v] == -1]
-    if not roots:
-        return None
-    forest = _run_search(g, match, roots)
-    if forest.aug is None:
-        return None
-    return _augmenting_path(match, forest)
-
-
-def augment(match: list, path: list) -> None:
-    """Flip a matching along an augmenting path, in place."""
-    for i in range(0, len(path), 2):
-        a, b = path[i], path[i + 1]
-        match[a] = b
-        match[b] = a
-
-
-def is_maximum(g: Graph, match: list) -> bool:
-    return find_augmenting_path(g, match) is None
-
-
-def maximum_matching(g: Graph) -> list:
-    """Compute a maximum matching, greedy start plus augmentation."""
-    match = [-1] * g.n
-    for v in range(g.n):
-        if match[v] != -1:
-            continue
-        for w in g.neighbors(v):
-            if match[w] == -1:
-                match[v] = w
-                match[w] = v
-                break
-    while True:
-        path = find_augmenting_path(g, match)
-        if path is None:
-            return match
-        augment(match, path)
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,6 +122,18 @@ def _csr(groups) -> tuple:
     return off, _int_array(list(chain.from_iterable(groups)))
 
 
+def _csr_arrays(off, values) -> tuple:
+    """(off, values) read with `_int_array`; ValueError unless off is one-dimensional
+    and runs from 0 to len(values), non-decreasing."""
+    off, values = _int_array(off), _int_array(values)
+    if (
+        off.ndim != 1 or values.ndim != 1 or not off.size or off[0] != 0
+        or off[-1] != values.size or (np.diff(off) < 0).any()
+    ):
+        raise ValueError("csr needs offsets from 0 to len(values), non-decreasing")
+    return off, values
+
+
 def _later_repeats(a: np.ndarray) -> np.ndarray:
     """True at each entry of a whose value also occurs at a lower index."""
     order = np.argsort(a, kind="stable")
@@ -192,17 +204,7 @@ class RoommatesInstance(_Frozen):
     def __init__(self, pref=None, *, csr=None):
         if (pref is None) == (csr is None):
             raise TypeError("RoommatesInstance takes either pref or csr")
-        if csr is None:
-            rows = tuple(tuple(p) for p in pref)
-            off, dv = _csr(rows)
-            self.__dict__["pref"] = rows  # the view's slot, already built
-        else:
-            off, dv = (_int_array(a) for a in csr)
-            if (
-                off.ndim != 1 or dv.ndim != 1 or not off.size or off[0] != 0
-                or off[-1] != dv.size or (np.diff(off) < 0).any()
-            ):
-                raise ValueError("csr needs offsets from 0 to len(dv), non-decreasing")
+        off, dv = _csr(pref) if csr is None else _csr_arrays(*csr)
         self.__dict__["_arrays"] = _validated(off, _node_ids(dv))
 
     def __repr__(self):
@@ -617,7 +619,7 @@ class HalfIntegralMatching(_Frozen):
     def __init__(self, ones, loop_ones, half_cycles=None, *, csr=None):
         if (half_cycles is None) == (csr is None):
             raise TypeError("HalfIntegralMatching takes either half_cycles or csr")
-        off, nodes = _csr(half_cycles) if csr is None else csr
+        off, nodes = _csr(half_cycles) if csr is None else _csr_arrays(*csr)
         pairs = _int_array(ones).reshape(-1, 2)
         low = np.minimum(pairs[:, 0], pairs[:, 1])
         high = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -626,9 +628,7 @@ class HalfIntegralMatching(_Frozen):
         if not ((a < b) | ((a == b) & (high[:-1] <= high[1:]))).all():
             order = _lex_order(low, high)
             low, high = low[order], high[order]
-        cycle_off, cycle_nodes = _canonical_cycles(
-            np.asarray(off, dtype=np.int64), _int_array(nodes)
-        )
+        cycle_off, cycle_nodes = _canonical_cycles(off, nodes)
         self._take(
             ones_array=np.column_stack((low, high)),
             loop_array=np.sort(_int_array(loop_ones)),

@@ -44,6 +44,7 @@ from .model import (
     Matching,
     RoommatesInstance,
     _csr,
+    _csr_arrays,
     _edge_votes,
     _Frozen,
     _groups,
@@ -102,8 +103,8 @@ class DualWitness(_Frozen):
     def __init__(self, alpha, two_sets=None, *, csr=None):
         if (two_sets is None) == (csr is None):
             raise TypeError("DualWitness takes either two_sets or csr")
-        off, nodes = _csr(two_sets) if csr is None else csr
-        set_off, set_nodes = _sorted_sets(np.asarray(off, dtype=np.int64), _int_array(nodes))
+        off, nodes = _csr(two_sets) if csr is None else _csr_arrays(*csr)
+        set_off, set_nodes = _sorted_sets(off, nodes)
         self._take(alpha_array=_int_array(alpha), set_off=set_off, set_nodes=set_nodes)
 
     def __repr__(self):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from popmatch.engine import _EVEN, _ODD, EngineError
+from popmatch.engine import _EVEN, _ODD, EngineError, _augmenting_path, _run_search
 from popmatch.formats import ParseError
 from popmatch.fractional import (
     CycleThroughStar,
@@ -274,6 +274,27 @@ def reference_validate_matching(g, match) -> None:
             raise ValueError(f"matching entry {v} -> {w} is not an involution")
         if not g.has_edge(v, w):
             raise ValueError(f"matched pair ({v}, {w}) is not an edge")
+
+
+def is_maximum(g, match) -> bool:
+    """Whether no augmenting path exists: one search from every exposed vertex."""
+    return _run_search(g, match, [v for v in range(g.n) if match[v] == -1]).aug is None
+
+
+def maximum_matching(g) -> list:
+    """A maximum matching: a greedy start, then flips along the paths the search finds."""
+    match = [-1] * g.n
+    for v in range(g.n):
+        for w in g.neighbors(v):
+            if match[v] == -1 and match[w] == -1:
+                match[v], match[w] = w, v
+    while True:
+        forest = _run_search(g, match, [v for v in range(g.n) if match[v] == -1])
+        if forest.aug is None:
+            return match
+        path = _augmenting_path(match, forest)
+        for a, b in zip(path[::2], path[1::2]):
+            match[a], match[b] = b, a
 
 
 def _check_alternating(g, match, seq, what, closed=False):

@@ -11,9 +11,15 @@ import time
 
 import pytest
 
-from helpers import label_sets, partner_first_instance, random_edge_graph
+from helpers import (
+    is_maximum,
+    label_sets,
+    maximum_matching,
+    partner_first_instance,
+    random_edge_graph,
+)
 from popmatch.bench import run_bench
-from popmatch.engine import Graph, gallai_edmonds, is_maximum, maximum_matching
+from popmatch.engine import Graph, gallai_edmonds
 from popmatch.fractional import (
     CycleThroughStar,
     FractionalPopular,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
-from helpers import analysis_cases, gadget_cases, random_instance
+from helpers import analysis_cases, gadget_cases, is_maximum, random_instance
 from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
 from popmatch.engine import (
     _ODD,
@@ -26,7 +26,6 @@ from popmatch.engine import (
     _run_search,
     check_reach_properties,
     gallai_edmonds,
-    is_maximum,
     odd_cycle_through_root,
     reachable_set,
 )

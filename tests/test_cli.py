@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import popmatch.cli
+import popmatch.popularity
 from popmatch.cli import _load, main
 from popmatch.engine import EngineError
 from popmatch.formats import (
@@ -280,7 +281,9 @@ def test_console_script_runs(tmp_path, triangle_pendant):
     assert proc.stdout == "popular\n"
 
 
-def test_engine_failure_exits_two(tmp_path, capsys, monkeypatch, triangle_pendant):
+def test_engine_failure_exits_two(
+    tmp_path, capsys, monkeypatch, triangle_pendant, two_triangles_pendants
+):
     def broken(inst, m):
         raise EngineError("blossom stack underflow")
 
@@ -296,6 +299,15 @@ def test_engine_failure_exits_two(tmp_path, capsys, monkeypatch, triangle_pendan
     assert main(["witness", "-i", ipath, "-m", mpath, "--json"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" in err and err.endswith("\ninternal error: KeyError: 3\n")
+
+    # a decide's own certificate check fails the same way
+    monkeypatch.undo()
+    inst, m = two_triangles_pendants
+    monkeypatch.setattr(popmatch.popularity, "more_popular_matching", lambda *a: m)
+    ipath, mpath = write_pair(tmp_path, inst, m)
+    assert main(["check", "-i", ipath, "-m", mpath]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal error: switched matching wins by 0, expected at least 1\n")
 
 
 def test_verdict_paths_never_build_the_edge_set(

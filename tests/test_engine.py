@@ -11,18 +11,15 @@ from popmatch.engine import (
     EngineError,
     Graph,
     ReachSet,
+    _augmenting_path,
     _find,
     _lca,
     _run_search,
     _trace_even,
     _validate_matching,
-    augment,
     check_reach_properties,
     even_path_from_roots,
-    find_augmenting_path,
     gallai_edmonds,
-    is_maximum,
-    maximum_matching,
     odd_cycle_through_root,
     reachable_set,
     shortest_alt_path_to_root,
@@ -33,7 +30,9 @@ from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
 from helpers import (
     _check_alternating,
+    is_maximum,
     label_sets,
+    maximum_matching,
     random_edge_graph,
     random_instance,
     reference_validate_matching,
@@ -91,12 +90,9 @@ def test_graph_from_edge_array():
 def test_augmenting_path_plain():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     match = [-1, 2, 1, -1]
-    path = find_augmenting_path(g, match)
-    assert path == [3, 2, 1, 0]
-    augment(match, path)
-    assert match == [1, 0, 3, 2]
-    assert find_augmenting_path(g, match) is None
-    assert is_maximum(g, match)
+    assert _augmenting_path(match, _run_search(g, match, [0, 3])) == [3, 2, 1, 0]
+    assert not is_maximum(g, match)
+    assert is_maximum(g, [1, 0, 3, 2])
 
 
 def test_augmenting_path_through_blossom():
@@ -104,9 +100,11 @@ def test_augmenting_path_through_blossom():
     # exposed vertex in each triangle and the fix crosses both cycles
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
     match = [2, -1, 0, 5, -1, 3]
-    path = find_augmenting_path(g, match)
-    assert path is not None and len(path) == 6
-    augment(match, path)
+    path = _augmenting_path(match, _run_search(g, match, [1, 4]))
+    assert len(path) == 6
+    _check_alternating(g, match, path, "path")
+    for a, b in zip(path[::2], path[1::2]):
+        match[a], match[b] = b, a
     assert -1 not in match
     assert is_maximum(g, match)
 
@@ -118,11 +116,11 @@ def test_flower_is_maximum():
 def test_matching_validation_errors():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="length"):
-        find_augmenting_path(g, [-1, -1])
+        gallai_edmonds(g, [-1, -1])
     with pytest.raises(ValueError, match="involution"):
-        find_augmenting_path(g, [1, 2, -1])
+        gallai_edmonds(g, [1, 2, -1])
     with pytest.raises(ValueError, match="not an edge"):
-        find_augmenting_path(g, [-1, 2, 1])
+        gallai_edmonds(g, [-1, 2, 1])
 
 
 def _message(fn, *args):
@@ -149,8 +147,7 @@ def _message(fn, *args):
 def test_matching_check_messages(match, message):
     g = Graph.from_edges(3, [(0, 1)])
     assert _message(reference_validate_matching, g, match) == message
-    for entry in (find_augmenting_path, gallai_edmonds):
-        assert _message(entry, g, match) == message
+    assert _message(gallai_edmonds, g, match) == message
     assert _message(reachable_set, g, match, []) == message
 
 
@@ -360,7 +357,7 @@ def test_trees_meet_through_a_blossom_base():
     assert [_find(forest.dsu, v) for v in range(6)] == [0, 0, 0, 3, 4, 5]
     assert _lca(match, forest.p, forest.dsu, 0, 5) == -1
     assert _lca(match, forest.p, forest.dsu, 5, 0) == -1
-    assert find_augmenting_path(g, match) == [0, 2, 1, 5, 4, 3]
+    assert _augmenting_path(match, forest) == [0, 2, 1, 5, 4, 3]
 
 
 def test_check_reach_properties():

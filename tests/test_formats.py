@@ -1,6 +1,7 @@
 import copy
 import random
 
+import numpy as np
 import pytest
 
 from popmatch.formats import (
@@ -32,6 +33,11 @@ def test_instance_round_trip(two_triangles_pendants):
     lonely = RoommatesInstance(((1,), (0,), ()))
     assert parse_instance(serialize_instance(lonely)) == lonely
     assert parse_instance("0\n") == RoommatesInstance(())
+    # pref is read from the checked arrays, so a bool or a numpy int in the
+    # given rows is written as the int it stands for
+    mixed = RoommatesInstance(((True, np.int64(2)), (0,), (np.int32(0),)))
+    assert serialize_instance(mixed) == "3\n1 2\n0\n0\n"
+    assert parse_instance(serialize_instance(mixed)) == mixed
 
 
 def test_instance_comments_and_blanks():

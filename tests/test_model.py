@@ -106,6 +106,29 @@ def test_instance_rejects_bad_csr():
         RoommatesInstance(((1,), (0,)), csr=(off, dv))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DualWitness([0, 0, 0], csr=([0, 2.9], [0, 1, 2])), "2.9 is not an integer"),
+        (lambda: DualWitness([0, 0, 0], csr=([0, 2], [0, 1, 2])), None),
+        (lambda: DualWitness([0] * 6, csr=([0, 3, 1, 6], range(6))), None),
+        (lambda: HalfIntegralMatching([], [], csr=([0, 5], [0, 1, 2])), None),
+        (lambda: HalfIntegralMatching([], [], csr=([0, 2.9], [0, 1, 2])), "2.9 is not an integer"),
+        (lambda: HalfIntegralMatching([], [], csr=([0, 3, 1, 6], range(6))), None),
+        (lambda: RoommatesInstance(csr=([0, 1.0, 2], [1, 0])), "1.0 is not an integer"),
+    ],
+    ids=[
+        "witness-float", "witness-short", "witness-decreasing",
+        "half-past-end", "half-float", "half-decreasing", "instance-float",
+    ],
+)
+def test_csr_offsets_are_checked_alike(build, message):
+    # every constructor that takes csr reads its offsets through one check
+    message = message or "csr needs offsets from 0 to len(values), non-decreasing"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_instance_rejects_asymmetry():
     with pytest.raises(ValueError, match="not vice versa|symmetric"):
         RoommatesInstance(((1,), ()))

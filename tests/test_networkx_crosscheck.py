@@ -19,8 +19,8 @@ import random
 import networkx as nx
 import pytest
 
-from helpers import improved, label_sets
-from popmatch.engine import Graph, gallai_edmonds, maximum_matching
+from helpers import improved, label_sets, maximum_matching
+from popmatch.engine import Graph, gallai_edmonds
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance
 from popmatch.popularity import is_popular

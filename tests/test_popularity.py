@@ -1,10 +1,11 @@
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from popmatch import auxgraph, model, popularity
+from popmatch import auxgraph, fractional, model, popularity
 from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
 from popmatch.fractional import (
     CycleThroughStar,
@@ -12,7 +13,14 @@ from popmatch.fractional import (
     check_fractional_structure,
     is_fractional_popular,
 )
-from popmatch.model import Matching, PairError, RoommatesInstance, blocking_edges, delta
+from popmatch.model import (
+    HalfIntegralMatching,
+    Matching,
+    PairError,
+    RoommatesInstance,
+    blocking_edges,
+    delta,
+)
 from popmatch.oracle import brute_popular, enumerate_matchings
 from popmatch.popularity import (
     CYCLE,
@@ -33,6 +41,12 @@ from popmatch.popularity import (
     witness_violation,
 )
 
+from conftest import (
+    TRIANGLE_PENDANT,
+    TRIANGLE_PENDANT_M,
+    TWO_TRIANGLES_PENDANTS,
+    TWO_TRIANGLES_PENDANTS_M,
+)
 from helpers import analysis_cases, partner_first_instance, random_instance, tiled
 
 
@@ -284,3 +298,56 @@ def test_decides_name_a_pair_that_is_no_edge():
             call(inst, m)
         with pytest.raises(ValueError, match="^matching size does not fit the instance$"):
             call(inst, Matching((None,) * 3))
+
+
+UNPOPULAR = (TWO_TRIANGLES_PENDANTS, TWO_TRIANGLES_PENDANTS_M)
+NOT_FRACTIONAL = (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M)
+
+
+# a builder the decide calls is swapped for wrong(raw, m), raw being the
+# builder itself; the decide's self-check must catch what it returns
+@pytest.mark.parametrize(
+    "decide, case, module, name, wrong, message",
+    [
+        (
+            is_popular, UNPOPULAR, popularity, "extract_blocking_structure",
+            lambda raw, m: lambda *a: BlockingStructure("bogus", raw(*a).nodes),
+            "constructed blocking structure is invalid: unknown kind 'bogus'",
+        ),
+        (
+            is_popular, UNPOPULAR, popularity, "more_popular_matching",
+            lambda raw, m: lambda *a: m,
+            "switched matching wins by 0, expected at least 1",
+        ),
+        (
+            is_fractional_popular, UNPOPULAR, fractional, "half_from_matching",
+            lambda raw, m: lambda inst, better: raw(inst, m),
+            "lifted matching scores 0, expected 4",
+        ),
+        (
+            is_fractional_popular, NOT_FRACTIONAL, fractional, "extract_fractional_structure",
+            lambda raw, m: lambda *a: replace(raw(*a), middle=1),
+            "constructed fractional structure is invalid: cycle does not start at the middle",
+        ),
+        (
+            is_fractional_popular, NOT_FRACTIONAL, fractional, "structure_to_fractional_matching",
+            lambda raw, m: lambda *a: HalfIntegralMatching([(0, 1), (0, 2)], [3], ()),
+            "constructed half-integral matching is invalid: "
+            "node 0 is covered 4/2 times, expected exactly 1",
+        ),
+        (
+            is_fractional_popular, NOT_FRACTIONAL, fractional, "structure_to_fractional_matching",
+            lambda raw, m: lambda inst, m_, s: fractional.half_from_matching(inst, m),
+            "fractional structure scores 0, expected 2",
+        ),
+    ],
+    ids=[
+        "blocking-kind", "switch-margin", "lift-score",
+        "structure-middle", "half-cover", "structure-score",
+    ],
+)
+def test_decide_self_checks_raise(monkeypatch, decide, case, module, name, wrong, message):
+    inst, m = case
+    monkeypatch.setattr(module, name, wrong(getattr(module, name), m))
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        decide(inst, m)

@@ -33,6 +33,10 @@ def test_tracer_names_resolve():
     assert popmatch.popularity.build_aux is not raw
     tracer.end()
     assert popmatch.popularity.build_aux is raw
+    # the package exports resolve too: a star import fails on a name __all__ lost
+    namespace = {}
+    exec("from popmatch import *", namespace)
+    assert set(popmatch.__all__) <= namespace.keys()
 
 
 @pytest.mark.parametrize(
