@@ -30,10 +30,8 @@ from .engine import (
     _EVEN,
     _ODD,
     GallaiEdmonds,
-    Graph,
     ReachSet,
     _augmenting_path,
-    _Forest,
     _run_search,
     check_reach_properties,  # unused here; kept bound so outside tracers can wrap it by name
     gallai_edmonds,
@@ -153,14 +151,14 @@ class Unpopular:
 class _Analysis:
     """Shared output of the auxiliary-graph search, reused by the fractional test.
 
-    match is the auxiliary matching as the list the forest traces read;
-    the array checks read `aux.matching_array`.  When M is popular, big
-    holds `_reached_big_pieces`; every field after aug_path is None
-    otherwise.
+    match is the auxiliary matching that the forest traces read: a list
+    when the search's scalar loop grew the forest, `aux.matching_array`
+    when its array levels did.  When M is popular, big holds
+    `_reached_big_pieces`; every field after aug_path is None otherwise.
     """
 
     aux: AuxGraph
-    match: list
+    match: list | np.ndarray
     aug_path: tuple[int, ...] | None
     ge: GallaiEdmonds | None
     reach: ReachSet | None
@@ -177,40 +175,21 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     order finds one whenever one exists, and the final labels are the
     Gallai-Edmonds labels.
 
-    Phase one queues every seed before it scans any vertex, so the
-    seeds' own scans are fixed by the construction, and `_seed_stage`
-    does them in array passes.  Scanning seed s takes one step per
-    neighbor x, in CSR order; y is x's partner.  Each matched node
-    neighbors at most one seed (b-nodes own distinct nodes, and a leaf
-    lies in one star), so y can have been met before only as the x of
-    an earlier step.  A step is simple in two cases:
-
-    - y was not met before: x becomes odd with parent s, and y even and
-      queued;
-    - y was met under s itself, a star whose leaves x and y are matched
-      together: that closes a blossom based at s, so x gets parent s, y
-      turns even and is queued, and both join s in the union-find.
-
-    Otherwise x is the hub, or y was met under an earlier seed: either
-    is an augmenting edge, and the search stops there.  `_run_search`
-    goes on from the first seed with such a step, with it and the later
-    seeds as roots and the queued partners after them, so it scans what
-    one search from every seed would scan next, in the same order.
-
-    The extractors rest on this order.  A b-node has one neighbor, so
-    it is never a blossom base: each matched node z that has a b-node
-    b_z is labeled odd under b_z for good, unless the seed stage stops
-    on an augmenting path, which then has at most two interior nodes.
-    A trace therefore meets z only next to b_z, and a star leaf lies
-    only in its star's tree.  Also, if the seed stage ends without
-    augmenting, no unmatched node has a blocking edge: its b-node or
-    star would have met u.
+    The extractors rest on this order.  Phase one queues every seed
+    before it scans any vertex, and a b-node has one neighbor, so it is
+    never a blossom base: each matched node z that has a b-node b_z is
+    labeled odd under b_z for good, unless the seeds' own scans meet an
+    augmenting edge, and the augmenting path then has at most two
+    interior nodes.  A trace therefore meets z only next to b_z, and a
+    star leaf lies only in its star's tree.  Also, if the seeds' scans
+    meet no augmenting edge, no unmatched node has a blocking edge: its
+    b-node or star would have met u.
     """
     aux = build_aux(inst, m)
     g = aux.graph
     ma = aux.matching_array
-    match = ma.tolist()
-    forest = _run_search(g, match, *_seed_stage(g, ma, aux.seeds))
+    forest = _run_search(g, ma, aux.seeds)
+    match = ma if forest.match is None else forest.match
     reach = None
     if forest.aug is None:
         reach_label = np.frombuffer(forest.label, dtype=np.int8).copy()
@@ -223,46 +202,6 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
         return _Analysis(aux, match, path, None, None, None)
     ge = gallai_edmonds(g, ma, forest)
     return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(ge, reach))
-
-
-def _seed_stage(g: Graph, ma: np.ndarray, seeds: range) -> tuple:
-    """The simple steps of the seeds' scans that `_analyze` sets out, in array passes.
-
-    Returns the arguments that follow `match` in the `_run_search` call
-    that goes on from them: the seeds from the first one with a step
-    that is not simple, as a range; the forest the steps leave; and the
-    partners they queued, in step order.
-    """
-    n = g.n
-    off = np.frombuffer(g.off, dtype=g.off.typecode)
-    lo = off[seeds.start]
-    x = g.dst[lo:off[seeds.stop]].astype(np.int64)
-    at = np.arange(len(x))
-    seed = np.repeat(np.arange(seeds.start, seeds.stop), np.diff(off[seeds.start:seeds.stop + 1]))
-    y = ma[x]
-    matched = y >= 0
-    seen = np.full(n + 1, len(x))  # the step at which each node is an x; n stands for y = -1
-    seen[x[matched]] = at[matched]
-    before = seen[y]
-    closes = before < at
-    simple = matched & (~closes | (seed[np.minimum(before, len(x) - 1)] == seed))
-    stop = seeds.stop
-    if not simple.all():
-        stop = int(seed[np.argmin(simple)])
-    cut = int(off[stop] - lo)
-    x, y, seed, closes = x[:cut], y[:cut], seed[:cut], closes[:cut]
-
-    label = bytearray(n)
-    lab = np.frombuffer(label, dtype=np.uint8)
-    lab[seeds.start:stop] = _EVEN
-    lab[x] = _ODD
-    lab[y] = _EVEN  # a blossom's x is some earlier step's y
-    p = np.full(n, -1, dtype=np.int64)
-    p[x] = seed
-    dsu = np.arange(n)
-    dsu[x[closes]] = dsu[y[closes]] = seed[closes]
-    forest = _Forest(label, p.tolist(), None, dsu.tolist())
-    return range(stop, seeds.stop), forest, y.tolist()
 
 
 def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:

@@ -6,7 +6,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from popmatch.engine import _EVEN, _ODD, EngineError, _augmenting_path, _run_search
+import popmatch.engine as engine
+from popmatch.engine import (
+    _EVEN,
+    _ODD,
+    EngineError,
+    _augmenting_path,
+    _Forest,
+    _label_roots,
+    _run_search,
+    _scan,
+)
 from popmatch.formats import ParseError
 from popmatch.fractional import (
     CycleThroughStar,
@@ -281,13 +291,88 @@ def is_maximum(g, match) -> bool:
     return _run_search(g, match, [v for v in range(g.n) if match[v] == -1]).aug is None
 
 
-def maximum_matching(g) -> list:
-    """A maximum matching: a greedy start, then flips along the paths the search finds."""
+def scalar_search(g, match, roots):
+    """`_run_search` from `roots` with every level in the scalar loop."""
+    label = bytearray(g.n)
+    forest = _Forest(label, [-1] * g.n, None, list(range(g.n)))
+    return _scan(g, list(match), forest, _label_roots(match, label, roots))
+
+
+def assert_same_forest(forest, reference):
+    """The two searches ended in the same label, p, dsu and aug."""
+    assert forest.label == reference.label
+    assert np.array_equal(forest.p, reference.p)
+    assert np.array_equal(forest.dsu, reference.dsu)
+    assert forest.aug == reference.aug
+
+
+class LevelSpy:
+    """Counts, rule by rule, what the array levels of `_run_search` do.
+
+    plain: vertices labeled odd under their first step; blossom: one-row
+    blossoms; exposed, fault and cross-base: levels stopped by a step to
+    an exposed vertex, to one whose partner does not point back, or to an
+    even vertex of another base; narrow: searches handed to the scalar
+    loop at a narrow level after an array level.
+    """
+
+    def __init__(self, monkeypatch):
+        names = ("plain", "blossom", "cross-base", "exposed", "fault", "narrow")
+        self.fired = dict.fromkeys(names, 0)
+        self.levels = 0
+        self._stopped = None
+        level, levels = engine._array_level, engine._array_levels
+
+        def spy_level(g, ma, lab, p, dsu, first, q, lo, cnt):
+            ids = np.arange(len(dsu))
+            odd, joined = np.count_nonzero(lab == _ODD), np.count_nonzero(dsu != ids)
+            queue, stopped = level(g, ma, lab, p, dsu, first, q, lo, cnt)
+            blossoms = (np.count_nonzero(dsu != ids) - joined) // 2
+            self.levels += 1
+            self.fired["blossom"] += blossoms
+            self.fired["plain"] += np.count_nonzero(lab == _ODD) - odd + blossoms
+            if stopped:
+                self.fired[_stop_rule(g, ma, lab, dsu, int(queue[0]))] += 1
+            self._stopped = stopped
+            return queue, stopped
+
+        def spy_levels(g, ma, roots):
+            self._stopped = None
+            forest, queue = levels(g, ma, roots)
+            self.fired["narrow"] += bool(queue) and self._stopped is False
+            return forest, queue
+
+        monkeypatch.setattr(engine, "_array_level", spy_level)
+        monkeypatch.setattr(engine, "_array_levels", spy_levels)
+
+
+def _stop_rule(g, ma, lab, dsu, v) -> str:
+    """The rule of the first step in v's row that the array levels stop on."""
+    for w in g.neighbors(v):
+        if w == ma[v]:
+            continue
+        if lab[w] == 0 and ma[w] == -1:
+            return "exposed"
+        if lab[w] == 0 and (ma[ma[w]] != w or ma[w] == w):
+            return "fault"
+        if lab[w] == _EVEN and dsu[w] != dsu[v]:
+            return "cross-base"
+    raise AssertionError(f"the level stopped at {v} on no rule")
+
+
+def greedy_partners(g) -> list:
+    """A maximal matching: each vertex in turn takes its first free neighbour."""
     match = [-1] * g.n
     for v in range(g.n):
         for w in g.neighbors(v):
             if match[v] == -1 and match[w] == -1:
                 match[v], match[w] = w, v
+    return match
+
+
+def maximum_matching(g) -> list:
+    """A maximum matching: a greedy start, then flips along the paths the search finds."""
+    match = greedy_partners(g)
     while True:
         forest = _run_search(g, match, [v for v in range(g.n) if match[v] == -1])
         if forest.aug is None:

@@ -5,7 +5,8 @@ then continues it from the hub u.  Its reach labels must equal a separate
 reachability search from the seeds, and its decomposition a separate
 Gallai-Edmonds search from every exposed node.  The instances lie above
 the brute-force oracle cap.  The odd cycle of every reached piece is read
-off the same forest and re-checked here on its own.
+off the same forest and re-checked here on its own.  The search's array
+levels must leave exactly the state its scalar loop alone leaves.
 """
 
 import random
@@ -14,8 +15,20 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import popmatch.engine as engine
 from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
-from helpers import analysis_cases, gadget_cases, is_maximum, random_instance
+from helpers import (
+    LevelSpy,
+    analysis_cases,
+    assert_same_forest,
+    gadget_cases,
+    greedy_partners,
+    is_maximum,
+    maximum_matching,
+    random_instance,
+    scalar_search,
+    tiled,
+)
 from popmatch.auxgraph import KIND_BLOCK, KIND_ORIG, KIND_STAR, build_aux
 from popmatch.engine import (
     _ODD,
@@ -30,7 +43,7 @@ from popmatch.engine import (
     reachable_set,
 )
 from popmatch.oracle import enumerate_matchings
-from popmatch.popularity import _analyze, _seed_stage
+from popmatch.popularity import _analyze
 
 
 def test_one_search_equals_the_two_it_replaces():
@@ -39,7 +52,7 @@ def test_one_search_equals_the_two_it_replaces():
         an = _analyze(inst, m)
         g = an.aux.graph
         match = an.aux.matching_array.tolist()
-        assert match == an.match
+        assert np.array_equal(an.match, match)
         assert (an.aug_path is None) == is_maximum(g, match)
         if an.aug_path is not None:
             continue
@@ -135,33 +148,48 @@ def test_seed_stage_labels_each_owner_under_its_own_b_node():
     assert owners >= 230, owners
 
 
-def test_seed_stage_state_continues_as_one_search():
-    # `_analyze` hands `_seed_stage`'s state to `_run_search`; the two must
-    # end exactly where one search from every seed ends, and stop at the
-    # seed where that search augments
+def test_array_levels_end_where_the_scalar_loop_ends(monkeypatch):
+    # `_run_search` from the seeds must end exactly where the scalar loop
+    # alone ends.  At width 1 every level runs in arrays until a stop; at
+    # widths 2 and 8 the narrow levels go to the scalar loop
     gadgets = [(TRIANGLE_PENDANT, TRIANGLE_PENDANT_M), (TWO_TRIANGLES, TWO_TRIANGLES_M)]
     rng = random.Random(22)
     small = [random_instance(rng, rng.randint(5, 8), rng.choice([0.3, 0.5])) for _ in range(40)]
     cases = [*analysis_cases(), *gadget_cases(120, 11, gadgets)]
     cases += [(inst, m) for inst in small for m in enumerate_matchings(inst)]
-    fired = dict.fromkeys(("odd", "blossom", "hub", "earlier seed", "no seeds"), 0)
-    for inst, m in cases:
-        aux = build_aux(inst, m)
-        g, ma = aux.graph, aux.matching_array
-        match = ma.tolist()
-        whole = _run_search(g, match, aux.seeds)
-        rest, state, queued = _seed_stage(g, ma, aux.seeds)
-        fired["odd"] += state.label.count(_ODD)
-        fired["blossom"] += sum(v != d for v, d in enumerate(state.dsu)) // 2
-        fired["no seeds"] += not aux.seeds
-        if rest:
-            assert whole.aug is not None and whole.aug[0] == rest[0]
-            fired["hub" if whole.aug[1] == aux.u_id else "earlier seed"] += 1
-        forest = _run_search(g, match, rest, state, queued)
-        assert forest.label == whole.label and forest.p == whole.p
-        assert forest.dsu == whole.dsu and forest.aug == whole.aug
-    floors = {"odd": 1800, "blossom": 150, "hub": 1200, "earlier seed": 120, "no seeds": 60}
-    assert all(fired[k] >= floor for k, floor in floors.items()), fired
+    auxes = [build_aux(inst, m) for inst, m in cases]
+    spy = LevelSpy(monkeypatch)
+    for width in (1, 2, 8):
+        monkeypatch.setattr(engine, "_WIDE", width)
+        for aux in auxes:
+            g, ma = aux.graph, aux.matching_array
+            forest = _run_search(g, ma, aux.seeds)
+            assert_same_forest(forest, scalar_search(g, ma, aux.seeds))
+    floors = {"plain": 5500, "blossom": 850, "cross-base": 300, "exposed": 2800, "narrow": 40}
+    assert all(spy.fired[k] >= floor for k, floor in floors.items()), spy.fired
+
+
+def test_array_levels_run_at_full_width(monkeypatch):
+    # wide inputs at the real width: tiled gadgets, whose levels all run
+    # in arrays, and a sparse graph of 3,000 nodes whose searches stop
+    gadgets = [(TRIANGLE_PENDANT, TRIANGLE_PENDANT_M), (TWO_TRIANGLES, TWO_TRIANGLES_M)]
+    rng = random.Random(25)
+    inst, m = tiled(rng, [rng.choice(gadgets) for _ in range(420)])
+    aux = build_aux(inst, m)
+    spy = LevelSpy(monkeypatch)
+    forest = _run_search(aux.graph, aux.matching_array, aux.seeds)
+    assert_same_forest(forest, scalar_search(aux.graph, aux.matching_array, aux.seeds))
+    assert inst.n >= 2000 and spy.levels >= 3 and spy.fired["blossom"] >= 50
+    assert sum(spy.fired[k] for k in ("cross-base", "exposed", "narrow")) == 0
+
+    n = 3000
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)}
+    g = Graph.from_edges(n, sorted(edges))
+    for match in (greedy_partners(g), maximum_matching(g)):
+        roots = [v for v in range(n) if match[v] == -1]
+        forest = _run_search(g, np.array(match), roots)
+        assert_same_forest(forest, scalar_search(g, match, roots))
+    assert spy.levels >= 100 and spy.fired["cross-base"] >= 100, spy.fired
 
 
 def test_seed_phase_stops_at_the_hub():

@@ -4,6 +4,7 @@ import pytest
 
 import numpy as np
 
+import popmatch.engine as engine
 from popmatch.auxgraph import build_aux
 from popmatch.engine import (
     _EVEN,
@@ -29,6 +30,7 @@ from popmatch.model import Matching, RoommatesInstance, check_matching
 from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
 from helpers import (
+    LevelSpy,
     _check_alternating,
     is_maximum,
     label_sets,
@@ -258,6 +260,30 @@ def test_reachable_set_flower():
     assert reach.label.tolist() == [_EVEN, _ODD, _EVEN, _EVEN, _EVEN]
     with pytest.raises(ValueError, match="^root 1 is not exposed$"):
         reachable_set(FLOWER, list(FLOWER_M), [1])
+
+
+def test_fresh_search_names_the_first_bad_root():
+    with pytest.raises(ValueError, match="^duplicate root 0$"):
+        _run_search(FLOWER, list(FLOWER_M), [0, 0])
+    with pytest.raises(ValueError, match="^root 2 is not exposed$"):
+        _run_search(FLOWER, list(FLOWER_M), range(2, 4))
+
+
+def test_search_meets_a_partner_list_that_is_no_involution(monkeypatch):
+    # 1's partner is 0, but 0 is exposed: the step 0 -> 1 finds 1's partner labeled
+    with pytest.raises(EngineError, match="^partner of a fresh odd vertex is labeled$"):
+        _run_search(Graph.from_edges(2, [(0, 1)]), [-1, 0], [0])
+    # the same fault on the last of k rows in a level of k + 1 steps: root i
+    # sees the matched pair k + 2i, k + 2i + 1, and root k - 1 also sees 3k,
+    # whose partner is root 0.  The array level keeps the rows before the
+    # fault's and hands it to the scalar loop, which raises
+    k = engine._WIDE
+    edges = [(i, k + 2 * i) for i in range(k)] + [(k - 1, 3 * k)]
+    match = [-1] * k + [v for i in range(k) for v in (k + 2 * i + 1, k + 2 * i)] + [0]
+    spy = LevelSpy(monkeypatch)
+    with pytest.raises(EngineError, match="^partner of a fresh odd vertex is labeled$"):
+        _run_search(Graph.from_edges(3 * k + 1, edges), match, range(k))
+    assert spy.levels == 1 and spy.fired["fault"] == 1 and spy.fired["plain"] == k - 1
 
 
 def test_even_path_crosses_blossom():
