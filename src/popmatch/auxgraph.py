@@ -17,6 +17,7 @@ blocking partners, the decide reads from the instance.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +53,9 @@ class AuxGraph:
     two read-only arrays of index_dtype(n_aux, 0), int32 unless ids
     reach 2^31, hold `payload_array`, the original node it stands for
     (a star's middle, -1 for the exposed node), and `matching_array`,
-    its partner or -1.  `weights` holds `_weights(inst, m)`, the int8
+    its partner or -1.  `matching_array` views `matching`, an
+    `array.array` buffer that the blossom search and its traces index in
+    place.  `weights` holds `_weights(inst, m)`, the int8
     vote of every instance edge, for the decide's later checks.
     `star_of`, {middle: star node}, is a view built on first use.
     """
@@ -61,6 +64,7 @@ class AuxGraph:
     kind: np.ndarray
     payload_array: np.ndarray
     matching_array: np.ndarray
+    matching: array
     n_matched: int
     u_id: int
     weights: np.ndarray
@@ -119,7 +123,8 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     np.concatenate([orig_to_aux[ev[z]], orig_to_aux[owners], orig_to_aux[slv]], out=uv[1])
     graph = Graph.from_edges(n_aux, uv.T)
 
-    aux_match = np.full(n_aux, -1, dtype=idx)
+    matching = array(np.dtype(idx).char, [-1]) * n_aux
+    aux_match = np.frombuffer(matching, dtype=idx)
     aux_match[:nm] = orig_to_aux[pa[morder]]
     arrays = {
         "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
@@ -133,6 +138,7 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
         a.flags.writeable = False
     return AuxGraph(
         graph=graph,
+        matching=matching,
         n_matched=nm,
         u_id=u_id,
         seeds=range(nm, nm + nb + ns),

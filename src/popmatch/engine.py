@@ -22,19 +22,23 @@ general blossoms, augmenting edges and deep, narrow searches.
 
 After an exhausted search the components of the even subgraph are
 the outermost blossoms, so the decomposition reads them off the
-search's union-find instead of traversing the graph again.  The
-search's labels are a `bytearray`, which numpy reads in place.
+search's union-find instead of traversing the graph again.
 `GallaiEdmonds` and `ReachSet` hold numpy label arrays, and
 `GallaiEdmonds` a piece index per vertex; `GallaiEdmonds.components`
 is a frozenset view built on first use.
 
-Vertices are 0..n-1.  A graph holds its adjacency once, as
-`array.array` buffers that the search slices and numpy views for the
-vectorized checks, split by shift and mask from one sort of the keys
-(src << s) | dst, int32 while they fit.  Matchings are partner lists
-with -1 for exposed vertices; the array checks also take an integer
-partner array.  All traversals run in sorted adjacency order, so every
-result is deterministic.
+Vertices are 0..n-1.  The search state lives in one form from the
+first array level to the last trace: the labels in a `bytearray`, the
+parent pointers, the union-find and the scalar loop's queue in
+`array.array` buffers of the graph's index dtype.  The array levels
+write them through `np.frombuffer` views, and `_scan` and the traces
+index them directly, as they do the graph's CSR buffers, split by
+shift and mask from one sort of the keys (src << s) | dst, int32
+while they fit.  A matching is a partner sequence with -1 for exposed
+vertices: the popularity test passes its auxiliary matching as such a
+buffer, and the search also takes a list or an int array.  All
+traversals run in sorted adjacency order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -156,22 +160,19 @@ def _buffer(values: np.ndarray, dtype) -> array:
 class _Forest:
     """State left behind by one alternating-forest search.
 
-    label is a `bytearray` of 0, _EVEN or _ODD per vertex, so numpy
-    reads it with `np.frombuffer`.  dsu is the blossom union-find:
-    after the search, the vertices sharing a representative form one
+    label is a `bytearray` of 0, _EVEN or _ODD per vertex, p the parent
+    pointers and dsu the blossom union-find, both `array.array` buffers
+    of the graph's index dtype: the array levels write all three through
+    numpy views, the scalar loop and the traces index them in place.
+    After the search, the vertices sharing a dsu representative form one
     outermost blossom.  No vertex records its tree: `_lca` tells two
-    trees apart by climbing both to their exposed roots.  p and dsu are
-    int arrays when the array levels finished the search, lists when
-    the scalar loop ran; both read and write either.  match is the
-    partner list the scalar loop read, None if it did not run: a trace
-    of its forest can cross the graph, and reads a list faster.
+    trees apart by climbing both to their exposed roots.
     """
 
     label: bytearray
-    p: list | np.ndarray
+    p: array
     aug: tuple | None
-    dsu: list | np.ndarray
-    match: list | None = None
+    dsu: array
 
 
 def _find(dsu, x):
@@ -223,7 +224,8 @@ def _run_search(g: Graph, match, roots, forest: _Forest | None = None) -> _Fores
     The meeting edge is reported in the forest's `aug`.  An edge between
     even vertices of different blossoms closes a blossom when `_lca`
     finds a common base, and joins two trees when it returns -1.
-    `match` is a partner list or an int array.
+    `match` is a partner buffer, list or int array; the scalar loop
+    reads an int array through a buffer copy.
 
     A fresh search takes its breadth-first levels in turn, a level being
     the even vertices queued while the one before it was scanned.  While
@@ -271,7 +273,9 @@ def _run_search(g: Graph, match, roots, forest: _Forest | None = None) -> _Fores
         raise EngineError("cannot continue a search that found an augmenting path")
     else:
         queue = _label_roots(match, forest.label, roots)
-    return _scan(g, match if isinstance(match, list) else match.tolist(), forest, queue)
+    if isinstance(match, np.ndarray):
+        match = _buffer(match, match.dtype)
+    return _scan(g, match, forest, queue)
 
 
 def _label_roots(match, label: bytearray, roots) -> list:
@@ -290,9 +294,9 @@ def _label_roots(match, label: bytearray, roots) -> list:
 
 def _array_levels(g: Graph, ma: np.ndarray, roots) -> tuple:
     """The levels of a fresh search from `roots` that `_run_search` runs
-    in arrays.  Returns the forest and the queue that `_scan` goes on
-    with; p and dsu are lists when that queue is not empty, int arrays
-    otherwise."""
+    in arrays.  Returns the forest, whose buffers they write through
+    numpy views, and the queue that `_scan` goes on with, a buffer of
+    the same dtype."""
     n = g.n
     label = bytearray(n)
     lab = np.frombuffer(label, dtype=np.uint8)
@@ -304,8 +308,10 @@ def _array_levels(g: Graph, ma: np.ndarray, roots) -> tuple:
     if (ma[q] != -1).any() or np.count_nonzero(lab) != len(q):
         _label_roots(ma, bytearray(n), roots)  # raises, naming the first bad root
     off = np.frombuffer(g.off, dtype=g.off.typecode)
-    p = np.full(n, -1, dtype=g.dst.dtype)
-    dsu = np.arange(n, dtype=g.dst.dtype)
+    idx = g.dst.dtype
+    forest = _Forest(label, array(idx.char, [-1]) * n, None, _buffer(np.arange(n, dtype=idx), idx))
+    p = np.frombuffer(forest.p, dtype=idx)
+    dsu = np.frombuffer(forest.dsu, dtype=idx)
     first = np.empty(n, dtype=np.intp)  # scratch of `_array_level`
     while len(q):
         lo = off[q]
@@ -315,9 +321,7 @@ def _array_levels(g: Graph, ma: np.ndarray, roots) -> tuple:
         q, stopped = _array_level(g, ma, lab, p, dsu, first, q, lo, cnt)
         if stopped:
             break
-    if not len(q):
-        return _Forest(label, p, None, dsu), []
-    return _Forest(label, p.tolist(), None, dsu.tolist()), q.tolist()
+    return forest, _buffer(q, idx)
 
 
 def _array_level(g, ma, lab, p, dsu, first, q, lo, cnt) -> tuple:
@@ -403,15 +407,15 @@ def _array_level(g, ma, lab, p, dsu, first, q, lo, cnt) -> tuple:
     return y, False
 
 
-def _scan(g: Graph, match: list, forest: _Forest, queue: list) -> _Forest:
+def _scan(g: Graph, match, forest: _Forest, queue) -> _Forest:
     """The search's scalar loop: scan the even vertices of `queue` in order,
     appending the ones it labels, until the queue runs out or an augmenting
-    edge sets `forest.aug`.  Updates `forest`, with `match` as its
-    match, and returns it."""
+    edge sets `forest.aug`.  match is any partner sequence that indexes
+    like a list, and queue a list or a buffer that no numpy view pins.
+    Updates `forest` in place and returns it."""
     off = g.off
     nbr = g.nbr
     label, p, dsu = forest.label, forest.p, forest.dsu
-    forest.match = match
     for v in queue:  # the loop also visits vertices appended while it runs
         mv = match[v]
         for w in nbr[off[v]:off[v + 1]]:
@@ -543,12 +547,13 @@ class GallaiEdmonds:
         return tuple(_groups(off, inside, frozenset))
 
 
-def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> GallaiEdmonds:
+def gallai_edmonds(g: Graph, match, forest: _Forest | None = None) -> GallaiEdmonds:
     """Decompose g relative to a maximum matching.
 
     `forest` is an exhausted search from every exposed vertex; without
-    it the search runs here.  The matching may be a list or an int64
-    partner array.  Raises ValueError if the matching is not maximum.
+    it the search runs here.  The matching may be a partner buffer, a
+    list or an int array.  Raises ValueError if the matching is not
+    maximum.
     """
     if forest is None:
         _validate_matching(g, match)
@@ -558,7 +563,7 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
         raise ValueError("matching is not maximum")
     n = g.n
     label = np.frombuffer(forest.label, dtype=np.int8)
-    ma = np.asarray(match, dtype=np.int64)
+    ma = np.asarray(match, dtype=np.intp)  # widened once: numpy widens every int32 gather index
     d = label == _EVEN
     a = label == _ODD
     c = label == 0
@@ -572,7 +577,7 @@ def gallai_edmonds(g: Graph, match: list, forest: _Forest | None = None) -> Gall
         raise EngineError(f"vertex {bad[0]} is unreachable yet not matched within c")
 
     # the pieces are the outermost blossoms: share a union-find base
-    base = np.array(forest.dsu, dtype=np.int64)
+    base = np.asarray(forest.dsu, dtype=np.intp)
     while True:
         up = base[base]
         if np.array_equal(up, base):
@@ -609,11 +614,11 @@ class ReachSet:
     vertex labeled even is exactly one that some even-length alternating
     path from a root ends at; one labeled odd is odd-reachable, though
     not every odd-reachable vertex keeps that label.  p is the search's
-    parent list, kept for path recovery.
+    parent buffer, kept for path recovery.
     """
 
     label: np.ndarray
-    p: list
+    p: array
 
 
 def reachable_set(g: Graph, match: list, roots) -> ReachSet:

@@ -537,7 +537,7 @@ def _witness_from(doc, n: int) -> DualWitness | str:
     vals = list(alpha_doc.values())
     if not set(map(type, vals)) <= {int}:
         return "alpha values must be integers"
-    vals = _int_array(vals)
+    vals = _listed_ints(vals)
     if vals.size and (vals.min() < -1 or vals.max() > 1):
         return "alpha value outside {-1, 0, 1}"
     alpha = np.zeros(n, dtype=np.int64)
@@ -557,6 +557,15 @@ def _int_lists(items, size: int | None = None) -> bool:
         and (size is None or set(map(len, items)) <= {size})
         and set(map(type, chain.from_iterable(items))) <= {int}
     )
+
+
+def _listed_ints(values: list) -> np.ndarray:
+    """Ints that `_int_lists` passed, as an int64 array; `_int_array` keeps
+    any beyond int64 exact."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return _int_array(values)
 
 
 def _matching_from(doc, inst: RoommatesInstance) -> Matching | str:
@@ -626,8 +635,8 @@ def _half_from(doc, inst: RoommatesInstance, m: Matching) -> HalfIntegralMatchin
         return f"bad half cycle {item!r}"
     try:
         p = HalfIntegralMatching(
-            _int_array(list(chain.from_iterable(ones_doc))),
-            _int_array(loops),
+            _listed_ints(list(chain.from_iterable(ones_doc))),
+            _listed_ints(loops),
             csr=_csr(cycles_doc),
         )
         p.validate(inst, m)

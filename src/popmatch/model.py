@@ -452,8 +452,15 @@ def check_matching(inst: RoommatesInstance, m: Matching) -> None:
     """Raise ValueError unless m matches along edges of inst."""
     if m.n != inst.n:
         raise ValueError("matching size does not fit the instance")
-    # a Matching is an involution by construction, so only its pairs need checking
-    Matching.from_pairs(inst, m.pair_array())
+    # a Matching is an involution by construction, so only its pairs need
+    # looking up: their keys low * n + high ascend, as `keys` does
+    n, pa = inst.n, m.partner_array
+    low = np.flatnonzero(pa > np.arange(n))
+    key = low * n + pa[low]
+    keys = inst._arrays["keys"]
+    i = np.searchsorted(keys, key)
+    if len(i) and (i[-1] == len(keys) or (keys[i] != key).any()):
+        Matching.from_pairs(inst, m.pair_array())  # raises, naming the first pair off inst
 
 
 def _ranks(inst: RoommatesInstance, us, vs) -> np.ndarray:

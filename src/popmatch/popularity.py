@@ -11,6 +11,7 @@ positive answer comes with a dual witness that certifies optimality.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,18 +152,20 @@ class Unpopular:
 class _Analysis:
     """Shared output of the auxiliary-graph search, reused by the fractional test.
 
-    match is the auxiliary matching that the forest traces read: a list
-    when the search's scalar loop grew the forest, `aux.matching_array`
-    when its array levels did.  When M is popular, big holds
-    `_reached_big_pieces`; every field after aug_path is None otherwise.
+    When M is popular, big holds `_reached_big_pieces`; every field
+    after aug_path is None otherwise.
     """
 
     aux: AuxGraph
-    match: list | np.ndarray
     aug_path: tuple[int, ...] | None
     ge: GallaiEdmonds | None
     reach: ReachSet | None
     big: np.ndarray | None
+
+    @property
+    def match(self) -> array:
+        """The auxiliary matching buffer that the forest traces index."""
+        return self.aux.matching
 
 
 def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
@@ -186,10 +189,8 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
     b-node or star would have met u.
     """
     aux = build_aux(inst, m)
-    g = aux.graph
-    ma = aux.matching_array
-    forest = _run_search(g, ma, aux.seeds)
-    match = ma if forest.match is None else forest.match
+    g, match = aux.graph, aux.matching
+    forest = _run_search(g, match, aux.seeds)
     reach = None
     if forest.aug is None:
         reach_label = np.frombuffer(forest.label, dtype=np.int8).copy()
@@ -199,9 +200,9 @@ def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:
         reach = ReachSet(label=reach_label, p=forest.p)
     if forest.aug is not None:
         path = tuple(_augmenting_path(match, forest))
-        return _Analysis(aux, match, path, None, None, None)
-    ge = gallai_edmonds(g, ma, forest)
-    return _Analysis(aux, match, None, ge, reach, _reached_big_pieces(ge, reach))
+        return _Analysis(aux, path, None, None, None)
+    ge = gallai_edmonds(g, match, forest)
+    return _Analysis(aux, None, ge, reach, _reached_big_pieces(ge, reach))
 
 
 def is_popular(inst: RoommatesInstance, m: Matching) -> Popular | Unpopular:
