@@ -6,7 +6,7 @@ stays popular against half-integral competition, returning a
 machine-checkable certificate either way.
 """
 
-from .engine import EngineError, GallaiEdmonds, Graph, gallai_edmonds
+from .engine import EngineError, Graph
 from .formats import (
     ParseError,
     document_to_json,
@@ -69,7 +69,6 @@ __all__ = [
     "DualWitness",
     "EngineError",
     "FractionalPopular",
-    "GallaiEdmonds",
     "Graph",
     "HalfIntegralMatching",
     "InternalError",
@@ -94,7 +93,6 @@ __all__ = [
     "enumerate_matchings",
     "fractional_value",
     "fractional_value_times_two",
-    "gallai_edmonds",
     "generate_instance",
     "greedy_matching",
     "half_from_matching",

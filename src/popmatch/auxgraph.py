@@ -49,21 +49,20 @@ class AuxGraph:
     star, and the collapsed exposed node last when M leaves anything
     unmatched.
 
-    Per auxiliary node, `kind` holds int8 codes (KIND_ORIG, ...), and
-    two read-only arrays of index_dtype(n_aux, 0), int32 unless ids
-    reach 2^31, hold `payload_array`, the original node it stands for
-    (a star's middle, -1 for the exposed node), and `matching_array`,
-    its partner or -1.  `matching_array` views `matching`, an
-    `array.array` buffer that the blossom search and its traces index in
-    place.  `weights` holds `_weights(inst, m)`, the int8
-    vote of every instance edge, for the decide's later checks.
+    Per auxiliary node, `kind` holds int8 codes (KIND_ORIG, ...),
+    `payload_array`, a read-only array of index_dtype(n_aux, 0), int32
+    unless ids reach 2^31, the original node it stands for (a star's
+    middle, -1 for the exposed node), and `matching`, an `array.array`
+    buffer of the same dtype that the blossom search and its traces
+    index in place, its partner or -1.  `weights` holds
+    `_weights(inst, m)`, the int8 vote of every instance edge, for the
+    decide's later checks.
     `star_of`, {middle: star node}, is a view built on first use.
     """
 
     graph: Graph
     kind: np.ndarray
     payload_array: np.ndarray
-    matching_array: np.ndarray
     matching: array
     n_matched: int
     u_id: int
@@ -124,14 +123,12 @@ def build_aux(inst: RoommatesInstance, m: Matching) -> AuxGraph:
     graph = Graph.from_edges(n_aux, uv.T)
 
     matching = array(np.dtype(idx).char, [-1]) * n_aux
-    aux_match = np.frombuffer(matching, dtype=idx)
-    aux_match[:nm] = orig_to_aux[pa[morder]]
+    np.frombuffer(matching, dtype=idx)[:nm] = orig_to_aux[pa[morder]]
     arrays = {
         "kind": np.repeat(np.arange(4, dtype=np.int8), (nm, nb, ns, int(have_u))),
         "payload_array": np.concatenate(
             [morder, owners, middles, np.full(int(have_u), -1)]
         ).astype(idx),
-        "matching_array": aux_match,
         "weights": w,
     }
     for a in arrays.values():

@@ -177,7 +177,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    sizes = []
+    for tok in filter(str.strip, args.sizes.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--sizes: {tok.strip()!r} is not an integer") from None
     if not sizes:
         raise ValueError("no sizes given")
     rows = run_bench(sizes, seed=args.seed, reps=args.reps)

@@ -2,15 +2,17 @@
 
 One search routine grows alternating forests from a set of exposed
 roots, contracting odd cycles on the fly, and can later continue the
-same forest from more roots.  Everything else here is a thin layer
-over that search: augmenting paths, the Gallai-Edmonds decomposition,
+same forest from more roots.  Everything else here reads a forest that
+search left: augmenting paths, the Gallai-Edmonds decomposition,
 alternating reachability, and recovery of odd alternating cycles
-inside factor-critical components.  Every path
-and cycle handed out is a trace of a forest's parent pointers; a
-popularity test checks the certificate built from it, not the trace.  A
-popularity test runs the search once: first from the roots whose
-reachability it needs, then from the remaining exposed vertices, so
-one forest yields both the reachable set and the decomposition.
+inside factor-critical components.  Every path and cycle handed out is
+a trace of a forest's parent pointers; a popularity test checks the
+certificate built from it, not the trace.  A popularity test runs the
+search once: first from the roots whose reachability it needs, then
+from the remaining exposed vertices, so one forest yields both the
+reachable set and the decomposition.  Nothing here validates a
+matching: the popularity test builds its auxiliary matching from one
+checked against the instance.
 
 A fresh search runs breadth-first, and each of its levels with at
 least `_WIDE` steps is computed in numpy passes, in the order a scalar
@@ -44,7 +46,6 @@ deterministic.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,10 +71,10 @@ _WIDE = 200
 class Graph:
     """Undirected simple graph in CSR form with sorted adjacency.
 
-    off and nbr are `array.array` buffers of index_dtype(n, 2|E|): the
-    search slices them and `bisect` reads them like lists.  dst is a
-    read-only numpy view of the same nbr buffer, and `per_edge` gives
-    any per-vertex array aligned with it.
+    off and nbr are `array.array` buffers of index_dtype(n, 2|E|), which
+    the search slices like lists.  dst is a read-only numpy view of the
+    same nbr buffer, and `per_edge` gives any per-vertex array aligned
+    with it.
     """
 
     __slots__ = ("n", "off", "nbr", "dst")
@@ -121,11 +122,6 @@ class Graph:
 
     def neighbors(self, v: int) -> array:
         return self.nbr[self.off[v]:self.off[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = self.off[u], self.off[u + 1]
-        i = bisect_left(self.nbr, v, lo, hi)
-        return i < hi and self.nbr[i] == v
 
     def edge_count(self) -> int:
         return len(self.nbr) // 2
@@ -482,36 +478,6 @@ def _augmenting_path(match, forest: _Forest) -> list:
     return path
 
 
-def _matching_defects(match: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple:
-    """First defects of a partner array (-1 for exposed) against directed edges.
-
-    src/dst list every edge once per direction over the vertices of
-    match.  Returns (bad, missing): bad is the first entry that is out of
-    range or not an involution, missing the first matched vertex whose
-    pair is not an edge; -1 where there is none.
-    """
-    n = len(match)
-    ids = np.arange(n, dtype=np.int64)
-    matched = match != -1
-    valid = (match >= 0) & (match < n)
-    mate = np.where(valid, match, ids)
-    bad = matched & ((mate == ids) | (mate[mate] != ids))
-    found = np.zeros(n, dtype=bool)
-    found[src[dst == match[src]]] = True
-    missing = matched & ~found
-    return tuple(int(np.argmax(x)) if x.any() else -1 for x in (bad, missing))
-
-
-def _validate_matching(g, match):
-    if len(match) != g.n:
-        raise ValueError("matching length does not fit the graph")
-    bad, missing = _matching_defects(np.asarray(match, dtype=np.int64), *g.edge_arrays())
-    if bad >= 0 and not 0 <= missing < bad:
-        raise ValueError(f"matching entry {bad} -> {match[bad]} is not an involution")
-    if missing >= 0:
-        raise ValueError(f"matched pair ({missing}, {match[missing]}) is not an edge")
-
-
 @dataclass(frozen=True, eq=False)
 class GallaiEdmonds:
     """Canonical partition of a graph relative to a maximum matching.
@@ -534,10 +500,6 @@ class GallaiEdmonds:
         """Vertex count per piece."""
         return np.bincount(self.piece[self.piece >= 0], minlength=len(self.roots))
 
-    def vertices(self, k: int) -> np.ndarray:
-        """The vertices of piece k, ascending."""
-        return np.flatnonzero(self.piece == k)
-
     @cached_property
     def components(self) -> tuple:
         # vertices sorted by piece, past those off d, and where each piece starts
@@ -547,18 +509,9 @@ class GallaiEdmonds:
         return tuple(_groups(off, inside, frozenset))
 
 
-def gallai_edmonds(g: Graph, match, forest: _Forest | None = None) -> GallaiEdmonds:
-    """Decompose g relative to a maximum matching.
-
-    `forest` is an exhausted search from every exposed vertex; without
-    it the search runs here.  The matching may be a partner buffer, a
-    list or an int array.  Raises ValueError if the matching is not
-    maximum.
-    """
-    if forest is None:
-        _validate_matching(g, match)
-        roots = [v for v in range(g.n) if match[v] == -1]
-        forest = _run_search(g, match, roots)
+def gallai_edmonds(g: Graph, match, forest: _Forest) -> GallaiEdmonds:
+    """Decompose g relative to a maximum matching, read off `forest`, an exhausted
+    search from every exposed vertex; ValueError if it met an augmenting path."""
     if forest.aug is not None:
         raise ValueError("matching is not maximum")
     n = g.n
@@ -625,9 +578,9 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     """Alternating reachability from `roots`, which must all be exposed.
 
     Raises ValueError if the search stumbles on an augmenting path,
-    which can only happen when the matching is not maximum.
+    which can only happen when the matching is not maximum.  No decide
+    calls this; it stays because the benchmark's tracer wraps it by name.
     """
-    _validate_matching(g, match)
     forest = _run_search(g, match, sorted(roots))
     if forest.aug is not None:
         raise ValueError("matching is not maximum")
@@ -712,28 +665,23 @@ def shortest_alt_path_to_root(
     return path
 
 
-def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, component, root: int) -> list:
-    """An odd alternating cycle through `root` inside one component.
+def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, piece, root: int) -> list:
+    """An odd alternating cycle through `root` inside its piece.
 
-    The component must be factor-critical with the matching covering
+    piece numbers each vertex's piece, as `GallaiEdmonds.piece` does;
+    root's piece must be factor-critical with the matching covering
     everything but root inside it, and `reach` a search that closed it
-    as one outermost blossom based at root.  Tracing root's first even
-    neighbor inside it up the forest then stays inside the blossom and
-    ends at root, so the trace plus the edge back to root is the cycle.
+    as one outermost blossom based at root.  Root's first even neighbor
+    lies in its piece, as every edge between two even vertices does, and
+    its trace up the forest then stays inside the blossom and ends at
+    root, so the trace plus the edge back to root is the cycle.
     The returned vertex list starts at root; consecutive pairs after root
     are matched edges and the two edges at root are non-matching.
     """
-    inside = set(component)
-    if root not in inside:
-        raise ValueError("root lies outside the component")
-    for v in sorted(inside):
-        if v != root and match[v] not in inside:
-            raise ValueError(f"vertex {v} is not matched inside the component")
-    if match[root] in inside:
-        raise ValueError("root is matched inside the component")
-    a = next((a for a in g.neighbors(root) if a in inside and reach.label[a] == _EVEN), root)
+    k = piece[root]
+    a = next((a for a in g.neighbors(root) if reach.label[a] == _EVEN), root)
     seq = _trace_even(match, reach.p, a, stop=root)
-    if a == root or seq[-1] != root or not inside.issuperset(seq):
+    if a == root or seq[-1] != root or (piece[seq] != k).any():
         raise EngineError("no valid odd cycle through the component root")
     return [root] + seq[-2::-1]
 

@@ -132,11 +132,10 @@ def extract_fractional_structure(
     """
     aux = an.aux
     g = aux.graph
-    match = an.match
-    comp = an.ge.vertices(k)
+    match = aux.matching
     root = int(an.ge.roots[k])
     pay = aux.payload_array
-    cyc = odd_cycle_through_root(g, match, an.reach, comp.tolist(), root)
+    cyc = odd_cycle_through_root(g, match, an.reach, an.ge.piece, root)
 
     if aux.kind[root] == KIND_STAR:
         mid = int(pay[root])

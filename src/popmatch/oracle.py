@@ -22,7 +22,10 @@ class OracleLimitError(RuntimeError):
 
 def _cap(default: int) -> int:
     raw = os.environ.get("POPMATCH_ORACLE_LIMIT")
-    return int(raw) if raw else default
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"POPMATCH_ORACLE_LIMIT={raw!r} is not an integer") from None
 
 
 def _guard(n: int, default: int, what: str) -> None:

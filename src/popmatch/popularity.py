@@ -11,7 +11,6 @@ positive answer comes with a dual witness that certifies optimality.
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,11 +160,6 @@ class _Analysis:
     ge: GallaiEdmonds | None
     reach: ReachSet | None
     big: np.ndarray | None
-
-    @property
-    def match(self) -> array:
-        """The auxiliary matching buffer that the forest traces index."""
-        return self.aux.matching
 
 
 def _analyze(inst: RoommatesInstance, m: Matching) -> _Analysis:

@@ -16,6 +16,7 @@ from popmatch.engine import (
     _label_roots,
     _run_search,
     _scan,
+    gallai_edmonds,
 )
 from popmatch.formats import ParseError
 from popmatch.fractional import (
@@ -274,7 +275,8 @@ def reference_tokenize(text: str) -> SimpleNamespace:
 
 
 def reference_validate_matching(g, match) -> None:
-    """The per-vertex loop that engine._validate_matching replaced."""
+    """Raise ValueError, naming the least bad vertex, unless match is a
+    partner list of g's length whose pairs are an involution over g's edges."""
     if len(match) != g.n:
         raise ValueError("matching length does not fit the graph")
     for v, w in enumerate(match):
@@ -282,8 +284,16 @@ def reference_validate_matching(g, match) -> None:
             continue
         if not 0 <= w < g.n or w == v or match[w] != v:
             raise ValueError(f"matching entry {v} -> {w} is not an involution")
-        if not g.has_edge(v, w):
+        if w not in g.neighbors(v):
             raise ValueError(f"matched pair ({v}, {w}) is not an edge")
+
+
+def decompose(g, match):
+    """The Gallai-Edmonds decomposition of g at match, from outside input:
+    the matching checked, then one search from every exposed vertex."""
+    reference_validate_matching(g, match)
+    forest = _run_search(g, match, [v for v in range(g.n) if match[v] == -1])
+    return gallai_edmonds(g, match, forest)
 
 
 def is_maximum(g, match) -> bool:
@@ -392,7 +402,7 @@ def _check_alternating(g, match, seq, what, closed=False):
         raise EngineError(f"{what} revisits a vertex")
     ends = seq[1:] + seq[:1] if closed else seq[1:]
     for i, (a, b) in enumerate(zip(seq, ends)):
-        if not g.has_edge(a, b):
+        if b not in g.neighbors(a):
             raise EngineError(f"{what} uses a missing edge")
         if i % 2 == 0:
             if match[a] == b:

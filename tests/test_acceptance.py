@@ -12,6 +12,7 @@ import time
 import pytest
 
 from helpers import (
+    decompose,
     is_maximum,
     label_sets,
     maximum_matching,
@@ -19,7 +20,7 @@ from helpers import (
     random_edge_graph,
 )
 from popmatch.bench import run_bench
-from popmatch.engine import Graph, gallai_edmonds
+from popmatch.engine import Graph
 from popmatch.fractional import (
     CycleThroughStar,
     FractionalPopular,
@@ -232,7 +233,7 @@ def test_engine_agrees_with_oracle():
         match = maximum_matching(g)
         size = sum(1 for w in match if w != -1) // 2
         assert size == brute_max_matching_size(g)
-        ge = gallai_edmonds(g, match)
+        ge = decompose(g, match)
         bge = brute_gallai_edmonds(g)
         assert label_sets(ge) == (bge.d, bge.a, bge.c)
         assert {frozenset(comp) for comp in ge.components} == {

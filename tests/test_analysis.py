@@ -21,6 +21,7 @@ from helpers import (
     LevelSpy,
     analysis_cases,
     assert_same_forest,
+    decompose,
     gadget_cases,
     greedy_partners,
     is_maximum,
@@ -51,8 +52,7 @@ def test_one_search_equals_the_two_it_replaces():
     for inst, m in analysis_cases():
         an = _analyze(inst, m)
         g = an.aux.graph
-        match = an.aux.matching_array.tolist()
-        assert np.array_equal(an.match, match)
+        match = an.aux.matching.tolist()
         assert (an.aug_path is None) == is_maximum(g, match)
         if an.aug_path is not None:
             continue
@@ -64,12 +64,12 @@ def test_one_search_equals_the_two_it_replaces():
         reach = reachable_set(g, match, an.aux.seeds)
         assert np.array_equal(an.reach.label, reach.label)
 
-        ge = gallai_edmonds(g, match)
+        ge = decompose(g, match)
         assert np.array_equal(an.ge.label, ge.label)
         assert np.array_equal(an.ge.piece, ge.piece)
         assert np.array_equal(an.ge.roots, ge.roots)
         # pieces are numbered by their least vertex
-        least = [int(an.ge.vertices(k)[0]) for k in range(len(an.ge.roots))]
+        least = [int(np.flatnonzero(an.ge.piece == k)[0]) for k in range(len(an.ge.roots))]
         assert least == sorted(least)
         assert an.ge.components == tuple(
             frozenset(np.flatnonzero(an.ge.piece == k).tolist())
@@ -98,7 +98,7 @@ def test_pieces_are_the_components_of_d():
             piece[list(comp)] = k
         assert np.array_equal(ge.piece, piece)
         for k, comp in enumerate(comps):
-            assert ge.vertices(k).tolist() == sorted(comp)
+            assert np.flatnonzero(ge.piece == k).tolist() == sorted(comp)
         big += sum(len(comp) >= 3 for comp in comps)
     assert big >= 300
 
@@ -110,17 +110,17 @@ def test_forest_cycle_on_every_reached_piece():
     for inst, m in gadget_cases(120, 11, gadgets):
         an = _analyze(inst, m)
         assert an.aug_path is None
-        g, match = an.aux.graph, an.match
+        g, match = an.aux.graph, an.aux.matching
         for k in np.flatnonzero(an.ge.sizes >= 3).tolist():
             root = an.ge.roots[k]
             if an.reach.label[root] == 0:
                 continue
-            piece = set(an.ge.vertices(k).tolist())
-            cyc = odd_cycle_through_root(g, match, an.reach, piece, root)
+            inside = set(np.flatnonzero(an.ge.piece == k).tolist())
+            cyc = odd_cycle_through_root(g, match, an.reach, an.ge.piece, root)
             size = len(cyc)
             assert cyc[0] == root and size >= 3 and size % 2 == 1
-            assert len(set(cyc)) == size and piece.issuperset(cyc)
-            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            assert len(set(cyc)) == size and inside.issuperset(cyc)
+            assert all(b in g.neighbors(a) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
             assert all(match[cyc[i]] == cyc[i + 1] for i in range(1, size - 1, 2))
             assert match[root] not in (cyc[1], cyc[-1])
             pieces[an.aux.kind[root]] += 1
@@ -162,7 +162,7 @@ def test_array_levels_end_where_the_scalar_loop_ends(monkeypatch):
     for width in (1, 2, 8):
         monkeypatch.setattr(engine, "_WIDE", width)
         for aux in auxes:
-            g, ma = aux.graph, aux.matching_array
+            g, ma = aux.graph, aux.matching
             forest = _run_search(g, ma, aux.seeds)
             assert_same_forest(forest, scalar_search(g, ma, aux.seeds))
     floors = {"plain": 5500, "blossom": 850, "cross-base": 300, "exposed": 2800, "narrow": 40}
@@ -177,8 +177,8 @@ def test_array_levels_run_at_full_width(monkeypatch):
     inst, m = tiled(rng, [rng.choice(gadgets) for _ in range(420)])
     aux = build_aux(inst, m)
     spy = LevelSpy(monkeypatch)
-    forest = _run_search(aux.graph, aux.matching_array, aux.seeds)
-    assert_same_forest(forest, scalar_search(aux.graph, aux.matching_array, aux.seeds))
+    forest = _run_search(aux.graph, aux.matching, aux.seeds)
+    assert_same_forest(forest, scalar_search(aux.graph, aux.matching, aux.seeds))
     assert inst.n >= 2000 and spy.levels >= 3 and spy.fired["blossom"] >= 50
     assert sum(spy.fired[k] for k in ("cross-base", "exposed", "narrow")) == 0
 
@@ -211,7 +211,7 @@ def test_continued_search_matches_one_search():
     whole = _run_search(g, match, [0, 7])
     assert both.label == whole.label
     ge = gallai_edmonds(g, match, both)
-    assert ge.components == gallai_edmonds(g, match).components
+    assert ge.components == decompose(g, match).components
     with pytest.raises(ValueError, match="duplicate root"):
         _run_search(g, match, [0], forest=both)
     met = _Forest(label=bytearray(8), p=[-1] * 8, aug=(0, 1), dsu=list(range(8)))
@@ -251,4 +251,4 @@ def test_reach_check_names_the_edge_leaving_the_d_part():
     match = [-1, 2, 1]
     reach = ReachSet(label=np.array([1, 0, 0], dtype=np.int8), p=[-1] * 3)
     with pytest.raises(EngineError, match="edge 0-1 leaves the reached set from its d-part"):
-        check_reach_properties(PATH3, match, reach, gallai_edmonds(PATH3, match))
+        check_reach_properties(PATH3, match, reach, decompose(PATH3, match))

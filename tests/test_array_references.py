@@ -57,7 +57,7 @@ def _aux_maps(aux, n) -> dict:
         "kind": tuple(("orig", "block", "star", "u")[k] for k in aux.kind),
         "payload": tuple(pay.tolist()),
         "orig_to_aux": tuple(orig_to_aux.tolist()),
-        "matching": tuple(aux.matching_array.tolist()),
+        "matching": tuple(aux.matching),
         "seeds": aux.seeds,
         "u_id": aux.u_id,
         "b_of": {int(pay[b]): b for b in np.flatnonzero(aux.kind == KIND_BLOCK).tolist()},

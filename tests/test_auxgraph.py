@@ -46,7 +46,7 @@ def test_aux_graph_frozen(two_triangles_pendants):
         (5, 9),
         (5, 10),
     ]
-    assert aux.matching_array.tolist() == [1, 0, 3, 2, 5, 4, -1, -1, -1, -1, -1]
+    assert aux.matching.tolist() == [1, 0, 3, 2, 5, 4, -1, -1, -1, -1, -1]
 
 
 def test_aux_labels(two_triangles_pendants):
@@ -64,7 +64,7 @@ def test_aux_without_unmatched(swap_square):
     assert tuple(aux.kind) == (KIND_ORIG,) * 4 + (KIND_BLOCK,) * 2
     assert aux.payload_array.tolist() == [0, 1, 2, 3, 1, 2]
     assert sorted(aux.graph.edges()) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 5)]
-    assert aux.matching_array.tolist() == [1, 0, 3, 2, -1, -1]
+    assert aux.matching.tolist() == [1, 0, 3, 2, -1, -1]
     assert aux.seeds == range(4, 6)
 
 
@@ -75,7 +75,7 @@ def test_aux_empty_matching(triangle_pendant):
     assert tuple(aux.kind) == (KIND_BLOCK,) * 4 + (KIND_U,)
     assert aux.u_id == 4
     assert sorted(aux.graph.edges()) == [(0, 4), (1, 4), (2, 4), (3, 4)]
-    assert aux.matching_array.tolist() == [-1] * 5
+    assert aux.matching.tolist() == [-1] * 5
 
 
 def test_local_blocking_probes(two_triangles_pendants):
@@ -118,7 +118,7 @@ def test_aux_invariants_random():
         origs = [i for i, k in enumerate(aux.kind) if k == KIND_ORIG]
         assert origs == list(range(len(origs)))
         pl = aux.payload_array.tolist()
-        match = aux.matching_array.tolist()
+        match = aux.matching.tolist()
         for group in (KIND_ORIG, KIND_BLOCK, KIND_STAR):
             ids = [i for i, k in enumerate(aux.kind) if k == group]
             assert [pl[i] for i in ids] == sorted(pl[i] for i in ids)

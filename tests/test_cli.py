@@ -168,6 +168,13 @@ def test_oracle_limit_exit_two(tmp_path, capsys, monkeypatch, triangle_pendant):
     assert "raise POPMATCH_ORACLE_LIMIT to override" in err
 
 
+def test_oracle_limit_that_is_no_integer_exit_two(tmp_path, capsys, monkeypatch, triangle_pendant):
+    monkeypatch.setenv("POPMATCH_ORACLE_LIMIT", "abc")
+    ipath, mpath = write_pair(tmp_path, *triangle_pendant)
+    assert main(["oracle", "-i", ipath, "-m", mpath]) == 2
+    assert capsys.readouterr().err == "error: POPMATCH_ORACLE_LIMIT='abc' is not an integer\n"
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -223,6 +230,7 @@ def test_bench_bad_sizes(capsys):
     [
         (["--sizes", "0"], "bad size 0"),
         (["--sizes", "30", "--reps", "0"], "need at least one repetition, got 0"),
+        (["--sizes", "10, abc"], "--sizes: 'abc' is not an integer"),
     ],
 )
 def test_bench_bad_size_or_reps_exit_two(capsys, args, message):

@@ -49,7 +49,7 @@ def test_deep_generators_are_seeded_relabellings():
 def test_deep_search_runs_in_the_scalar_loop(make, monkeypatch):
     inst, m = make(20_000, 1)
     aux = build_aux(inst, m)
-    g, ma = aux.graph, aux.matching_array
+    g, ma = aux.graph, aux.matching
     spy = LevelSpy(monkeypatch)
     forest = _run_search(g, ma, aux.seeds)
     assert_same_forest(forest, scalar_search(g, ma, aux.seeds))

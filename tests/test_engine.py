@@ -5,7 +5,6 @@ import pytest
 import numpy as np
 
 import popmatch.engine as engine
-from popmatch.auxgraph import build_aux
 from popmatch.engine import (
     _EVEN,
     _ODD,
@@ -17,7 +16,6 @@ from popmatch.engine import (
     _lca,
     _run_search,
     _trace_even,
-    _validate_matching,
     check_reach_properties,
     even_path_from_roots,
     gallai_edmonds,
@@ -25,13 +23,13 @@ from popmatch.engine import (
     reachable_set,
     shortest_alt_path_to_root,
 )
-from popmatch.generator import random_maximal_matching
-from popmatch.model import Matching, RoommatesInstance, check_matching
+from popmatch.model import Matching, check_matching
 from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
 from helpers import (
     LevelSpy,
     _check_alternating,
+    decompose,
     is_maximum,
     label_sets,
     maximum_matching,
@@ -57,7 +55,7 @@ def test_graph_basics():
     assert list(g.neighbors(1)) == [0, 2]
     assert list(g.neighbors(0)) == [1, 3]
     assert len(g.neighbors(2)) == 1 and len(g.neighbors(1)) == 2
-    assert g.has_edge(0, 3) and not g.has_edge(2, 3)
+    assert 3 in g.neighbors(0) and 3 not in g.neighbors(2)
     assert g.edge_count() == 3
     assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
 
@@ -118,11 +116,11 @@ def test_flower_is_maximum():
 def test_matching_validation_errors():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="length"):
-        gallai_edmonds(g, [-1, -1])
+        decompose(g, [-1, -1])
     with pytest.raises(ValueError, match="involution"):
-        gallai_edmonds(g, [1, 2, -1])
+        decompose(g, [1, 2, -1])
     with pytest.raises(ValueError, match="not an edge"):
-        gallai_edmonds(g, [-1, 2, 1])
+        decompose(g, [-1, 2, 1])
 
 
 def _message(fn, *args):
@@ -149,8 +147,7 @@ def _message(fn, *args):
 def test_matching_check_messages(match, message):
     g = Graph.from_edges(3, [(0, 1)])
     assert _message(reference_validate_matching, g, match) == message
-    assert _message(gallai_edmonds, g, match) == message
-    assert _message(reachable_set, g, match, []) == message
+    assert _message(decompose, g, match) == message
 
 
 def test_instance_matching_check_messages(triangle_pendant):
@@ -184,52 +181,6 @@ def test_instance_matching_check_names_the_least_bad_vertex():
         assert _message(check_matching, inst, m) == message
 
 
-def test_matching_check_matches_vertex_loop():
-    rng = random.Random(8)
-    for _ in range(400):
-        n = rng.randint(1, 9)
-        g = Graph.from_edges(n, random_edge_graph(rng, n, rng.choice([0.2, 0.5, 0.9])))
-        match = maximum_matching(g)
-        for _ in range(rng.randint(0, 2)):
-            match[rng.randrange(n)] = rng.randint(-2, n)
-        assert _message(_validate_matching, g, match) == _message(
-            reference_validate_matching, g, match
-        )
-
-
-def test_matching_check_on_a_large_auxiliary_graph():
-    rng = random.Random(3)
-    n = 10000
-    adj = [[] for _ in range(n)]
-    for u, v in {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40000)}:
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        rng.shuffle(row)
-    inst = RoommatesInstance(tuple(map(tuple, adj)))
-    aux = build_aux(inst, random_maximal_matching(inst, seed=3))
-    g = aux.graph
-    assert g.n > 8000
-    good = aux.matching_array.tolist()
-    _validate_matching(g, good)
-    matched = [v for v in range(g.n) if good[v] != -1]
-    for _ in range(20):
-        match = list(good)
-        v = rng.choice(matched)
-        match[v] = rng.choice([-2, g.n, v, -1, rng.choice([w for w in matched if w != good[v]])])
-        want = _message(reference_validate_matching, g, match)
-        assert want is not None and _message(_validate_matching, g, match) == want
-        # swapping two matched pairs keeps an involution but leaves the edges
-        match = list(good)
-        a, c = rng.sample(matched, 2)
-        b, d = good[a], good[c]
-        if len({a, b, c, d}) == 4:
-            match[a], match[c], match[b], match[d] = c, a, d, b
-            assert _message(_validate_matching, g, match) == _message(
-                reference_validate_matching, g, match
-            )
-
-
 def test_maximum_matching_sizes():
     assert sum(x != -1 for x in maximum_matching(PETERSEN)) == 10
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -239,7 +190,7 @@ def test_maximum_matching_sizes():
 
 
 def test_gallai_edmonds_flower():
-    ge = gallai_edmonds(FLOWER, list(FLOWER_M))
+    ge = decompose(FLOWER, list(FLOWER_M))
     d, a, c = label_sets(ge)
     assert d == frozenset({0, 2, 3, 4})
     assert a == frozenset({1})
@@ -252,7 +203,7 @@ def test_gallai_edmonds_flower():
 def test_gallai_edmonds_rejects_non_maximum():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match="not maximum"):
-        gallai_edmonds(g, [-1, 2, 1, -1])
+        decompose(g, [-1, 2, 1, -1])
 
 
 def test_reachable_set_flower():
@@ -348,28 +299,37 @@ def test_odd_cycle_through_root_triangle():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     match = [-1, 2, 1]
     reach = reachable_set(g, match, [0])
-    assert odd_cycle_through_root(g, match, reach, {0, 1, 2}, 0) == [0, 2, 1]
+    assert odd_cycle_through_root(g, match, reach, np.zeros(3, dtype=np.int64), 0) == [0, 2, 1]
 
 
 def test_odd_cycle_through_root_five_cycle():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     match = [-1, 2, 1, 4, 3]
-    cyc = odd_cycle_through_root(g, match, reachable_set(g, match, [0]), set(range(5)), 0)
+    piece = np.zeros(5, dtype=np.int64)
+    cyc = odd_cycle_through_root(g, match, reachable_set(g, match, [0]), piece, 0)
     assert cyc[0] == 0 and len(cyc) == 5 and len(set(cyc)) == 5
     for i in range(1, 4, 2):
         assert match[cyc[i]] == cyc[i + 1]
-    assert g.has_edge(cyc[0], cyc[1]) and g.has_edge(cyc[-1], cyc[0])
+    assert cyc[1] in g.neighbors(cyc[0]) and cyc[0] in g.neighbors(cyc[-1])
 
 
-def test_odd_cycle_argument_errors():
+def test_odd_cycle_guard_names_no_valid_cycle():
+    # the triangle 0 - 1=2 - 0, searched from 0: one blossom based at 0
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    reach = reachable_set(g, [-1, 2, 1], [0])
-    with pytest.raises(ValueError, match="outside the component"):
-        odd_cycle_through_root(g, [-1, 2, 1], reach, {1, 2}, 0)
-    with pytest.raises(ValueError, match="not matched inside"):
-        odd_cycle_through_root(g, [-1, 2, 1], reach, {0, 1}, 0)
-    with pytest.raises(ValueError, match="^root is matched inside the component$"):
-        odd_cycle_through_root(g, [-1, 2, 1], reach, {1, 2}, 1)
+    match = [-1, 2, 1]
+    reach = reachable_set(g, match, [0])
+    assert reach.label.tolist() == [_EVEN] * 3 and list(reach.p) == [-1, 0, 0]
+    message = "^no valid odd cycle through the component root$"
+    # no neighbour of the root is even, so no trace starts
+    lone = ReachSet(label=np.array([_EVEN, 0, 0], dtype=np.int8), p=reach.p)
+    with pytest.raises(EngineError, match=message):
+        odd_cycle_through_root(g, match, lone, np.zeros(3, dtype=np.int64), 0)
+    # both even neighbours of the root lie in another piece
+    with pytest.raises(EngineError, match=message):
+        odd_cycle_through_root(g, match, reach, np.array([0, 1, 1]), 0)
+    # the trace 2 -> 1 -> 0 passes 1, which the piece array puts in another piece
+    with pytest.raises(EngineError, match=message):
+        odd_cycle_through_root(g, match, reach, np.array([0, 1, 0]), 0)
 
 
 def test_trees_meet_through_a_blossom_base():
@@ -388,7 +348,7 @@ def test_trees_meet_through_a_blossom_base():
 
 def test_check_reach_properties():
     reach = reachable_set(FLOWER, list(FLOWER_M), [0])
-    ge = gallai_edmonds(FLOWER, list(FLOWER_M))
+    ge = decompose(FLOWER, list(FLOWER_M))
     check_reach_properties(FLOWER, list(FLOWER_M), reach, ge)
     with pytest.raises(EngineError, match="forbidden"):
         check_reach_properties(FLOWER, list(FLOWER_M), reach, ge, forbidden=0)
@@ -402,7 +362,7 @@ def _hand_reach(members, n):
 
 
 def test_check_reach_properties_rejects_bad_sets():
-    ge = gallai_edmonds(FLOWER, list(FLOWER_M))
+    ge = decompose(FLOWER, list(FLOWER_M))
     with pytest.raises(EngineError, match="closed under the matched edge"):
         check_reach_properties(FLOWER, list(FLOWER_M), _hand_reach({0, 1}, 5), ge)
     with pytest.raises(EngineError, match="splits a factor-critical"):
@@ -410,7 +370,7 @@ def test_check_reach_properties_rejects_bad_sets():
     pair = Graph.from_edges(2, [(0, 1)])
     pm = [1, 0]
     with pytest.raises(EngineError, match="perfectly matched part"):
-        check_reach_properties(pair, pm, _hand_reach({0, 1}, 2), gallai_edmonds(pair, pm))
+        check_reach_properties(pair, pm, _hand_reach({0, 1}, 2), decompose(pair, pm))
 
 
 def _greedy_on_shuffled(g, rng):
@@ -458,7 +418,7 @@ def test_gallai_edmonds_matches_brute():
         n = rng.randint(1, 9)
         g = Graph.from_edges(n, random_edge_graph(rng, n, rng.choice([0.2, 0.4, 0.7])))
         match = maximum_matching(g)
-        ge = gallai_edmonds(g, match)
+        ge = decompose(g, match)
         brute = brute_gallai_edmonds(g)
         d, a, c = label_sets(ge)
         assert d == brute.d and a == brute.a and c == brute.c

@@ -19,8 +19,8 @@ import random
 import networkx as nx
 import pytest
 
-from helpers import improved, label_sets, maximum_matching
-from popmatch.engine import Graph, gallai_edmonds
+from helpers import decompose, improved, label_sets, maximum_matching
+from popmatch.engine import Graph
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance
 from popmatch.popularity import is_popular
@@ -50,7 +50,7 @@ def test_engine_agrees_with_networkx(n, avg_degree, seed):
     nxg.add_edges_from(edges)
     assert nu == len(nx.max_weight_matching(nxg, maxcardinality=True))
 
-    ge = gallai_edmonds(g, match)
+    ge = decompose(g, match)
     d, a, c = label_sets(ge)
     assert d | a | c == set(range(n)) and len(d) + len(a) + len(c) == n
     assert all(len(comp) % 2 == 1 for comp in ge.components)

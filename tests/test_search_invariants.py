@@ -3,7 +3,7 @@
 A decide checks only its certificate, in instance terms, before it
 answers.  The auxiliary matching, the forest's traces, the reachable set
 and the decomposition are checked here instead, on every case of the
-corpora: the auxiliary matching with `_validate_matching`, every trace
+corpora: the auxiliary matching with `reference_validate_matching`, every trace
 with `_check_alternating`, the reachable set with
 `check_reach_properties`, and the pieces with `check_pieces_closed`.
 """
@@ -12,9 +12,16 @@ import numpy as np
 import pytest
 
 import popmatch.engine as engine
+import popmatch.fractional as fractional
 import popmatch.popularity as popularity
 from conftest import TRIANGLE_PENDANT, TRIANGLE_PENDANT_M, TWO_TRIANGLES, TWO_TRIANGLES_M
-from helpers import _check_alternating, analysis_cases, check_pieces_closed, gadget_cases
+from helpers import (
+    _check_alternating,
+    analysis_cases,
+    check_pieces_closed,
+    gadget_cases,
+    reference_validate_matching,
+)
 from popmatch.engine import (
     _EVEN,
     EngineError,
@@ -22,11 +29,10 @@ from popmatch.engine import (
     Graph,
     ReachSet,
     _trace_even,
-    _validate_matching,
     check_reach_properties,
     odd_cycle_through_root,
 )
-from popmatch.formats import document_to_json
+from popmatch.formats import document_to_json, parse_certificate, verify_certificate
 from popmatch.fractional import is_fractional_popular
 from popmatch.popularity import _analyze, is_popular
 
@@ -37,8 +43,8 @@ def test_every_forest_trace_and_decomposition_passes_the_reference_checks():
     paths = traces = cycles = 0
     for inst, m in list(analysis_cases()) + list(gadget_cases(120, 11, GADGETS)):
         an = _analyze(inst, m)
-        g, match = an.aux.graph, an.match
-        _validate_matching(g, an.aux.matching_array)
+        g, match = an.aux.graph, an.aux.matching
+        reference_validate_matching(g, match)
         if an.aug_path is not None:
             _check_alternating(g, match, list(an.aug_path), "augmenting path")
             paths += 1
@@ -56,7 +62,7 @@ def test_every_forest_trace_and_decomposition_passes_the_reference_checks():
         whole = ReachSet(label=ge.label, p=reach.p)
         for k in np.flatnonzero(ge.sizes >= 3).tolist():
             root = int(ge.roots[k])
-            cyc = odd_cycle_through_root(g, match, whole, ge.vertices(k).tolist(), root)
+            cyc = odd_cycle_through_root(g, match, whole, ge.piece, root)
             _check_alternating(g, match, cyc, "odd cycle", closed=True)
             cycles += 1
     assert paths >= 50 and traces >= 3000 and cycles >= 300, (paths, traces, cycles)
@@ -75,23 +81,35 @@ def test_pieces_check_names_an_edge_between_two_pieces():
 
 def test_decide_runs_no_invariant_check(monkeypatch):
     """The decide's answers do not rest on the auxiliary-matching, walk
-    or reach checks: with each raising, both tests answer as before.  A
-    name a module no longer binds is set anyway, so a call that comes back
-    fails here."""
+    or reach checks, nor on the reachability and shortest-path searches
+    that only the benchmark's tracer still names: with each raising, both
+    tests answer as before and each certificate verifies as before.  The
+    gadgets bring the two fractional structures.  A name a module no
+    longer binds is set anyway, so a call that comes back fails here."""
+    cases = list(analysis_cases()) + list(gadget_cases(30, 11, GADGETS))
 
     def answers():
-        return [
-            document_to_json(decide(inst, m))
-            for inst, m in analysis_cases()
-            for decide in (is_popular, is_fractional_popular)
-        ]
+        out = []
+        for inst, m in cases:
+            for decide in (is_popular, is_fractional_popular):
+                text = document_to_json(decide(inst, m))
+                out.append((text, verify_certificate(inst, m, parse_certificate(text))))
+        return out
 
     want = answers()
+    assert all(defect is None for _, defect in want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the decide ran an invariant check")
 
-    for module in (engine, popularity):
-        for name in ("_validate_matching", "_check_alternating", "check_reach_properties"):
+    names = (
+        "_validate_matching",
+        "_check_alternating",
+        "check_reach_properties",
+        "reachable_set",
+        "shortest_alt_path_to_root",
+    )
+    for module in (engine, popularity, fractional):
+        for name in names:
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert answers() == want
