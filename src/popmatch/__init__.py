@@ -6,7 +6,7 @@ stays popular against half-integral competition, returning a
 machine-checkable certificate either way.
 """
 
-from .engine import EngineError, Graph
+from .engine import EngineError
 from .formats import (
     ParseError,
     document_to_json,
@@ -44,10 +44,7 @@ from .model import (
 from .oracle import (
     OracleLimitError,
     brute_fractional_popular,
-    brute_gallai_edmonds,
-    brute_max_matching_size,
     brute_popular,
-    enumerate_matchings,
 )
 from .popularity import (
     BlockingStructure,
@@ -69,7 +66,6 @@ __all__ = [
     "DualWitness",
     "EngineError",
     "FractionalPopular",
-    "Graph",
     "HalfIntegralMatching",
     "InternalError",
     "Matching",
@@ -82,15 +78,12 @@ __all__ = [
     "Unpopular",
     "blocking_edges",
     "brute_fractional_popular",
-    "brute_gallai_edmonds",
-    "brute_max_matching_size",
     "brute_popular",
     "check_blocking_structure",
     "check_fractional_structure",
     "delta",
     "document_to_json",
     "edge_weight",
-    "enumerate_matchings",
     "fractional_value",
     "fractional_value_times_two",
     "generate_instance",

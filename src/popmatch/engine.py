@@ -73,8 +73,7 @@ class Graph:
 
     off and nbr are `array.array` buffers of index_dtype(n, 2|E|), which
     the search slices like lists.  dst is a read-only numpy view of the
-    same nbr buffer, and `per_edge` gives any per-vertex array aligned
-    with it.
+    same nbr buffer.
     """
 
     __slots__ = ("n", "off", "nbr", "dst")
@@ -125,23 +124,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return len(self.nbr) // 2
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, v
-
-    def per_edge(self, values: np.ndarray) -> np.ndarray:
-        """values[src] for the src of `edge_arrays`, without building src."""
-        return np.repeat(values, np.diff(np.frombuffer(self.off, dtype=self.off.typecode)))
-
-    def edge_arrays(self) -> tuple:
-        """(src, dst) arrays, every edge once per direction, in CSR order.
-
-        dst is the view `self.dst`; src is built on each call.
-        """
-        return self.per_edge(np.arange(self.n, dtype=self.dst.dtype)), self.dst
 
 
 def _buffer(values: np.ndarray, dtype) -> array:
@@ -574,7 +556,7 @@ class ReachSet:
     p: array
 
 
-def reachable_set(g: Graph, match: list, roots) -> ReachSet:
+def reachable_set(g: Graph, match: array, roots) -> ReachSet:
     """Alternating reachability from `roots`, which must all be exposed.
 
     Raises ValueError if the search stumbles on an augmenting path,
@@ -587,7 +569,7 @@ def reachable_set(g: Graph, match: list, roots) -> ReachSet:
     return ReachSet(label=np.frombuffer(forest.label, dtype=np.int8), p=forest.p)
 
 
-def even_path_from_roots(match: list, reach: ReachSet, target: int) -> list | None:
+def even_path_from_roots(match: array, reach: ReachSet, target: int) -> list | None:
     """Recover a simple alternating path root .. target of even length.
 
     Returns None when target is not even-reachable in the given
@@ -603,7 +585,7 @@ def even_path_from_roots(match: list, reach: ReachSet, target: int) -> list | No
 
 
 def shortest_alt_path_to_root(
-    g: Graph, match: list, seeds, target: int, blocked=None
+    g: Graph, match: array, seeds, target: int, blocked=None
 ) -> list:
     """Breadth-first alternating walk from `seeds` to `target`.
 
@@ -665,7 +647,7 @@ def shortest_alt_path_to_root(
     return path
 
 
-def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, piece, root: int) -> list:
+def odd_cycle_through_root(g: Graph, match: array, reach: ReachSet, piece, root: int) -> list:
     """An odd alternating cycle through `root` inside its piece.
 
     piece numbers each vertex's piece, as `GallaiEdmonds.piece` does;
@@ -687,7 +669,7 @@ def odd_cycle_through_root(g: Graph, match: list, reach: ReachSet, piece, root: 
 
 
 def check_reach_properties(
-    g: Graph, match: list, reach: ReachSet, ge: GallaiEdmonds, forbidden: int = -1
+    g: Graph, match: array, reach: ReachSet, ge: GallaiEdmonds, forbidden: int = -1
 ) -> None:
     """Structural facts a reachable set must satisfy at a maximum matching.
 
@@ -710,9 +692,9 @@ def check_reach_properties(
     inside = np.bincount(ge.piece[members & (ge.piece >= 0)], minlength=len(ge.roots))
     if ((inside > 0) & (inside != ge.sizes)).any():
         raise EngineError("reached set splits a factor-critical component")
-    dst = g.dst
-    leave = np.flatnonzero(g.per_edge(members & (ge.label == _EVEN)) & ~members[dst])
+    off = np.frombuffer(g.off, dtype=g.off.typecode)
+    leave = np.flatnonzero(np.repeat(members & (ge.label == _EVEN), np.diff(off)) & ~members[g.dst])
     if leave.size:
         i = leave[0]
-        src = g.edge_arrays()[0]
-        raise EngineError(f"edge {src[i]}-{dst[i]} leaves the reached set from its d-part")
+        u = int(np.searchsorted(off, i, side="right")) - 1  # the row holding entry i
+        raise EngineError(f"edge {u}-{g.dst[i]} leaves the reached set from its d-part")

@@ -330,9 +330,9 @@ class Matching(_Frozen):
     """A matching as a read-only int64 partner array, -1 for unmatched nodes.
 
     Build from a partner sequence with None for unmatched nodes,
-    `Matching(partner)`, or with `from_pairs`, `from_partner_list` or
-    `empty`; each raises ValueError unless the partners form an
-    involution. A partner entry is any integer, numpy's included.
+    `Matching(partner)`, or with `from_pairs` or `empty`; each raises
+    ValueError unless the partners form an involution. A partner entry
+    is any integer, numpy's included.
     `partner_array` is the state; `partner`, the sequence as a tuple of
     ints with None for unmatched nodes, is a view built on first use.
     """
@@ -361,7 +361,7 @@ class Matching(_Frozen):
         """Matching of an int64 partner array, -1 for unmatched; taken over, not copied."""
         n = len(pa)
         wrong = (pa < -1) | (pa >= n)
-        _check_involution(np.where(wrong, -1, pa), wrong, pa.tolist())
+        _check_involution(np.where(wrong, -1, pa), wrong, pa)
         m = object.__new__(cls)
         m._take(partner_array=pa)
         return m
@@ -397,11 +397,6 @@ class Matching(_Frozen):
         m._take(partner_array=partner)
         return m
 
-    @classmethod
-    def from_partner_list(cls, seq) -> "Matching":
-        """Matching of a partner sequence with -1 or None for unmatched nodes."""
-        return cls(tuple(None if x is None or x < 0 else x for x in seq))
-
     def __repr__(self):
         return f"Matching(partner={self.partner!r})"
 
@@ -429,7 +424,8 @@ class Matching(_Frozen):
 def _check_involution(pa: np.ndarray, wrong: np.ndarray, shown) -> None:
     """Raise ValueError at the first entry that is wrong or disagrees with its partner's.
 
-    pa holds -1 for unmatched and wrong entries; shown[v] is entry v as given.
+    pa holds -1 for unmatched and wrong entries; shown[v] is entry v as given,
+    read only for the entry named.
     """
     v = np.arange(len(pa))
     wrong = wrong | (pa == v)
@@ -439,7 +435,9 @@ def _check_involution(pa: np.ndarray, wrong: np.ndarray, shown) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         if wrong[i]:
-            raise ValueError(f"partner entry {i} -> {shown[i]!r} is out of range")
+            x = shown[i]
+            x = x.item() if isinstance(x, np.generic) else x  # numpy's scalar repr names its type
+            raise ValueError(f"partner entry {i} -> {x!r} is out of range")
         raise ValueError(f"partner entries {i} and {int(pa[i])} disagree")
 
 

@@ -1,10 +1,10 @@
-"""Exhaustive baselines for cross-checking the fast implementations.
+"""Brute-force verdicts for the `oracle` command's cross-check.
 
-Everything here enumerates instead of deciding: all matchings, all
-half-integral matchings, all subsets relevant to maximality.  The
-enumerations are exponential, so each entry point guards on instance
-size; the cap can be lifted through the POPMATCH_ORACLE_LIMIT
-environment variable when more patience is available.
+`brute_popular` compares a matching against every matching, and
+`brute_fractional_popular` against every half-integral matching.  Both
+enumerate, so each guards on instance size: 12 nodes for popularity and
+10 for fractional popularity.  The POPMATCH_ORACLE_LIMIT environment
+variable replaces both caps when more patience is available.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .engine import Graph
 from .model import HalfIntegralMatching, Matching, RoommatesInstance, _weights
 
 
@@ -34,11 +33,6 @@ def _guard(n: int, default: int, what: str) -> None:
         raise OracleLimitError(
             f"{what} enumerates exhaustively and is capped at {cap} nodes, got {n}"
         )
-
-
-def enumerate_matchings(inst: RoommatesInstance):
-    """Yield every matching of the instance, lowest node decided first."""
-    return map(Matching, _partner_tuples(inst))
 
 
 def _partner_tuples(inst: RoommatesInstance):
@@ -178,73 +172,3 @@ def brute_fractional_popular(inst: RoommatesInstance, m: Matching) -> BruteFract
 
     rec(0)
     return BruteFractional(best_value_times_two=best["v"], witness=best["p"])
-
-
-def brute_max_matching_size(g: Graph) -> int:
-    """Maximum matching size by branch-and-bound-free enumeration."""
-    _guard(g.n, 12, "brute_max_matching_size")
-    n = g.n
-    used = [False] * n
-
-    def rec(v):
-        while v < n and used[v]:
-            v += 1
-        if v == n:
-            return 0
-        used[v] = True
-        out = rec(v + 1)
-        for w in g.neighbors(v):
-            if not used[w]:
-                used[w] = True
-                out = max(out, 1 + rec(v + 1))
-                used[w] = False
-        used[v] = False
-        return out
-
-    return rec(0)
-
-
-@dataclass(frozen=True)
-class BruteDecomposition:
-    """Gallai-Edmonds partition computed straight from the definition."""
-
-    d: frozenset
-    a: frozenset
-    c: frozenset
-    components: tuple
-
-
-def brute_gallai_edmonds(g: Graph) -> BruteDecomposition:
-    """d holds v iff deleting v keeps the maximum matching size."""
-    _guard(g.n, 12, "brute_gallai_edmonds")
-    n = g.n
-    nu = brute_max_matching_size(g)
-    d = set()
-    for v in range(n):
-        rest = Graph.from_edges(
-            n, [(a, b) for a, b in g.edges() if v not in (a, b)]
-        )
-        if brute_max_matching_size(rest) == nu:
-            d.add(v)
-    a = {w for v in d for w in g.neighbors(v)} - d
-    c = set(range(n)) - d - a
-    components = []
-    seen: set = set()
-    for s in sorted(d):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y in d and y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        components.append(frozenset(comp))
-    components.sort(key=min)
-    return BruteDecomposition(
-        d=frozenset(d), a=frozenset(a), c=frozenset(c), components=tuple(components)
-    )

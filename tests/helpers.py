@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from popmatch.engine import (
     _EVEN,
     _ODD,
     EngineError,
+    Graph,
     _augmenting_path,
     _Forest,
     _label_roots,
@@ -27,6 +29,7 @@ from popmatch.fractional import (
 )
 from popmatch.generator import generate_instance, greedy_matching, random_maximal_matching
 from popmatch.model import Matching, RoommatesInstance, _weights
+from popmatch.oracle import _guard, _partner_tuples
 from popmatch.popularity import Popular, Unpopular, is_popular
 
 
@@ -106,6 +109,19 @@ def random_edge_graph(rng: random.Random, n: int, p: float) -> list:
         for v in range(u + 1, n)
         if rng.random() < p
     ]
+
+
+def edge_arrays(g) -> tuple:
+    """(src, dst) of g, every edge once per direction, in CSR order; dst is `g.dst`."""
+    deg = np.diff(np.frombuffer(g.off, dtype=g.off.typecode))
+    return np.repeat(np.arange(g.n, dtype=g.dst.dtype), deg), g.dst
+
+
+def edge_list(g) -> list:
+    """Every edge (u, v) of g once, u < v, in CSR order."""
+    src, dst = edge_arrays(g)
+    keep = src < dst
+    return list(zip(src[keep].tolist(), dst[keep].tolist()))
 
 
 # Line-by-line reference parsers for the instance and matching formats,
@@ -392,6 +408,84 @@ def maximum_matching(g) -> list:
             match[a], match[b] = b, a
 
 
+# Brute-force references for maximality, from the definitions. They guard
+# on graph size as the `oracle` command's verdicts do, so the caps and
+# POPMATCH_ORACLE_LIMIT apply to them too.
+
+
+def enumerate_matchings(inst: RoommatesInstance):
+    """Yield every matching of the instance, lowest node decided first."""
+    return map(Matching, _partner_tuples(inst))
+
+
+def brute_max_matching_size(g) -> int:
+    """Maximum matching size by branch-and-bound-free enumeration."""
+    _guard(g.n, 12, "brute_max_matching_size")
+    n = g.n
+    used = [False] * n
+
+    def rec(v):
+        while v < n and used[v]:
+            v += 1
+        if v == n:
+            return 0
+        used[v] = True
+        out = rec(v + 1)
+        for w in g.neighbors(v):
+            if not used[w]:
+                used[w] = True
+                out = max(out, 1 + rec(v + 1))
+                used[w] = False
+        used[v] = False
+        return out
+
+    return rec(0)
+
+
+@dataclass(frozen=True)
+class BruteDecomposition:
+    """Gallai-Edmonds partition computed straight from the definition."""
+
+    d: frozenset
+    a: frozenset
+    c: frozenset
+    components: tuple
+
+
+def brute_gallai_edmonds(g) -> BruteDecomposition:
+    """d holds v iff deleting v keeps the maximum matching size."""
+    _guard(g.n, 12, "brute_gallai_edmonds")
+    n = g.n
+    nu = brute_max_matching_size(g)
+    d = set()
+    for v in range(n):
+        rest = Graph.from_edges(n, [(a, b) for a, b in edge_list(g) if v not in (a, b)])
+        if brute_max_matching_size(rest) == nu:
+            d.add(v)
+    a = {w for v in d for w in g.neighbors(v)} - d
+    c = set(range(n)) - d - a
+    components = []
+    seen: set = set()
+    for s in sorted(d):
+        if s in seen:
+            continue
+        comp = {s}
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y in d and y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        components.append(frozenset(comp))
+    components.sort(key=min)
+    return BruteDecomposition(
+        d=frozenset(d), a=frozenset(a), c=frozenset(c), components=tuple(components)
+    )
+
+
 def _check_alternating(g, match, seq, what, closed=False):
     """Raise EngineError unless seq is a simple alternating walk in g.
 
@@ -418,7 +512,7 @@ def check_pieces_closed(g, ge) -> None:
     such edge exists.
     """
     d = ge.label == _EVEN
-    src, dst = g.edge_arrays()
+    src, dst = edge_arrays(g)
     cross = np.flatnonzero(d[src] & d[dst] & (ge.piece[src] != ge.piece[dst]))
     if cross.size:
         i = cross[0]

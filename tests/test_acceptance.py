@@ -12,7 +12,10 @@ import time
 import pytest
 
 from helpers import (
+    brute_gallai_edmonds,
+    brute_max_matching_size,
     decompose,
+    edge_list,
     is_maximum,
     label_sets,
     maximum_matching,
@@ -40,12 +43,7 @@ from popmatch.model import (
     delta,
     fractional_value_times_two,
 )
-from popmatch.oracle import (
-    brute_fractional_popular,
-    brute_gallai_edmonds,
-    brute_max_matching_size,
-    brute_popular,
-)
+from popmatch.oracle import brute_fractional_popular, brute_popular
 from popmatch.popularity import (
     Popular,
     Unpopular,
@@ -59,7 +57,7 @@ def _three_matchings(inst, seed):
     # empty, a random maximal, and the greedy one: the mix covers
     # undermatched, typical, and locally good inputs
     return (
-        Matching.from_partner_list([None] * inst.n),
+        Matching.empty(inst.n),
         random_maximal_matching(inst, seed=seed),
         greedy_matching(inst),
     )
@@ -240,7 +238,7 @@ def test_engine_agrees_with_oracle():
             frozenset(comp) for comp in bge.components
         }
 
-        edges = list(g.edges())
+        edges = edge_list(g)
         rng.shuffle(edges)
         lazy = [-1] * n
         for u, v in edges:

@@ -22,6 +22,8 @@ from helpers import (
     analysis_cases,
     assert_same_forest,
     decompose,
+    edge_arrays,
+    enumerate_matchings,
     gadget_cases,
     greedy_partners,
     is_maximum,
@@ -43,7 +45,6 @@ from popmatch.engine import (
     odd_cycle_through_root,
     reachable_set,
 )
-from popmatch.oracle import enumerate_matchings
 from popmatch.popularity import _analyze
 
 
@@ -91,7 +92,7 @@ def test_pieces_are_the_components_of_d():
         d = np.flatnonzero(ge.label == 1).tolist()
         nxg = nx.Graph()
         nxg.add_nodes_from(d)
-        nxg.add_edges_from(zip(*(a.tolist() for a in g.edge_arrays())))
+        nxg.add_edges_from(zip(*(a.tolist() for a in edge_arrays(g))))
         comps = sorted(nx.connected_components(nxg.subgraph(d)), key=min)
         piece = np.full(g.n, -1)
         for k, comp in enumerate(comps):

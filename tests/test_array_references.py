@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     analysis_cases,
+    edge_list,
     gadget_cases,
     random_instance,
     reference_aux,
@@ -62,7 +63,7 @@ def _aux_maps(aux, n) -> dict:
         "u_id": aux.u_id,
         "b_of": {int(pay[b]): b for b in np.flatnonzero(aux.kind == KIND_BLOCK).tolist()},
         "star_of": {int(pay[s]): s for s in np.flatnonzero(aux.kind == KIND_STAR).tolist()},
-        "edges": sorted(aux.graph.edges()),
+        "edges": sorted(edge_list(aux.graph)),
     }
 
 

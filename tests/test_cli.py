@@ -19,6 +19,7 @@ from popmatch.formats import (
     verify_certificate,
 )
 from popmatch.fractional import is_fractional_popular
+from popmatch.generator import generate_instance
 from popmatch.popularity import is_popular
 
 
@@ -202,6 +203,9 @@ def test_gen_bad_args(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["gen", "-n", "4", "--gnp", "1.5", "--seed", "1", "-o", "-"]) == 2
     assert "edge probability" in capsys.readouterr().err
+    # gen offers only --complete and --gnp, so an unknown model is reached directly
+    with pytest.raises(ValueError, match="^unknown model 'tree'$"):
+        generate_instance(4, "tree")
 
 
 def test_bench_table(capsys):

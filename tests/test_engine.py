@@ -13,7 +13,9 @@ from popmatch.engine import (
     ReachSet,
     _augmenting_path,
     _find,
+    _Forest,
     _lca,
+    _mark_path,
     _run_search,
     _trace_even,
     check_reach_properties,
@@ -24,12 +26,15 @@ from popmatch.engine import (
     shortest_alt_path_to_root,
 )
 from popmatch.model import Matching, check_matching
-from popmatch.oracle import brute_gallai_edmonds, brute_max_matching_size
 
 from helpers import (
     LevelSpy,
     _check_alternating,
+    brute_gallai_edmonds,
+    brute_max_matching_size,
     decompose,
+    edge_arrays,
+    edge_list,
     is_maximum,
     label_sets,
     maximum_matching,
@@ -57,7 +62,7 @@ def test_graph_basics():
     assert len(g.neighbors(2)) == 1 and len(g.neighbors(1)) == 2
     assert 3 in g.neighbors(0) and 3 not in g.neighbors(2)
     assert g.edge_count() == 3
-    assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
+    assert edge_list(g) == [(0, 1), (0, 3), (1, 2)]
 
 
 def test_graph_rejects_bad_edges():
@@ -79,7 +84,7 @@ def test_graph_from_edge_array():
     for edges in (pairs, np.array(pairs), iter(pairs)):
         g = Graph.from_edges(4, edges)
         assert (list(g.off), list(g.nbr)) == ([0, 2, 4, 5, 6], [1, 3, 0, 2, 1, 0])
-        src, dst = g.edge_arrays()
+        src, dst = edge_arrays(g)
         assert src.tolist() == [0, 0, 1, 1, 2, 3] and dst.tolist() == list(g.nbr)
     for edges in ([], np.empty((0, 2), dtype=np.int64)):
         g = Graph.from_edges(3, edges)
@@ -278,6 +283,20 @@ def test_even_path_trace_must_start_at_a_root():
         even_path_from_roots(CHORD_M, reach, 3)
 
 
+def test_augmenting_path_ends_must_be_exposed():
+    # 2's parent is unset, so the trace from the meeting vertex 1 ends at no exposed vertex
+    label = bytearray([_EVEN, _ODD, _EVEN, 0, 0])
+    forest = _Forest(label, [-1, 0, -1, -1, -1], (0, 1), list(range(5)))
+    with pytest.raises(EngineError, match="^augmenting path end is not exposed$"):
+        _augmenting_path(CHORD_M, forest)
+
+
+def test_blossom_walk_must_not_pass_an_exposed_vertex():
+    # the walk from 0 up to base 1 needs 0's partner, and 0 has none
+    with pytest.raises(EngineError, match="^blossom walk passed an exposed vertex$"):
+        _mark_path([-1, -1], [-1, -1], [0, 1], bytearray(2), [], [], 0, 1, -1)
+
+
 def test_shortest_alt_path_plain():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     match = [-1, 2, 1, -1]
@@ -375,7 +394,7 @@ def test_check_reach_properties_rejects_bad_sets():
 
 def _greedy_on_shuffled(g, rng):
     match = [-1] * g.n
-    edges = sorted(g.edges())
+    edges = sorted(edge_list(g))
     rng.shuffle(edges)
     for u, v in edges:
         if match[u] == -1 and match[v] == -1:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import popmatch.fractional
 import popmatch.popularity
 from popmatch.fractional import (
@@ -17,10 +19,10 @@ from popmatch.model import (
     fractional_value_times_two,
     half_from_matching,
 )
-from popmatch.oracle import brute_fractional_popular, enumerate_matchings
-from popmatch.popularity import _reached_big_pieces, witness_violation
+from popmatch.oracle import brute_fractional_popular
+from popmatch.popularity import InternalError, _reached_big_pieces, witness_violation
 
-from helpers import partner_first_instance, random_instance
+from helpers import enumerate_matchings, partner_first_instance, random_instance
 
 
 def test_lifted_from_unpopular(two_triangles_pendants):
@@ -166,3 +168,13 @@ def test_agrees_with_brute_on_small_instances():
                     assert check_fractional_structure(inst, m, res.structure) is None
                 else:
                     assert res.value_times_two == 2 * res.from_unpopular.margin
+
+
+def test_lift_needs_the_anchor_outside_the_structure(triangle_pendant):
+    inst, m = triangle_pendant
+    s = CycleThroughStar(cycle=(0, 1, 2), middle=0)
+    message = "^structure anchor is missing its outside partner$"
+    with pytest.raises(InternalError, match=message):  # the middle's partner 1 is on the cycle
+        structure_to_fractional_matching(inst, m, s)
+    with pytest.raises(InternalError, match=message):  # the middle has no partner
+        structure_to_fractional_matching(inst, Matching((None, 2, 1, None)), s)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_certificate_digest
-from helpers import analysis_cases, gadget_cases
+from helpers import analysis_cases, edge_arrays, gadget_cases
 from popmatch import auxgraph, engine, model
 from popmatch.auxgraph import build_aux
 from popmatch.engine import Graph
@@ -266,12 +266,12 @@ def test_instance_holds_the_seven_read_only_arrays(two_triangles_pendants):
 
 def test_graph_views_its_neighbor_buffer():
     g = Graph.from_edges(4, [(0, 1), (2, 1), (3, 0)])
-    src, dst = g.edge_arrays()
+    src, dst = edge_arrays(g)
     assert np.shares_memory(dst, np.frombuffer(g.nbr, dtype=dst.dtype))
     assert not dst.flags.writeable and src.dtype == dst.dtype == np.int32
     for n in (0, 3):
         g = Graph.from_edges(n, [])
-        src, dst = g.edge_arrays()
+        src, dst = edge_arrays(g)
         assert (src.size, dst.size, list(g.off), g.edge_count()) == (0, 0, [0] * (n + 1), 0)
     empty = RoommatesInstance(())
     assert empty.m == 0 and set(empty._arrays) == {"off", "dv", "keys", "eu", "ev", "pu", "pv"}
@@ -321,7 +321,7 @@ def test_arrays_fit_the_memory_budget():
     assert sum(a.nbytes for a in arrays) <= 32 * e + 8 * (n + 1)
     aux = build_aux(inst, random_maximal_matching(inst, seed=1))
     k = aux.graph.n
-    src, dst = aux.graph.edge_arrays()
+    src, dst = edge_arrays(aux.graph)
     edges = np.column_stack((src, dst))
     tracemalloc.start()
     try:

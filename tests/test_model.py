@@ -43,7 +43,7 @@ from conftest import (
     TWO_TRIANGLES_PENDANTS,
     TWO_TRIANGLES_PENDANTS_M,
 )
-from helpers import analysis_cases, gadget_cases, random_instance
+from helpers import analysis_cases, edge_list, gadget_cases, random_instance
 from test_index_arrays import N, _placed
 
 
@@ -163,7 +163,6 @@ def test_matching_validation(triangle_pendant):
         Matching.from_pairs(inst, [(0, 1), (1, 3)])
     with pytest.raises(ValueError, match="disagree"):
         Matching((1, 2, None, None))
-    assert Matching.from_partner_list([1, 0, -1, None]).pairs() == ((0, 1),)
     with pytest.raises(ValueError, match="size does not fit"):
         check_matching(inst, Matching.empty(3))
 
@@ -184,6 +183,44 @@ def test_matching_validation(triangle_pendant):
 def test_matching_partner_errors(partner, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Matching(partner)
+
+
+# `_of` takes an int64 partner array over; an entry it names must read as
+# the int it is, not as numpy's scalar repr
+@pytest.mark.parametrize(
+    "partner, message",
+    [
+        ([1, 0, -2], "partner entry 2 -> -2 is out of range"),
+        ([0, -1], "partner entry 0 -> 0 is out of range"),
+        ([1, 2, 0], "partner entries 0 and 1 disagree"),
+    ],
+)
+def test_partner_array_errors(partner, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Matching._of(np.array(partner, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Matching(np.array(partner, dtype=np.int64))
+
+
+def test_reprs_and_constructor_forms():
+    assert repr(Matching((1, 0, None))) == "Matching(partner=(1, 0, None))"
+    half = HalfIntegralMatching([(1, 0)], [5], [(4, 2, 3)])
+    assert repr(half) == (
+        "HalfIntegralMatching(ones=((0, 1),), loop_ones=(5,), half_cycles=((2, 3, 4),))"
+    )
+    w = DualWitness((0, 1, -1), [{2, 1, 0}])
+    assert repr(w) == "DualWitness(alpha=(0, 1, -1), two_sets=(frozenset({0, 1, 2}),))"
+    csr = (np.array([0, 3]), np.array([0, 1, 2]))
+    message = "^HalfIntegralMatching takes either half_cycles or csr$"
+    with pytest.raises(TypeError, match=message):
+        HalfIntegralMatching((), ())
+    with pytest.raises(TypeError, match=message):
+        HalfIntegralMatching((), (), (), csr=csr)
+    message = "^DualWitness takes either two_sets or csr$"
+    with pytest.raises(TypeError, match=message):
+        DualWitness(())
+    with pytest.raises(TypeError, match=message):
+        DualWitness((), (), csr=csr)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +351,7 @@ def test_aux_graph_drops_losing_edges():
     # the matched pairs survive as auxiliary edges, the two -2 edges do not
     aux = build_aux(TOP_PAIRS, TOP_PAIRS_M)
     assert aux.u_id == -1 and aux.seeds == range(0)
-    assert sorted(aux.graph.edges()) == [(0, 1), (2, 3)]
+    assert sorted(edge_list(aux.graph)) == [(0, 1), (2, 3)]
     assert 2 not in aux.graph.neighbors(0) and 3 not in aux.graph.neighbors(1)
 
 

@@ -6,14 +6,9 @@ from popmatch.model import (
     RoommatesInstance,
     fractional_value_times_two,
 )
-from popmatch.oracle import (
-    OracleLimitError,
-    brute_fractional_popular,
-    brute_gallai_edmonds,
-    brute_max_matching_size,
-    brute_popular,
-    enumerate_matchings,
-)
+from popmatch.oracle import OracleLimitError, brute_fractional_popular, brute_popular
+
+from helpers import brute_gallai_edmonds, brute_max_matching_size, enumerate_matchings
 
 K4 = RoommatesInstance(tuple(tuple(x for x in range(4) if x != v) for v in range(4)))
 

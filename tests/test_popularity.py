@@ -21,7 +21,7 @@ from popmatch.model import (
     blocking_edges,
     delta,
 )
-from popmatch.oracle import brute_popular, enumerate_matchings
+from popmatch.oracle import brute_popular
 from popmatch.popularity import (
     CYCLE,
     PATH_TO_UNMATCHED,
@@ -36,6 +36,7 @@ from popmatch.popularity import (
     _reached_big_pieces,
     build_dual_witness,
     check_blocking_structure,
+    extract_blocking_structure,
     is_popular,
     more_popular_matching,
     witness_violation,
@@ -44,10 +45,18 @@ from popmatch.popularity import (
 from conftest import (
     TRIANGLE_PENDANT,
     TRIANGLE_PENDANT_M,
+    TWO_TRIANGLES,
+    TWO_TRIANGLES_M,
     TWO_TRIANGLES_PENDANTS,
     TWO_TRIANGLES_PENDANTS_M,
 )
-from helpers import analysis_cases, partner_first_instance, random_instance, tiled
+from helpers import (
+    analysis_cases,
+    enumerate_matchings,
+    partner_first_instance,
+    random_instance,
+    tiled,
+)
 
 
 def test_unpopular_two_triangles_pendants(two_triangles_pendants):
@@ -302,6 +311,7 @@ def test_decides_name_a_pair_that_is_no_edge():
 
 UNPOPULAR = (TWO_TRIANGLES_PENDANTS, TWO_TRIANGLES_PENDANTS_M)
 NOT_FRACTIONAL = (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M)
+PATH_INTO_CYCLE = (TWO_TRIANGLES, TWO_TRIANGLES_M)
 
 
 # a builder the decide calls is swapped for wrong(raw, m), raw being the
@@ -340,10 +350,15 @@ NOT_FRACTIONAL = (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M)
             lambda raw, m: lambda inst, m_, s: fractional.half_from_matching(inst, m),
             "fractional structure scores 0, expected 2",
         ),
+        (
+            is_fractional_popular, PATH_INTO_CYCLE, fractional, "even_path_from_roots",
+            lambda raw, m: lambda *a: None,
+            "cycle root unreachable outside its component",
+        ),
     ],
     ids=[
         "blocking-kind", "switch-margin", "lift-score",
-        "structure-middle", "half-cover", "structure-score",
+        "structure-middle", "half-cover", "structure-score", "cycle-root-path",
     ],
 )
 def test_decide_self_checks_raise(monkeypatch, decide, case, module, name, wrong, message):
@@ -351,3 +366,18 @@ def test_decide_self_checks_raise(monkeypatch, decide, case, module, name, wrong
     monkeypatch.setattr(module, name, wrong(getattr(module, name), m))
     with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
         decide(inst, m)
+
+
+def test_blocking_structure_extraction_guards():
+    # hand-built paths over the auxiliary graph: the star node of middle 3
+    # (leaves 4 and 5) and the matched pair 4-5 between
+    inst, m = UNPOPULAR
+    aux = build_aux(inst, m)
+    star = int(np.flatnonzero(aux.kind == KIND_STAR)[0])
+    for path, message in (
+        ((star,), "augmenting path too short"),
+        ((star, star), "augmenting path between blocking nodes has no matched interior"),
+        ((star, 4, 5, star), "both path endpoints are pinned to one blocking partner"),
+    ):
+        with pytest.raises(InternalError, match=f"^{message}$"):
+            extract_blocking_structure(inst, m, aux, path)
