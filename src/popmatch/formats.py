@@ -60,7 +60,9 @@ class ParseError(ValueError):
 # text into tokens, bad ones included, and finds the first token outside
 # the grammar; the parsers raise every error from those arrays. A byte
 # outside the grammar, a `\r` that ends no line included, belongs to the
-# token that holds it.
+# token that holds it. A text of digits, spaces and \n alone whose tokens
+# have at most 4 bytes each reads its values as 32-bit words (`_short_values`);
+# any other text goes to np.fromstring.
 _OTHER, _DIGIT, _MINUS, _BLANK, _NEWLINE, _CR, _HASH = range(7)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
@@ -122,7 +124,9 @@ def _token_edges(pad: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class _Tokens:
     data: bytes
-    values: np.ndarray  # per token before bad; beyond int64 reads as int64 max
+    # per token before bad: int32 when `_short_values` read them, else int64,
+    # where a token beyond int64 reads as int64 max
+    values: np.ndarray
     count: int  # the number of tokens
     newlines: np.ndarray  # byte offset of each line end
     per_line: np.ndarray  # token count of each line
@@ -179,6 +183,40 @@ def _sign_digits(tok: bytes) -> tuple:
     return neg, tok[neg:].lstrip(b"0")
 
 
+def _short_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The int32 values of [0-9]+ tokens of data, or None if one has more than 4 bytes.
+
+    Each token's little-endian word, shifted left until its last digit is
+    the top byte and masked from ASCII to digit values, holds its digits
+    with zero bytes, read as leading zeros, below them. Two
+    multiply-shift-mask rounds join the four digits of every word: into
+    two-digit pairs in bytes 0 and 2, then into one value.
+    """
+    if ends[0] - starts[0] > 4 or ends[-1] - starts[-1] > 4:  # spares most long-id texts a pass
+        return None
+    size = np.subtract(ends, starts, dtype=np.uint32, casting="unsafe")
+    if size.max() > 4:
+        return None
+    # a token that starts in the last 3 bytes has no whole word in data
+    cut = int(np.searchsorted(starts, len(data) - 3))
+    words = np.ndarray(max(len(data) - 3, 0), dtype="<u4", buffer=data, strides=(1,))
+    w = words[starts[:cut]]  # np.take would copy the strided starts
+    w.resize(len(starts), refcheck=False)  # zeros for the tail tokens, read below
+    size <<= 3
+    np.subtract(32, size, out=size)  # the bits past the token's end
+    w <<= size
+    w &= 0x0F0F0F0F
+    w *= 10 << 8 | 1
+    w >>= 8
+    w &= 0x00FF00FF
+    w *= 100 << 16 | 1
+    w >>= 16
+    values = w.view("<i4")
+    for k in range(cut, len(starts)):
+        values[k] = int(data[starts[k] : ends[k]])
+    return values
+
+
 def _tokenize(text: str | bytes) -> _Tokens:
     """Token arrays of text, or of its UTF-8 bytes."""
     data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
@@ -200,8 +238,12 @@ def _tokenize(text: str | bytes) -> _Tokens:
             wrong[starts] = False if other is None else other[starts]
             bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
     good = starts.size if bad < 0 else bad  # the tokens read as values
-    values = np.zeros(0, dtype=np.int64)
-    if good:
+    values = None
+    if good and cls is None and not minuses:  # every token is [0-9]+
+        values = _short_values(data, starts, ends)
+    if values is None:
+        values = np.zeros(0, dtype=np.int64)
+    if good and not values.size:  # a token is long or not [0-9]+
         source = data  # ASCII before bad: every byte outside comments passed the classes
         if commented.size:
             source = np.where(pad[1:-1], b, np.uint8(ord(" "))).tobytes()

@@ -123,9 +123,12 @@ def _csr(groups) -> tuple:
 
 
 def _csr_arrays(off, values) -> tuple:
-    """(off, values) read with `_int_array`; ValueError unless off is one-dimensional
-    and runs from 0 to len(values), non-decreasing."""
-    off, values = _int_array(off), _int_array(values)
+    """(off, values) read with `_int_array`, an int32 or int64 values array kept
+    in its dtype; ValueError unless off is one-dimensional and runs from 0 to
+    len(values), non-decreasing."""
+    off = _int_array(off)
+    if not (isinstance(values, np.ndarray) and values.dtype in (np.int32, np.int64)):
+        values = _int_array(values)
     if (
         off.ndim != 1 or values.ndim != 1 or not off.size or off[0] != 0
         or off[-1] != values.size or (np.diff(off) < 0).any()
@@ -178,11 +181,15 @@ class _Frozen:
         return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._STATE)
 
     def __hash__(self):
-        # an object array holds a value beyond int64, so never equals an int64 one
+        # an object array holds a value beyond int64, so never equals an int64
+        # one; int32 hashes as int64, as equal int32 and int64 arrays are equal
         parts = []
         for k in self._STATE:
             a = getattr(self, k)
-            parts.append(tuple(a.ravel().tolist()) if a.dtype == object else a.tobytes())
+            parts.append(
+                tuple(a.ravel().tolist()) if a.dtype == object
+                else a.astype(np.int64, copy=False).tobytes()
+            )
         return hash(tuple(parts))
 
 
@@ -194,8 +201,8 @@ class RoommatesInstance(_Frozen):
     dv[off[v]:off[v + 1]]. Both hold the index dtype, `index_dtype(n,
     2|E|)`, chosen once here. Build from rows, `RoommatesInstance(pref)`,
     or from arrays, `RoommatesInstance(csr=(off, dv))`; arrays given are
-    converted to the index dtype, so they are copied unless they already
-    hold it. `pref`, `rank` and `edges` are views built on first use.
+    copied into the index dtype. `pref`, `rank` and `edges` are views
+    built on first use.
     Raises PreferenceError for rows that break the instance rules.
     """
 
@@ -258,7 +265,8 @@ class RoommatesInstance(_Frozen):
 
 
 def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
-    """The instance arrays of int64 CSR rows, read-only; PreferenceError if a row is bad.
+    """The instance arrays of CSR rows, int64 offsets and int32 or int64 ids, read-only
+    and owning their memory; PreferenceError if a row is bad.
 
     They are off, dv, and per undirected edge: `keys`, the int64 keys
     lo * n + hi in ascending order; eu/ev, its two ends; pu/pv, the
@@ -275,10 +283,11 @@ def _validated(off: np.ndarray, dv: np.ndarray) -> dict:
     total = len(dv)
     idx = index_dtype(n, total)
     du = np.repeat(np.arange(n, dtype=idx), np.diff(off))
-    if total and (dv.min() < 0 or dv.max() >= n or bool((dv == du).any())):
+    # one unsigned pass: a negative id reads as beyond every n. A self entry
+    # finds no reverse key, so the pairing check below refuses it
+    if total and dv.view(np.dtype(f"u{dv.itemsize}")).max() >= n:
         raise _first_defect(du, dv, n)
-    off = off.astype(idx, copy=False)
-    dv = dv.astype(idx, copy=False)
+    off, dv = off.astype(idx), dv.astype(idx)  # copies: the instance owns them
     # (lo * n + hi) * 2 + (du > dv), built in int64 and in place: the low
     # bit tells the two directions apart, so valid keys are distinct
     key2 = np.maximum(du, dv, dtype=np.int64)

@@ -7,8 +7,31 @@ from popmatch.model import Matching, RoommatesInstance
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
 # example database, so a hypothesis test cannot pass or fail by chance in CI.
+# HYPOTHESIS_PROFILE=deep is ci with DEEP_EXAMPLES examples per hypothesis
+# test, also for a test whose @settings names fewer; CI runs the parser
+# tests under it.
+DEEP_EXAMPLES = 2000
 settings.register_profile("ci", derandomize=True, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("deep", settings.get_profile("ci"), max_examples=DEEP_EXAMPLES)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items):
+    if PROFILE != "deep":
+        return
+    for item in items:
+        test = getattr(item, "obj", None)
+        if not hasattr(test, "hypothesis"):  # not a @given test
+            continue
+        # a test's own settings outrank the profile; hypothesis reads them
+        # from this attribute when the test runs
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None:
+            raise pytest.UsageError(f"cannot raise the examples of {item.nodeid}")
+        if own.max_examples < DEEP_EXAMPLES:
+            test._hypothesis_internal_use_settings = settings(own, max_examples=DEEP_EXAMPLES)
+
 
 # Two triangles {a,b,c} and {d,e,f} bridged by c-d, with pendant g on d
 # and pendant h on f.  The tested matching {ab, cd, ef} loses: its three

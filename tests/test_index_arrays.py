@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import test_certificate_digest
 from helpers import analysis_cases, edge_arrays, gadget_cases
-from popmatch import auxgraph, engine, model
+from popmatch import auxgraph, engine, formats, model
 from popmatch.auxgraph import build_aux
 from popmatch.engine import Graph
 from popmatch.formats import (
+    ParseError,
     parse_instance,
     result_to_document,
     serialize_instance,
@@ -40,7 +41,7 @@ from popmatch.model import (
     edge_weight,
     index_dtype,
 )
-from popmatch.popularity import Popular, Unpopular, is_popular
+from popmatch.popularity import DualWitness, Popular, Unpopular, is_popular
 
 from conftest import (
     TRIANGLE_PENDANT,
@@ -178,6 +179,39 @@ def test_both_pairings_name_the_same_bad_entry(pref, refusal):
     assert _pairing(True, pref=pref) == _pairing(False, pref=pref) == refusal
 
 
+# A self entry finds no reverse key, so only the pairing check refuses it
+# unless an entry out of range comes first; the entry named must not change.
+SELF_ENTRIES = [
+    (((0, 1), (0,)), ("self", 0, 0, 0), "line 2: node 0 lists itself"),  # first of its row
+    (((1, 2), (0, 2), (0, 1, 2)), ("self", 6, 2, 2), "line 4: node 2 lists itself"),  # the last
+    (((1,), (0,), (2,)), ("self", 2, 2, 2), "line 4: node 2 lists itself"),  # alone in its row
+    (((1,), (0, 1, 1)), ("self", 2, 1, 1), "line 3: node 1 lists itself"),  # twice
+    (((), (1, 1)), ("self", 0, 1, 1), "line 3: node 1 lists itself"),  # twice, alone
+    (((0,),), ("self", 0, 0, 0), "line 2: node 0 lists itself"),  # the only entry
+    (((1, 0), (1, 0)), ("self", 1, 0, 0), "line 2: node 0 lists itself"),  # every edge paired
+    (((0, 1, 1), (0,)), ("self", 0, 0, 0), "line 2: node 0 lists itself"),  # before a repeat
+    (((1, 1, 0), (0,)), ("twice", 1, 0, 1), "line 2: node 0 lists 1 twice"),  # after one
+    (((0, 1, 2), (0,), ()), ("self", 0, 0, 0), "line 2: node 0 lists itself"),  # before a one-sided
+    (((2, 1, 0), (0,), ()), ("self", 2, 0, 0), "line 2: node 0 lists itself"),  # after one
+    (((0, 1), (5, 0)), ("self", 0, 0, 0), "line 2: node 0 lists itself"),  # before a range entry
+    (((1, 5), (0, 1)), ("range", 1, 0, 5), "line 2: node 0 lists 5, out of range"),  # after one
+]
+
+
+@pytest.mark.parametrize("pref, refusal, message", SELF_ENTRIES)
+def test_self_entries_are_named_by_the_pairing_check(pref, refusal, message):
+    off = np.cumsum([0] + [len(row) for row in pref])
+    flat = [v for row in pref for v in row]
+    for packs in (True, False):
+        assert _pairing(packs, pref=pref) == refusal
+        for dtype in (np.int32, np.int64):
+            assert _pairing(packs, csr=(off, np.array(flat, dtype=dtype))) == refusal
+    text = f"{len(pref)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in pref)
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
 def test_both_pairings_build_the_same_arrays(monkeypatch):
     gadgets = [(TWO_TRIANGLES, TWO_TRIANGLES_M), (TRIANGLE_PENDANT, TRIANGLE_PENDANT_M)]
     corpus = [inst for inst, _ in analysis_cases() + tuple(gadget_cases(20, 5, gadgets))]
@@ -219,6 +253,47 @@ def preference_rows(draw):
 @given(preference_rows())
 def test_drawn_rows_pair_alike(rows):
     _assert_same_pairing(pref=rows)
+
+
+def test_int32_ids_build_the_instance_of_int64_ids(monkeypatch):
+    corpus = [inst for inst, _ in analysis_cases()]
+    corpus += [_placed(TWO_TRIANGLES_PENDANTS, N - TWO_TRIANGLES_PENDANTS.n)]
+    for inst in corpus:
+        off, dv = inst.off.astype(np.int64), inst.dv.astype(np.int64)
+        wide = RoommatesInstance(csr=(off, dv))
+        narrow = RoommatesInstance(csr=(off, dv.astype(np.int32)))
+        assert narrow._arrays.keys() == wide._arrays.keys()
+        for k, a in narrow._arrays.items():
+            b = wide._arrays[k]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        assert narrow == wide and hash(narrow) == hash(wide)
+    # the ids given are copied, never frozen in place, in either index dtype
+    off, dv = TWO_TRIANGLES.off.astype(np.int64), TWO_TRIANGLES.dv.astype(np.int64)
+    for wide in (False, True):
+        with monkeypatch.context() as patch:
+            if wide:
+                patch.setattr(model, "index_dtype", lambda n, entries: np.int64)
+            inst = RoommatesInstance(csr=(off, dv))
+        assert dv.flags.writeable and off.flags.writeable
+        assert not any(np.shares_memory(a, x) for a in inst._arrays.values() for x in (off, dv))
+    # an instance parsed through the word path views none of the token values
+    tokenize, seen = formats._tokenize, []
+
+    def recording(text):
+        seen.append(tokenize(text))
+        return seen[-1]
+
+    monkeypatch.setattr(formats, "_tokenize", recording)
+    inst = parse_instance(serialize_instance(generate_instance(60, "gnp", 0.3, seed=2)))
+    (t,) = seen
+    assert t.values.dtype == np.int32
+    for k, a in inst._arrays.items():
+        assert a.base is None and not np.shares_memory(a, t.values), k
+    # a witness of int32 set nodes equals and hashes as one of int64 nodes
+    sets = (np.array([0, 3]), np.array([4, 3, 5]))
+    w32 = DualWitness(np.zeros(6, dtype=np.int64), csr=(sets[0], sets[1].astype(np.int32)))
+    w64 = DualWitness(np.zeros(6, dtype=np.int64), csr=sets)
+    assert w32.set_nodes.dtype == np.int32 and w32 == w64 and hash(w32) == hash(w64)
 
 
 def test_int64_index_arrays_decide_alike(monkeypatch):

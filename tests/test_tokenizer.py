@@ -2,10 +2,13 @@
 
 `formats._tokenize` classes bytes only when the text holds more than
 digits, `-`, spaces and line ends, and finds token offsets again only
-when a message needs them. Every field the parsers read must equal the
-reference's, from text and from its UTF-8 bytes alike.
+when a message needs them. A text of digits, spaces and line ends alone,
+with no token over 4 bytes, has its values read as 32-bit words. Every
+field the parsers read must equal the reference's, from text and from
+its UTF-8 bytes alike.
 """
 
+import itertools
 import sys
 import tracemalloc
 
@@ -32,6 +35,13 @@ LONG_TOKENS = st.integers(19, 23).flatmap(
 TEXTS = st.lists(st.one_of(st.sampled_from(ALPHABET), LONG_TOKENS), max_size=30).map("".join)
 
 
+def word_path(text: str) -> bool:
+    """Whether `_tokenize` reads the values of text as 32-bit words: it holds
+    digits, spaces and line ends alone, a token, and no token over 4 bytes."""
+    tokens = text.split()
+    return set(text) <= set("0123456789 \n") and bool(tokens) and max(map(len, tokens)) <= 4
+
+
 def assert_same_tokens(text):
     ref = reference_tokenize(text)
     for source in (text, text.encode("utf-8", "surrogatepass")):
@@ -46,7 +56,7 @@ def assert_same_tokens(text):
         np.testing.assert_array_equal(t.comment_only, ref.comment_only)
         if ref.bad < 0:
             np.testing.assert_array_equal(t.values, ref.values)
-            assert t.values.dtype == np.int64
+            assert t.values.dtype == (np.int32 if word_path(text) else np.int64)
             exact = [int(ref.data[a:b]) for a, b in zip(ref.starts, ref.ends)]
             assert [t.exact(k) for k in range(t.count)] == exact
         else:
@@ -85,6 +95,56 @@ def test_fixed_texts_match_the_reference(text):
 @settings(max_examples=400, deadline=None)
 def test_random_texts_match_the_reference(text):
     assert_same_tokens(text)
+
+
+# leading zeros, runs of spaces, blank lines; a token may sit at byte 0 or
+# end the text with no final \n
+SHORT_TOKENS = st.text("0123456789", min_size=1, max_size=4)
+GAPS = st.text(" \n", min_size=1, max_size=4)
+
+
+@st.composite
+def word_texts(draw):
+    """Plain texts whose tokens have 1-4 bytes each."""
+    tokens = draw(st.lists(SHORT_TOKENS, min_size=1, max_size=25))
+    gaps = draw(st.lists(GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    gaps[0] = draw(st.sampled_from(["", gaps[0]]))
+    gaps[-1] = draw(st.sampled_from(["", gaps[-1]]))
+    return "".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+
+
+@given(word_texts())
+@settings(max_examples=400, deadline=None)
+def test_word_path_matches_the_reference(text):
+    assert word_path(text)
+    assert_same_tokens(text)
+
+
+def test_texts_of_1_to_4_bytes_match_the_reference():
+    # every text of up to 4 bytes over two digits, a space and a line end:
+    # tokens that start in the last 3 bytes have no whole word in the text
+    for size in range(1, 5):
+        for chars in itertools.product("07 \n", repeat=size):
+            assert_same_tokens("".join(chars))
+
+
+@pytest.mark.parametrize(
+    "text, dtype",
+    [
+        ("9999", np.int32),
+        ("0 9999\n0000", np.int32),
+        ("10000", np.int64),  # 5 bytes
+        ("00001 2", np.int64),  # 5 bytes, leading zeros included
+        ("1 10000 2\n", np.int64),  # neither the first token nor the last
+        ("1\n2 123456789\n3 4", np.int64),
+        ("-999", np.int64),  # a `-`
+        ("1\t2", np.int64),  # a tab: not a plain text
+        (" \n", np.int64),  # no token
+    ],
+)
+def test_word_path_boundary(text, dtype):
+    assert_same_tokens(text)
+    assert _tokenize(text).values.dtype == dtype
 
 
 # int() refuses a decimal string longer than the limit (0: no limit); a
@@ -126,9 +186,9 @@ def test_matching_names_a_token_past_the_int_string_limit(triangle_pendant):
 
 
 def test_parse_peak_memory():
-    # 89,776 edges in 685,282 bytes of text. The parse peaks at 20.96
-    # times the text size from str and 19.96 times from bytes (numpy 2.4);
-    # the bound adds a margin
+    # 89,776 edges in 685,282 bytes of text, read as 32-bit words. The
+    # parse peaks at 10.0 times the text size from str and 9.0 times from
+    # bytes (numpy 2.4); the bound adds a margin
     text = serialize_instance(generate_instance(600, "gnp", 0.5, seed=3))
     for source in (text, text.encode()):
         tracemalloc.start()
