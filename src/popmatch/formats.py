@@ -61,8 +61,9 @@ class ParseError(ValueError):
 # the grammar; the parsers raise every error from those arrays. A byte
 # outside the grammar, a `\r` that ends no line included, belongs to the
 # token that holds it. A text of digits, spaces and \n alone whose tokens
-# have at most 4 bytes each reads its values as 32-bit words (`_short_values`);
-# any other text goes to np.fromstring.
+# have at most 8 bytes each reads its values as words (`_short_values`):
+# 32-bit words when no token has more than 4 bytes, 64-bit words otherwise.
+# Any other text goes to np.fromstring.
 _OTHER, _DIGIT, _MINUS, _BLANK, _NEWLINE, _CR, _HASH = range(7)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
@@ -79,17 +80,17 @@ def _token_mask(b: np.ndarray, newlines: np.ndarray) -> tuple:
     """(pad, cls, commented) of the text bytes b, whose line ends are newlines.
 
     pad marks the token bytes, with one non-token byte added at each end.
-    cls is None when b holds only digits, `-`, spaces and `\n`: then the
-    token bytes are those above a space. Otherwise cls holds the byte
-    classes with comments blanked and each `\r` resolved, and commented
-    the lines that hold a comment.
+    cls is None when b holds only digits, spaces and `\n`: then the token
+    bytes are those above a space. Otherwise cls holds the byte classes
+    with comments blanked and each `\r` resolved, and commented the lines
+    that hold a comment.
     """
     pad = np.zeros(b.size + 2, dtype=bool)
     tok = pad[1:-1]
     if not b.size or (
         b.max() <= ord("9")
-        and np.count_nonzero(b >= ord("0")) + np.count_nonzero(b == ord("-"))
-        + np.count_nonzero(b == ord(" ")) + newlines.size == b.size
+        and np.count_nonzero(b >= ord("0")) + np.count_nonzero(b == ord(" ")) + newlines.size
+        == b.size
     ):
         np.greater(b, ord(" "), out=tok)
         return pad, None, _NO_LINES
@@ -124,8 +125,8 @@ def _token_edges(pad: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class _Tokens:
     data: bytes
-    # per token before bad: int32 when `_short_values` read them, else int64,
-    # where a token beyond int64 reads as int64 max
+    # per token before bad: int32 when `_short_values` read them as 32- or
+    # 64-bit words, else int64, where a token beyond int64 reads as int64 max
     values: np.ndarray
     count: int  # the number of tokens
     newlines: np.ndarray  # byte offset of each line end
@@ -183,38 +184,68 @@ def _sign_digits(tok: bytes) -> tuple:
     return neg, tok[neg:].lstrip(b"0")
 
 
-def _short_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The int32 values of [0-9]+ tokens of data, or None if one has more than 4 bytes.
+# One multiply-shift-mask round of `_short_values` per row: the mask that
+# keeps each group of digits, the multiplier that adds each group times its
+# power of ten into the group above it, and the shift that moves the sums
+# down into groups of twice the width. 4-byte words run the first two rounds,
+# their masks cut to 32 bits, and 8-byte words all three.
+_ROUNDS = (
+    (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+    (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+    (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32),
+)
 
-    Each token's little-endian word, shifted left until its last digit is
-    the top byte and masked from ASCII to digit values, holds its digits
-    with zero bytes, read as leading zeros, below them. Two
-    multiply-shift-mask rounds join the four digits of every word: into
-    two-digit pairs in bytes 0 and 2, then into one value.
+
+def _short_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The int32 values of [0-9]+ tokens of data, or None if one has more than 8 bytes.
+
+    Each token is read as one little-endian word, 4 bytes wide when no
+    token has more than 4 and 8 bytes otherwise. Shifted left until the
+    token's last digit is the top byte and masked from ASCII to digit
+    values, the word holds its digits with zero bytes, read as leading
+    zeros, below them. The rounds of `_ROUNDS` join the digits into pairs,
+    the pairs into fours and, in 8-byte words, the fours into one value of
+    at most 99,999,999.
     """
-    if ends[0] - starts[0] > 4 or ends[-1] - starts[-1] > 4:  # spares most long-id texts a pass
-        return None
     size = np.subtract(ends, starts, dtype=np.uint32, casting="unsafe")
-    if size.max() > 4:
+    longest = int(size.max())
+    if longest > 8:
         return None
-    # a token that starts in the last 3 bytes has no whole word in data
-    cut = int(np.searchsorted(starts, len(data) - 3))
-    words = np.ndarray(max(len(data) - 3, 0), dtype="<u4", buffer=data, strides=(1,))
+    width = 4 if longest <= 4 else 8
+    word = np.dtype(f"<u{width}")
+    # a token that starts in the last width - 1 bytes has no whole word in data
+    cut = int(np.searchsorted(starts, len(data) - width + 1))
+    words = np.ndarray(max(len(data) - width + 1, 0), dtype=word, buffer=data, strides=(1,))
     w = words[starts[:cut]]  # np.take would copy the strided starts
     w.resize(len(starts), refcheck=False)  # zeros for the tail tokens, read below
     size <<= 3
-    np.subtract(32, size, out=size)  # the bits past the token's end
-    w <<= size
-    w &= 0x0F0F0F0F
-    w *= 10 << 8 | 1
-    w >>= 8
-    w &= 0x00FF00FF
-    w *= 100 << 16 | 1
-    w >>= 16
-    values = w.view("<i4")
+    np.subtract(8 * width, size, out=size)  # the bits past the token's end
+    w <<= size  # the ufunc casts the uint32 shifts as it goes
+    top = np.iinfo(word).max
+    rounds = _ROUNDS[: width // 4 + 1]
+    for k, (mask, mult, shift) in enumerate(rounds, 1):
+        w &= word.type(mask & top)
+        w *= word.type(mult)
+        # the last shift leaves the values, which fit 32 bits, in size's buffer
+        np.right_shift(w, word.type(shift), out=size if k == len(rounds) else w, casting="unsafe")
+    values = size.view(np.int32)
     for k in range(cut, len(starts)):
         values[k] = int(data[starts[k] : ends[k]])
     return values
+
+
+def _first_bad(cls: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int:
+    """The first token of a classed text that is not -?[0-9]+, or -1: one that
+    holds another byte or a `-` past its start, or a lone `-`."""
+    minus = cls == _MINUS
+    other = cls == _OTHER
+    neg = minus[starts]
+    lone = neg & (ends - starts < 2)
+    if not (other.any() or np.count_nonzero(neg) != np.count_nonzero(minus) or lone.any()):
+        return -1
+    wrong = other | minus
+    wrong[starts] = other[starts]
+    return int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
 
 
 def _tokenize(text: str | bytes) -> _Tokens:
@@ -225,21 +256,10 @@ def _tokenize(text: str | bytes) -> _Tokens:
     lines = len(newlines) + (not data.endswith(b"\n") and bool(data))
     pad, cls, commented = _token_mask(b, newlines)
     starts, ends = _token_edges(pad)
-    minus = b == ord("-") if cls is None else cls == _MINUS
-    other = None if cls is None else cls == _OTHER
-    bad = -1
-    minuses = np.count_nonzero(minus)
-    if minuses or other is not None:
-        neg = minus[starts]
-        lone = neg & (ends - starts < 2)
-        if (other is not None and other.any()) or np.count_nonzero(neg) != minuses or lone.any():
-            # the first token holding another byte or a `-` past its start, or a lone `-`
-            wrong = minus if other is None else other | minus
-            wrong[starts] = False if other is None else other[starts]
-            bad = int(np.argmax(np.logical_or.reduceat(wrong, starts) | lone))
+    bad = -1 if cls is None else _first_bad(cls, starts, ends)
     good = starts.size if bad < 0 else bad  # the tokens read as values
     values = None
-    if good and cls is None and not minuses:  # every token is [0-9]+
+    if good and cls is None:  # every token is [0-9]+
         values = _short_values(data, starts, ends)
     if values is None:
         values = np.zeros(0, dtype=np.int64)

@@ -1,11 +1,12 @@
 """The array tokenizer against the byte-class tokenizer it replaced.
 
 `formats._tokenize` classes bytes only when the text holds more than
-digits, `-`, spaces and line ends, and finds token offsets again only
-when a message needs them. A text of digits, spaces and line ends alone,
-with no token over 4 bytes, has its values read as 32-bit words. Every
-field the parsers read must equal the reference's, from text and from
-its UTF-8 bytes alike.
+digits, spaces and line ends, and finds token offsets again only when a
+message needs them. A text of digits, spaces and line ends alone, with no
+token over 8 bytes, has its values read as 32-bit words when no token
+has more than 4 bytes and as 64-bit words otherwise. Every field the
+parsers read must equal the reference's, from text and from its UTF-8
+bytes alike.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from popmatch.formats import (
     parse_matching,
     serialize_instance,
 )
-from popmatch.generator import generate_instance
+from popmatch.generator import generate_instance, unpopular_path
 from test_grammar import ALPHABET
 
 # tokens beyond int64 and just inside it
@@ -36,10 +37,10 @@ TEXTS = st.lists(st.one_of(st.sampled_from(ALPHABET), LONG_TOKENS), max_size=30)
 
 
 def word_path(text: str) -> bool:
-    """Whether `_tokenize` reads the values of text as 32-bit words: it holds
-    digits, spaces and line ends alone, a token, and no token over 4 bytes."""
+    """Whether `_tokenize` reads the values of text as words, into int32: it
+    holds digits, spaces and line ends alone, a token, and no token over 8 bytes."""
     tokens = text.split()
-    return set(text) <= set("0123456789 \n") and bool(tokens) and max(map(len, tokens)) <= 4
+    return set(text) <= set("0123456789 \n") and bool(tokens) and max(map(len, tokens)) <= 8
 
 
 def assert_same_tokens(text):
@@ -99,13 +100,13 @@ def test_random_texts_match_the_reference(text):
 
 # leading zeros, runs of spaces, blank lines; a token may sit at byte 0 or
 # end the text with no final \n
-SHORT_TOKENS = st.text("0123456789", min_size=1, max_size=4)
+SHORT_TOKENS = st.text("0123456789", min_size=1, max_size=8)
 GAPS = st.text(" \n", min_size=1, max_size=4)
 
 
 @st.composite
 def word_texts(draw):
-    """Plain texts whose tokens have 1-4 bytes each."""
+    """Plain texts whose tokens have 1-8 bytes each."""
     tokens = draw(st.lists(SHORT_TOKENS, min_size=1, max_size=25))
     gaps = draw(st.lists(GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     gaps[0] = draw(st.sampled_from(["", gaps[0]]))
@@ -128,14 +129,33 @@ def test_texts_of_1_to_4_bytes_match_the_reference():
             assert_same_tokens("".join(chars))
 
 
+def test_texts_with_a_64_bit_word_match_the_reference():
+    # every text with a token of 5 bytes or more, read as 64-bit words: of
+    # 5 to 9 bytes over a digit, a space and a line end, where tokens that
+    # start in the last 7 bytes have no whole word in the text; then, for
+    # leading zeros, of 5 to 8 bytes over two digits and a space
+    for alphabet, sizes in (("7 \n", range(5, 10)), ("07 ", range(5, 9))):
+        for size in sizes:
+            for chars in itertools.product(alphabet, repeat=size):
+                text = "".join(chars)
+                if max(map(len, text.split()), default=0) >= 5:
+                    assert_same_tokens(text)
+
+
 @pytest.mark.parametrize(
     "text, dtype",
     [
         ("9999", np.int32),
         ("0 9999\n0000", np.int32),
-        ("10000", np.int64),  # 5 bytes
-        ("00001 2", np.int64),  # 5 bytes, leading zeros included
-        ("1 10000 2\n", np.int64),  # neither the first token nor the last
+        ("10000", np.int32),  # 5 bytes: 64-bit words
+        ("00001 2", np.int32),  # 5 bytes, leading zeros included
+        ("1 10000 2\n", np.int32),  # neither the first token nor the last
+        ("99999999", np.int32),  # the largest 8-byte token
+        ("00000001 2", np.int32),  # 8 bytes, leading zeros included
+        ("12345 1 2 3 4 5 6 7 8 9 67890", np.int32),  # 5 bytes at byte 0 and flush with the end
+        ("12345 2 87654321", np.int32),  # 8 bytes flush with the end: a whole word
+        ("99999 1 2 3 4", np.int32),  # four tokens start in the last 7 bytes
+        ("123456789", np.int64),  # 9 bytes
         ("1\n2 123456789\n3 4", np.int64),
         ("-999", np.int64),  # a `-`
         ("1\t2", np.int64),  # a tab: not a plain text
@@ -186,15 +206,18 @@ def test_matching_names_a_token_past_the_int_string_limit(triangle_pendant):
 
 
 def test_parse_peak_memory():
-    # 89,776 edges in 685,282 bytes of text, read as 32-bit words. The
-    # parse peaks at 10.0 times the text size from str and 9.0 times from
-    # bytes (numpy 2.4); the bound adds a margin
-    text = serialize_instance(generate_instance(600, "gnp", 0.5, seed=3))
-    for source in (text, text.encode()):
-        tracemalloc.start()
-        try:
-            parse_instance(source)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 22.5 * len(text), peak / len(text)
+    # 89,776 edges in 685,282 bytes of text, read as 32-bit words, and a
+    # 20,001-node path in 217,788 bytes, its 5-digit ids read as 64-bit
+    # words. The parses peak at 10.0 and 10.8 times the text size from str
+    # and at 9.0 and 9.8 times from bytes (numpy 2.4); the bound adds a margin
+    dense = serialize_instance(generate_instance(600, "gnp", 0.5, seed=3))
+    long_ids = serialize_instance(unpopular_path(20_000, seed=3)[0])
+    for text in (dense, long_ids):
+        for source in (text, text.encode()):
+            tracemalloc.start()
+            try:
+                parse_instance(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 22.5 * len(text), peak / len(text)
